@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import IntVector, Semilattice, det, matvec, snf, solve_mod
+from .lattice import IntVector, Semilattice, det, inverse_unimodular, matvec, solve_mod
 from .system import (
     Ears,
     Root,
@@ -112,26 +111,6 @@ def sum_free_violation(
     return None
 
 
-def _inverse_unimodular(m: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        a[col] = [x / a[col][col] for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
 @dataclass(frozen=True)
 class Character:
     """A modulus-m character rule attached to a specific root system."""
@@ -172,7 +151,7 @@ class Character:
         rule = self.rule
         n = len(rule.values)
         mat = tuple(tuple(rule.basis[j][i] for j in range(n)) for i in range(n))
-        inv = _inverse_unimodular(mat)
+        inv = inverse_unimodular(mat)
         return tuple(
             sum(rule.values[i] * inv[i][j] for i in range(n)) % self.modulus
             for j in range(n)
@@ -443,8 +422,8 @@ def extendability(
 
     Every window root contributes the linear constraint coords . h = exponent
     over Z/m; a solution is re-verified against the character on the window,
-    and an UNSAT certificate is upgraded to an exact integer relation among
-    window roots whose value sum is nonzero mod m.
+    and an UNSAT certificate must be an exact integer relation among window
+    roots whose value sum is nonzero mod m.
     """
     e = c.ears
     m = c.modulus
@@ -458,7 +437,7 @@ def extendability(
         cols = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
         if abs(det(cols)) != 1:
             raise ValueError("supplied lattice basis is not unimodular")
-        inv = _inverse_unimodular(cols)
+        inv = inverse_unimodular(cols)
         coord_rows = [matvec(inv, row) for row in coord_rows]
     exps = [c.eval(r).exponent for r in roots]
     res = solve_mod(coord_rows, exps, m)
@@ -473,52 +452,17 @@ def extendability(
         return ExtendabilityResult(True, hom, None, m)
     cert = res.certificate
     ra = [sum(cert[i] * coord_rows[i][j] for i in range(len(roots))) for j in range(n)]
-    assert all(x % m == 0 for x in ra)
-    coeffs = list(cert)
-    needed = [x // m for x in ra]
-    if any(needed):
-        solver = _IntegerComboSolver(coord_rows)
-        for j, q in enumerate(needed):
-            if q == 0:
-                continue
-            z = solver.express_unit(j)
-            if z is None:
-                raise ValueError(
-                    "window roots do not span the root lattice; enlarge the window"
-                )
-            coeffs = [a - m * q * b for a, b in zip(coeffs, z)]
-    final = [sum(coeffs[i] * coord_rows[i][j] for i in range(len(roots))) for j in range(n)]
-    assert not any(final), "witness upgrade failed to cancel coordinates"
-    assert sum(co * ex for co, ex in zip(coeffs, exps)) % m != 0
-    witness = tuple((r, co) for r, co in zip(roots, coeffs) if co)
+    if any(x % m for x in ra):
+        raise AssertionError("UNSAT certificate does not kill the constraints mod m")
+    # A certificate that cancels only mod m comes from an SNF diagonal entry
+    # d_i with gcd(d_i, m) > 1; no integer combination of window roots can
+    # repair it, because ra/m is then outside their integer row span.
+    if any(ra):
+        raise ValueError("window roots do not span the root lattice; enlarge the window")
+    if sum(co * ex for co, ex in zip(cert, exps)) % m == 0:
+        raise AssertionError("UNSAT certificate has value sum 0 mod m")
+    witness = tuple((r, co) for r, co in zip(roots, cert) if co)
     return ExtendabilityResult(False, None, witness, m)
-
-
-class _IntegerComboSolver:
-    """Expresses standard basis vectors as integer combinations of given rows."""
-
-    def __init__(self, rows: Sequence[IntVector]):
-        self.rows = rows
-        n = len(rows[0]) if rows else 0
-        mat = tuple(tuple(rows[i][j] for i in range(len(rows))) for j in range(n))
-        self.u, self.d, self.v = snf(mat)
-        self.n = n
-        self.k = len(rows)
-
-    def express_unit(self, j: int) -> list[int] | None:
-        target = [int(i == j) for i in range(self.n)]
-        c = matvec(self.u, target)
-        y = [0] * self.k
-        for i in range(self.n):
-            di = self.d[i][i] if i < min(self.n, self.k) else 0
-            if di == 0:
-                if c[i]:
-                    return None
-                continue
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        return list(matvec(self.v, y))
 
 
 def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:

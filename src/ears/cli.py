@@ -58,6 +58,22 @@ def _read_json(path: str) -> tuple[dict, str]:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_json(path: str, obj) -> None:
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_spec(path: str):
     obj, digest = _read_json(path)
     try:
@@ -165,19 +181,17 @@ def cmd_counterexample(args) -> int:
     if args.taus:
         obj, digest = _read_json(args.taus)
         digests["taus_sha256"] = digest
+        if not isinstance(obj, list) or not all(
+            isinstance(t, list) and all(type(x) is int for x in t) for t in obj
+        ):
+            raise InputError(f"{args.taus} must hold a JSON list of integer vectors")
         taus = [tuple(t) for t in obj]
     try:
         c = build_a1_counterexample(args.nullity, taus)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    spec_json = c.ears.spec.to_json()
-    char_json = c.to_json()
-    with open(args.out_spec, "w") as fh:
-        json.dump(spec_json, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(args.out_char, "w") as fh:
-        json.dump(char_json, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out_spec, c.ears.spec.to_json())
+    _write_json(args.out_char, c.to_json())
     report = {
         "command": "counterexample",
         "inputs": digests,
@@ -302,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="invariants and axiom checks for a system spec")
     p.add_argument("spec")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=non_negative_int, default=2)
     p.add_argument(
         "--refl-oracle", action="store_true",
         help="cross-check the index formula by minimal reflectable search",
@@ -312,13 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char-verify", help="verify a character on a window")
     p.add_argument("spec")
     p.add_argument("char")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=non_negative_int, default=2)
     p.set_defaults(func=cmd_char_verify)
 
     p = sub.add_parser("char-extend", help="decide extendability to a lattice homomorphism")
     p.add_argument("spec")
     p.add_argument("char")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=non_negative_int, default=2)
     p.set_defaults(func=cmd_char_extend)
 
     p = sub.add_parser("counterexample", help="emit the non-extendable rank-one character")
@@ -333,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("orbit", "check", "minsize", "decompose"))
     p.add_argument("--base", help="JSON list of roots (unused for minsize)")
     p.add_argument("--target", help="JSON list with one root (decompose)")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=non_negative_int, default=2)
     p.add_argument("--max-size", type=int, default=6)
     p.set_defaults(func=cmd_weyl)
 
@@ -343,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--hom", help="comma-separated exponents, rank + nullity of them")
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=non_negative_int, default=2)
     p.set_defaults(func=cmd_torus)
 
     return parser

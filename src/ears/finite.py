@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+from .lattice import IntLattice
+
 Coords = tuple[Fraction, ...]
 
 _RANK_RULES = {
@@ -62,10 +64,6 @@ class FiniteType:
 
 def _q(x) -> Fraction:
     return Fraction(x)
-
-
-def _vec(xs) -> Coords:
-    return tuple(_q(x) for x in xs)
 
 
 def _e8_roots() -> list[Coords]:
@@ -178,14 +176,6 @@ class FiniteRootSystem:
     def lacing(self) -> int:
         return self.type.lacing
 
-    @cached_property
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.dim
-        return tuple(
-            tuple(self.scale if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
         return self.scale * sum(
             (_q(a) * _q(b) for a, b in zip(x, y, strict=True)), Fraction(0)
@@ -271,42 +261,23 @@ class FiniteRootSystem:
         return tuple(sorted(simple, reverse=True))
 
     @cached_property
-    def _simple_solver(self) -> list[list[Fraction]]:
-        # row-reduced system for expressing roots in the simple basis
-        cols = self.simple_roots
-        rows = [[cols[j][i] for j in range(self.rank)] for i in range(self.dim)]
-        return rows
-
-    def simple_coords(self, root: Sequence) -> tuple[int, ...]:
-        """Integer coordinates of a root in the simple-root basis."""
-        a = [row[:] + [_q(root[i])] for i, row in enumerate(self._simple_solver)]
-        n, k = len(a), self.rank
-        r = 0
-        pivots = []
-        for col in range(k):
-            piv = next((i for i in range(r, n) if a[i][col]), None)
-            if piv is None:
-                continue
-            a[r], a[piv] = a[piv], a[r]
-            a[r] = [x / a[r][col] for x in a[r]]
-            for i in range(n):
-                if i != r and a[i][col]:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(col)
-            r += 1
-        if any(a[i][-1] for i in range(r, n)):
-            raise ValueError("vector is outside the root span")
-        out = [Fraction(0)] * k
-        for i, col in enumerate(pivots):
-            out[col] = a[i][-1]
-        if any(x.denominator != 1 for x in out):
-            raise ValueError("non-integral simple-basis coordinates")
-        return tuple(int(x) for x in out)
-
-    @cached_property
     def simple_coords_table(self) -> dict[Coords, tuple[int, ...]]:
-        return {r: self.simple_coords(r) for r in self.roots}
+        """Integer coordinates of every root in the simple-root basis.
+
+        The Cartan matrix maps simple coordinates to pairings with the simple
+        roots, so one Smith form of it solves for every root.
+        """
+        simple = self.simple_roots
+        cartan = IntLattice(
+            tuple(tuple(self.pairing(a, b) for a in simple) for b in simple)
+        )
+        table = {}
+        for r in self.roots:
+            c = cartan.coords(tuple(self.pairing(r, b) for b in simple))
+            if c is None:
+                raise AssertionError(f"root {r} has non-integral simple coordinates")
+            table[r] = c
+        return table
 
     @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:

@@ -1,15 +1,15 @@
-"""Exact integer-lattice arithmetic: Smith normal form, solving mod m, semilattices.
+"""The exact integer linear-algebra core, integer lattices and semilattices.
 
-Everything here works over plain Python integers, so there is no precision
-limit and no floating point anywhere.  Vectors are tuples of ints, matrices
-are tuples of row tuples.
+Every elimination in the package happens here: Smith normal form, Bareiss
+determinant, unimodular inverse, and solving over Z and Z/m.  All of it works
+over plain Python integers, so there is no precision limit and no floating
+point anywhere.  Vectors are tuples of ints, matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
@@ -55,28 +55,24 @@ def vec_scale(c: int, v: Sequence[int]) -> IntVector:
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-based elimination)."""
+    """Exact determinant of a square integer matrix (Bareiss: every division is exact)."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    a = [[int(x) for x in row] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    prod = Fraction(sign)
-    for i in range(n):
-        prod *= a[i][i]
-    assert prod.denominator == 1
-    return int(prod)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -184,34 +180,65 @@ class ModSolveResult:
         return self.solution is not None
 
 
+def _solve_snf(
+    usv: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int], m: int
+) -> tuple[IntVector | None, IntVector | None]:
+    """Back-substitution through a Smith form u A v = d: solve A x = b over Z/m.
+
+    m == 0 means over Z.  Returns (x, None) with x = v y, not reduced mod m, or
+    (None, r) where r is a multiple of a row of u.  For m >= 1, r.A = 0 and
+    r.b != 0 (mod m); over Z only the failure itself is meaningful.
+    """
+    u, d, v = usv
+    c = matvec(u, b)
+    y = [0] * len(v)
+    for i, ci in enumerate(c):
+        di = d[i][i] if i < len(y) else 0
+        g = gcd(di, m)
+        if g == 0:
+            if ci:
+                return None, u[i]
+            continue
+        if ci % g:
+            # (m//g) * row_i(u) kills A mod m but not b
+            return None, vec_scale(m // g, u[i])
+        if m == 0:
+            y[i] = ci // di
+        elif m > g:
+            mm = m // g
+            y[i] = ((ci // g) * pow(di // g, -1, mm)) % mm
+    return matvec(v, y), None
+
+
 def solve_mod(
     a: Sequence[Sequence[int]], b: Sequence[int], m: int
 ) -> ModSolveResult:
     """Solve A x = b over Z/m, or produce an UNSAT certificate."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if len(b) != rows:
+    if len(b) != len(a):
         raise ValueError("right-hand side length does not match row count")
-    u, d, v = snf(a)
-    c = matvec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di == 0:
-            if c[i] % m:
-                return ModSolveResult(m, certificate=u[i])
-            continue
-        g = gcd(di, m)
-        if c[i] % g:
-            # (m//g) * row_i(u) kills A mod m but not b
-            return ModSolveResult(m, certificate=vec_scale(m // g, u[i]))
-        mm = m // g
-        y[i] = ((c[i] // g) * pow(di // g, -1, mm)) % mm if mm > 1 else 0
-    x = tuple(val % m for val in matvec(v, y))
-    assert all((s - t) % m == 0 for s, t in zip(matvec(a, x), b))
+    x, cert = _solve_snf(snf(a), b, m)
+    if x is None:
+        return ModSolveResult(m, certificate=cert)
+    x = tuple(val % m for val in x)
+    if any((s - t) % m for s, t in zip(matvec(a, x), b)):
+        raise AssertionError("solve_mod produced a non-solution")
     return ModSolveResult(m, solution=x)
+
+
+def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
+    """Integer inverse of a square matrix of determinant +-1.
+
+    From u m v = I the inverse is v u; any other Smith form raises ValueError.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse needs a square matrix")
+    u, d, v = snf(m)
+    if any(d[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return matmul(v, u)
 
 
 @dataclass(frozen=True)
@@ -252,14 +279,7 @@ class IntLattice:
             raise ValueError("vector dimension mismatch")
         if self._is_standard:
             return tuple(int(x) for x in v)
-        u, d, vt = self._snf
-        c = matvec(u, v)
-        y = []
-        for i in range(self.dim):
-            if c[i] % d[i][i]:
-                return None
-            y.append(c[i] // d[i][i])
-        return matvec(vt, y)
+        return _solve_snf(self._snf, v, 0)[0]
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
@@ -401,9 +421,6 @@ class Semilattice:
                 if not self.contains(vec_sub(r, vec_scale(2, r2))):
                     return False
         return True
-
-    def same_ambient(self, other: "Semilattice") -> bool:
-        return self.lattice.basis == other.lattice.basis
 
     def to_json(self) -> dict:
         return {

@@ -313,6 +313,8 @@ class Ears:
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         """Inverse of root_coords; the result need not classify as a root."""
+        if any(x != int(x) for x in coords):
+            raise ValueError(f"root coordinates {tuple(coords)} are not integers")
         coords = tuple(int(x) for x in coords)
         if len(coords) != self.rank + self.nullity:
             raise ValueError("coordinate length mismatch")
@@ -343,13 +345,6 @@ class Ears:
             yield self.ambient_lattice.from_coords(x)
 
 
-def _full_cosets(lattice: IntLattice) -> tuple[IntVector, ...]:
-    return tuple(
-        lattice.from_coords(key)
-        for key in itertools.product((0, 1), repeat=lattice.dim)
-    )
-
-
 def _derive_semilattices(spec: EarsSpec) -> tuple[Semilattice, Semilattice | None]:
     if spec.kind == "rank_one":
         return spec.s, None
@@ -361,13 +356,13 @@ def _derive_semilattices(spec: EarsSpec) -> tuple[Semilattice, Semilattice | Non
     s_reps = tuple(
         _concat(r1, w2)
         for r1 in spec.s1.reps
-        for w2 in _full_cosets(b2)
+        for w2 in Semilattice.full(b2).reps
     )
     s = Semilattice(ambient, _reorder_zero_first(s_reps))
     l_lattice = _block_lattice(b1, b2, scale1=k)
     l_reps = tuple(
         _concat(vec_scale(k, w1), r2)
-        for w1 in _full_cosets(b1)
+        for w1 in Semilattice.full(b1).reps
         for r2 in spec.s2.reps
     )
     l = Semilattice(l_lattice, _reorder_zero_first(l_reps))
@@ -594,7 +589,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
             d, u = -min(members), max(members)
             if members != set(range(-d, u + 1)) or d - u != e.pairing(beta, alpha):
                 string_failures.append(
-                    {"alpha": _root_json(e, alpha), "beta": _root_json(e, beta)}
+                    {"alpha": root_to_json(e, alpha), "beta": root_to_json(e, beta)}
                 )
     checks["root_strings"] = {
         "passed": not string_failures,
@@ -623,13 +618,13 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
             doubled.append(list(map(str, fin)))
     for r in noniso:
         if e.is_root(e.scale_root(2, r)):
-            doubled.append(_root_json(e, r))
+            doubled.append(root_to_json(e, r))
     checks["reduced"] = {"passed": not doubled, "failures": doubled[:5]}
 
     return AxiomReport(w.bound, checks)
 
 
-def _root_json(e: Ears, r: Root) -> dict:
+def root_to_json(e: Ears, r: Root) -> dict:
     if r.finite is None:
         fin = None
     else:
@@ -637,19 +632,13 @@ def _root_json(e: Ears, r: Root) -> dict:
     return {"finite": fin, "iso": list(e.iso_coords(r.iso))}
 
 
-def root_to_json(e: Ears, r: Root) -> dict:
-    return _root_json(e, r)
-
-
 def root_from_json(e: Ears, obj: dict) -> Root:
-    fin_c = obj["finite"]
-    iso = e.ambient_lattice.from_coords(tuple(obj["iso"]))
-    if fin_c is None:
-        return Root(None, iso)
-    fin = tuple(
-        sum(Fraction(c) * s[i] for c, s in zip(fin_c, e.finite.simple_roots))
-        for i in range(e.finite.dim)
-    )
-    if all(x == 0 for x in fin):
-        fin = None
-    return Root(fin, iso)
+    """Inverse of root_to_json; a finite part must have one entry per simple root."""
+    fin = obj["finite"]
+    if fin is None:
+        fin = (0,) * e.rank
+    elif len(fin) != e.rank:
+        raise ValueError(
+            f"finite part needs {e.rank} simple-root coordinates, got {len(fin)}"
+        )
+    return e.root_from_coords(tuple(fin) + tuple(obj["iso"]))

@@ -188,6 +188,23 @@ class TestWeyl:
         assert report["prefixes_are_roots"] is True
         assert len(report["terms"]) == 3
 
+    @pytest.mark.parametrize(
+        "base, target",
+        [
+            ('[{"finite":[1,7,7],"iso":[0]},{"finite":[-1],"iso":[1]}]',
+             '[{"finite":[1,5],"iso":[1]}]'),
+            ('[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]',
+             '[{"finite":[1.5],"iso":[1]}]'),
+        ],
+    )
+    def test_malformed_finite_part_rejected(self, capsys, base, target):
+        code = main(
+            ["weyl", AFFINE, "decompose", "--base", base, "--target", target,
+             "--window", "3"]
+        )
+        assert code == 2
+        assert "cannot parse roots" in capsys.readouterr().err
+
     def test_decompose_needs_target(self, capsys):
         code = main(["weyl", AFFINE, "decompose", "--base", self.BASE])
         assert code == 2
@@ -225,6 +242,40 @@ class TestTorus:
             ["torus", "check-chevalley", "--ell", "1", "--nu", "1", "--modulus", "2"]
         )
         assert code == 2
+
+
+def exit_code(argv):
+    """Exit code of the CLI, whether it returns one or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "case", ["negative_window", "taus_not_vectors", "out_spec_missing_dir"]
+    )
+    def test_bad_input_exits_2_with_error_line(self, capsys, tmp_path, case):
+        taus = tmp_path / "taus.json"
+        taus.write_text("[1, 2]")
+        argv = {
+            "negative_window": ["info", AFFINE, "--window", "-1"],
+            "taus_not_vectors": [
+                "counterexample", "--taus", str(taus),
+                "--out-spec", str(tmp_path / "s.json"),
+                "--out-char", str(tmp_path / "c.json"),
+            ],
+            "out_spec_missing_dir": [
+                "counterexample",
+                "--out-spec", str(tmp_path / "missing" / "s.json"),
+                "--out-char", str(tmp_path / "c.json"),
+            ],
+        }[case]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

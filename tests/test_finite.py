@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_reference
 from ears.finite import FiniteType, build_finite, highest_roots
 
 COUNTS = {
@@ -217,6 +218,13 @@ def test_simple_coords_roundtrip(systems):
                 for i in range(f.dim)
             )
             assert rebuilt == r
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_simple_coords_table_matches_fraction_oracle(systems, name):
+    f = systems[name]
+    expected = {r: fraction_reference.simple_coords(f, r) for r in f.roots}
+    assert f.simple_coords_table == expected
 
 
 def test_parse_type():

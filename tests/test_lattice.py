@@ -1,16 +1,45 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference
 from ears.lattice import (
     IntLattice,
     Semilattice,
+    _solve_snf,
     det,
+    inverse_unimodular,
     matmul,
     snf,
     solve_mod,
     sum_semilattices,
 )
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def square(data, n, lo=-3, hi=3):
+    return [[data.draw(st.integers(lo, hi)) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def unimodular(draw, n):
+    """Identity scrambled by random integer row operations and a row permutation."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 10))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        else:
+            q = draw(st.integers(-3, 3))
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    return [m[i] for i in draw(st.permutations(range(n)))]
 
 
 def check_snf_contract(mat):
@@ -71,6 +100,55 @@ class TestSnf:
         check_snf_contract(mat)
 
 
+class TestDet:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_matches_fraction_oracle(self, n, data):
+        mat = square(data, n)
+        assert det(mat) == fraction_reference.det(mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_large_entries_match_fraction_oracle(self, n, data):
+        mat = square(data, n, -10**6, 10**6)
+        assert det(mat) == fraction_reference.det(mat)
+
+    def test_zero_pivots_need_swaps(self):
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            det([[1, 2]])
+
+
+class TestInverseUnimodular:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(unimodular))
+    def test_matches_fraction_oracle(self, m):
+        inv = inverse_unimodular(m)
+        assert inv == fraction_reference.inverse_unimodular(m)
+        n = len(m)
+        assert matmul(m, inv) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.data())
+    def test_random_matrices_agree_with_oracle(self, n, data):
+        m = square(data, n, -2, 2)
+        try:
+            expected = fraction_reference.inverse_unimodular(m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                inverse_unimodular(m)
+        else:
+            assert inverse_unimodular(m) == expected
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            inverse_unimodular([[1, 0]])
+
+
 class TestSolveMod:
     def test_identity_system(self):
         res = solve_mod([[1, 0], [0, 1]], [5, 9], 7)
@@ -117,6 +195,56 @@ class TestSolveMod:
             ra = [sum(r[i] * a[i][j] for i in range(rows)) for j in range(cols)]
             assert all(x % m == 0 for x in ra)
             assert sum(r[i] * b[i] for i in range(rows)) % m != 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 12), st.data())
+    def test_inexact_certificate_cannot_be_made_exact(self, cols, extra, m, data):
+        # An UNSAT certificate r either cancels the rows exactly, or comes from
+        # an SNF entry d_i > 1 and r.A / m lies outside the integer row span,
+        # so no integer relation among the rows can repair it.
+        rows = cols + extra
+        a = [[data.draw(st.integers(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+        b = [data.draw(st.integers(-6, 6)) for _ in range(rows)]
+        res = solve_mod(a, b, m)
+        if res.sat:
+            return
+        ra = [sum(r * row[j] for r, row in zip(res.certificate, a)) for j in range(cols)]
+        if not any(ra):
+            return
+        _, d, _ = snf(a)
+        assert any(d[i][i] > 1 for i in range(cols))
+        transposed = [[a[i][j] for i in range(rows)] for j in range(cols)]
+        assert _solve_snf(snf(transposed), [x // m for x in ra], 0)[0] is None
+
+    def test_solution_check_survives_optimize(self):
+        script = textwrap.dedent(
+            """
+            import ears.lattice as lattice
+
+            if __debug__:
+                raise SystemExit("interpreter is not running with -O")
+            real_snf = lattice.snf
+
+            def corrupted_snf(a):
+                u, d, v = real_snf(a)
+                return u, d, tuple(tuple(x + 1 for x in row) for row in v)
+
+            lattice.snf = corrupted_snf
+            try:
+                res = lattice.solve_mod([[1, 0], [0, 1]], [1, 1], 5)
+            except AssertionError:
+                raise SystemExit(0)
+            raise SystemExit(f"solve_mod returned {res}")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIntLattice:
