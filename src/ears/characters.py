@@ -24,7 +24,6 @@ from .lattice import IntVector, Semilattice, det, inverse_unimodular, matvec, so
 from .system import (
     Ears,
     Root,
-    RootClass,
     Window,
     enumerate_roots,
     invariants,
@@ -159,23 +158,24 @@ class Character:
 
     def eval(self, r: Root) -> UnityValue:
         """Value on a root, as an exponent of the fixed primitive m-th root of unity."""
-        e = self.ears
-        cls = e.root_class(r)
-        if cls is RootClass.NOT_A_ROOT:
+        if not self.ears.is_root(r):
             raise ValueError(f"{r} does not classify as a root")
+        return UnityValue(self._exponent(r), self.modulus)
+
+    def _exponent(self, r: Root) -> int:
+        """The exponent on r, which the caller has already classified as a root."""
         if isinstance(self.rule, LatticeHomRule):
-            coords = e.root_coords(r)
-            exp = sum(c * v for c, v in zip(coords, self._std_values)) % self.modulus
-            return UnityValue(exp, self.modulus)
+            coords = self.ears.root_coords(r)
+            return sum(c * v for c, v in zip(coords, self._std_values)) % self.modulus
         if isinstance(self.rule, A1CosetRule):
-            i = e.S.coset_class(r.iso)
+            i = self.ears.s_class(r.iso)
             if r.finite is not None:
-                return UnityValue(0 if i == 0 else 1, 2)
-            return UnityValue(1 if (i is not None and i > 0) else 0, 2)
-        if max((abs(x) for x in e.iso_coords(r.iso)), default=0) > self.rule.window:
+                return 0 if i == 0 else 1
+            return 1 if (i is not None and i > 0) else 0
+        if max(map(abs, r.iso), default=0) > self.rule.window:
             raise ValueError("root lies outside the table window")
         try:
-            return UnityValue(self.rule.lookup[r] % self.modulus, self.modulus)
+            return self.rule.lookup[r] % self.modulus
         except KeyError:
             raise ValueError(f"table has no entry for root {r}") from None
 
@@ -274,15 +274,15 @@ def _verify(c: Character, w: Window, core_only: bool) -> CharacterCheckReport:
         ea = exps[alpha]
         for beta in roots:
             total = e.add(alpha, beta)
-            if not e.is_root(total):
-                continue
-            if total in exps:
-                et = exps[total]
-            elif table_bound is not None:
-                skipped += 1
-                continue
-            else:
-                et = c.eval(total).exponent
+            et = exps.get(total)
+            if et is None:
+                # not a window root: outside the window, or no root at all
+                if not e.is_root(total):
+                    continue
+                if table_bound is not None:
+                    skipped += 1
+                    continue
+                et = c._exponent(total)
             checked += 1
             if (ea + exps[beta] - et) % m:
                 add_failures.append(
@@ -334,10 +334,7 @@ def verify_square_shift_identity(c: Character, w: Window) -> dict:
             if not (e.is_root(plus) and e.is_root(minus)):
                 continue
             if table_bound is not None:
-                cap = max(
-                    max((abs(x) for x in e.iso_coords(r.iso)), default=0)
-                    for r in (plus, minus)
-                )
+                cap = max(max(map(abs, r.iso), default=0) for r in (plus, minus))
                 if cap > table_bound:
                     continue
             lhs = 2 * c.eval(alpha).exponent

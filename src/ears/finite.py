@@ -4,6 +4,10 @@ Coordinates are exact rationals in the usual orthonormal models (denominators
 at most 2), with the inner product scaled per type so that short roots always
 have squared length 2.  Pairings, reflections and root strings are therefore
 exact integer data.
+
+The rationals stay in this module.  Every root also has integer coordinates
+in the simple-root basis (`coords`); the rest of the package works only with
+those, through tables keyed or indexed by them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import IntLattice
+from .lattice import IntLattice, IntVector
 
 Coords = tuple[Fraction, ...]
 
@@ -193,18 +197,21 @@ class FiniteRootSystem:
 
     @cached_property
     def short_roots(self) -> tuple[Coords, ...]:
-        return tuple(r for r in self.roots if self.norm(r) == 2)
+        return tuple(r for r in self.roots if self._root_norms[r] == 2)
 
     @cached_property
     def long_roots(self) -> tuple[Coords, ...]:
-        return tuple(r for r in self.roots if self.norm(r) != 2)
+        return tuple(r for r in self.roots if self._root_norms[r] != 2)
 
-    def is_short(self, r: Coords) -> bool:
-        return self.norm(r) == 2
+    @cached_property
+    def _root_norms(self) -> dict[Coords, Fraction]:
+        return {r: self.norm(r) for r in self.roots}
 
     def pairing(self, beta: Sequence, alpha: Coords) -> int:
         """Integer Cartan pairing 2(beta, alpha) / (alpha, alpha)."""
-        na = self.norm(alpha)
+        na = self._root_norms.get(tuple(alpha))
+        if na is None:
+            na = self.norm(alpha)
         if na == 0:
             raise ValueError("pairing against the zero vector")
         val = 2 * self.inner(beta, alpha) / na
@@ -234,7 +241,8 @@ class FiniteRootSystem:
             v = tuple(_q(b) + n * _q(a) for a, b in zip(alpha, beta))
             if v == zero or v in self.root_index:
                 members.add(n)
-        assert 0 in members
+        if 0 not in members:
+            raise ValueError("string base must be a root or zero")
         d, u = -min(members), max(members)
         if members != set(range(-d, u + 1)):
             raise AssertionError("broken root string")
@@ -257,7 +265,8 @@ class FiniteRootSystem:
             )
             if not decomposable:
                 simple.append(p)
-        assert len(simple) == self.rank
+        if len(simple) != self.rank:
+            raise AssertionError(f"found {len(simple)} simple roots for rank {self.rank}")
         return tuple(sorted(simple, reverse=True))
 
     @cached_property
@@ -280,18 +289,50 @@ class FiniteRootSystem:
         return table
 
     @cached_property
+    def coords(self) -> tuple[IntVector, ...]:
+        """Simple-root coordinates of the roots, in root-list order.
+
+        This integer form is the one `ears.system` works with; the tables
+        below are indexed in the same order.
+        """
+        table = self.simple_coords_table
+        return tuple(table[r] for r in self.roots)
+
+    @cached_property
+    def coord_index(self) -> dict[IntVector, int]:
+        """Position in the root list, keyed by simple-root coordinates."""
+        return {c: i for i, c in enumerate(self.coords)}
+
+    @cached_property
+    def short_coords(self) -> frozenset[IntVector]:
+        table = self.simple_coords_table
+        return frozenset(table[r] for r in self.short_roots)
+
+    @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:
-        """pairing_table[i][j] = pairing of roots[i] against roots[j]."""
+        """pairing_table[i][j] = pairing of roots[i] against roots[j].
+
+        Pairing against a fixed root is linear in the first argument, so each
+        entry is a dot product of simple-root coordinates with the pairings of
+        the simple roots against roots[j].
+        """
+        simple = self.simple_roots
+        cols = [tuple(self.pairing(s, a) for s in simple) for a in self.roots]
         return tuple(
-            tuple(self.pairing(b, a) for a in self.roots) for b in self.roots
+            tuple(sum(x * y for x, y in zip(b, col)) for col in cols)
+            for b in self.coords
         )
 
     @cached_property
     def reflect_table(self) -> tuple[tuple[int, ...], ...]:
         """reflect_table[i][j] = index of roots[j] reflected through roots[i]."""
+        index, pairs = self.coord_index, self.pairing_table
         return tuple(
-            tuple(self.root_index[self.reflect(a, b)] for b in self.roots)
-            for a in self.roots
+            tuple(
+                index[tuple(x - pairs[j][i] * y for x, y in zip(b, a))]
+                for j, b in enumerate(self.coords)
+            )
+            for i, a in enumerate(self.coords)
         )
 
     @cached_property
@@ -310,7 +351,8 @@ class FiniteRootSystem:
             for r in pool
             if all(self.pairing(r, s) >= 0 for s in self.simple_roots)
         ]
-        assert len(found) == 1, "dominant root in a length class must be unique"
+        if len(found) != 1:
+            raise AssertionError("dominant root in a length class must be unique")
         return found[0]
 
 
@@ -318,8 +360,7 @@ def build_finite(t: FiniteType) -> FiniteRootSystem:
     """Construct the full root list for a finite type, sorted for determinism."""
     roots, scale = _generate(t)
     system = FiniteRootSystem(t, tuple(sorted(roots)), scale)
-    for r in system.roots:
-        n = system.norm(r)
+    for r, n in system._root_norms.items():
         if n not in (Fraction(2), Fraction(2 * t.lacing)):
             raise AssertionError(f"root {r} has unexpected norm {n}")
     return system

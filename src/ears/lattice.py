@@ -188,10 +188,16 @@ def _solve_snf(
     m == 0 means over Z.  Returns (x, None) with x = v y, not reduced mod m, or
     (None, r) where r is a multiple of a row of u.  For m >= 1, r.A = 0 and
     r.b != 0 (mod m); over Z only the failure itself is meaningful.
+
+    Row i of u times A is d_i times a row of v^-1, so a failing row with
+    d_i = 0 gives an exact certificate (r.A = 0 over Z).  The first failing
+    row is returned when it is exact; otherwise the first exact one after it,
+    and the first failing row only when none is exact.
     """
     u, d, v = usv
     c = matvec(u, b)
     y = [0] * len(v)
+    first = None
     for i, ci in enumerate(c):
         di = d[i][i] if i < len(y) else 0
         g = gcd(di, m)
@@ -201,12 +207,20 @@ def _solve_snf(
             continue
         if ci % g:
             # (m//g) * row_i(u) kills A mod m but not b
-            return None, vec_scale(m // g, u[i])
-        if m == 0:
+            cert = vec_scale(m // g, u[i])
+            if di == 0 or m == 0:
+                return None, cert
+            if first is None:
+                first = cert
+        elif first is not None:
+            continue
+        elif m == 0:
             y[i] = ci // di
         elif m > g:
             mm = m // g
             y[i] = ((ci // g) * pow(di // g, -1, mm)) % mm
+    if first is not None:
+        return None, first
     return matvec(v, y), None
 
 
@@ -381,16 +395,17 @@ class Semilattice:
         return len(self.reps)
 
     @cached_property
-    def _key_of_rep(self) -> dict[IntVector, int]:
+    def class_index(self) -> dict[IntVector, int]:
+        """Representative index by class key (parity pattern of basis coordinates)."""
         table = {}
         for i, r in enumerate(self.reps):
             c = self.lattice.coords(r)
             table[tuple(x % 2 for x in c)] = i
         return table
 
-    @property
+    @cached_property
     def class_keys(self) -> frozenset[IntVector]:
-        return frozenset(self._key_of_rep)
+        return frozenset(self.class_index)
 
     def key(self, v: Sequence[int]) -> IntVector | None:
         """Parity pattern of v in basis coordinates; None when v is outside L."""
@@ -404,13 +419,13 @@ class Semilattice:
         k = self.key(v)
         if k is None:
             raise ValueError(f"vector {tuple(v)} lies outside the ambient lattice")
-        return self._key_of_rep.get(k)
+        return self.class_index.get(k)
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.dim:
             return False
         k = self.key(v)
-        return k is not None and k in self._key_of_rep
+        return k is not None and k in self.class_index
 
     def closure_holds(self) -> bool:
         """Check s + 2s' and s - 2s' stay inside, on representatives."""

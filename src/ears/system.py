@@ -2,9 +2,10 @@
 
 A system is the disjoint union of an isotropic part S + S and translated
 copies of the finite short/long roots, with translation sets S and L coupled
-by S + L = S and kS + L = L (k the lacing number).  Roots are pairs
-(finite part, isotropic vector); membership is decided intensionally from
-coset classes, never by point enumeration.
+by S + L = S and kS + L = L (k the lacing number).  Roots are pairs of integer
+vectors: the finite part in simple-root coordinates and the isotropic part in
+coordinates of the ambient lattice basis.  Membership is decided intensionally
+from coset classes (coordinates mod 2 for S), never by point enumeration.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
-from .finite import Coords, FiniteRootSystem, FiniteType, build_finite
+from .finite import FiniteRootSystem, FiniteType, build_finite
 from .lattice import (
     IntLattice,
     IntVector,
@@ -40,14 +41,16 @@ class RootClass(Enum):
 
 
 class Root(NamedTuple):
-    """A root: optional finite part (realization coordinates) plus isotropic vector."""
+    """A root: finite part in simple-root coordinates (None when isotropic) plus
+    isotropic part in ambient-lattice coordinates."""
 
-    finite: Coords | None
+    finite: IntVector | None
     iso: IntVector
 
-    @property
-    def is_isotropic(self) -> bool:
-        return self.finite is None
+
+def parity(v: Sequence[int]) -> IntVector:
+    """Coordinates mod 2: the class key of a lattice point modulo the doubled lattice."""
+    return tuple([x & 1 for x in v])
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ class Ears:
     def rank(self) -> int:
         return self.finite.rank
 
-    @property
+    @cached_property
     def nullity(self) -> int:
         return self.spec.nullity
 
@@ -234,36 +237,73 @@ class Ears:
 
     # -- membership -----------------------------------------------------
 
-    def classify(self, finite_part: Sequence | None, iso: Sequence[int]) -> RootClass:
-        """Classify a candidate (finite part, isotropic vector).
+    def classify(self, finite_part: IntVector | None, iso: IntVector) -> RootClass:
+        """Classify a candidate (finite part, isotropic part).
 
-        The isotropic vector must lie in the ambient lattice; the finite part
-        must be None (isotropic candidate) or a vector in the realization space.
+        The finite part is None (isotropic candidate) or a tuple of
+        simple-root coordinates; the isotropic part is a tuple of coordinates
+        in the ambient lattice basis.  Coordinates are ints: a non-integral
+        one names a point outside the root lattice and raises ValueError.
         """
-        iso = tuple(int(x) for x in iso)
-        key = self.S.key(iso)
-        if key is None:
-            raise ValueError(f"isotropic part {iso} lies outside the ambient lattice")
+        if len(iso) != self.nullity:
+            raise ValueError(f"isotropic part {tuple(iso)} needs {self.nullity} coordinates")
+        try:
+            key = parity(iso)
+        except TypeError:
+            raise ValueError(f"isotropic coordinates {tuple(iso)} are not integers") from None
         if finite_part is None:
             return RootClass.ISOTROPIC if key in self.r0_keys else RootClass.NOT_A_ROOT
-        fin = tuple(finite_part)
-        if fin not in self.finite.root_index:
+        short = self._short_of.get(finite_part)
+        if short is None:
             return RootClass.NOT_A_ROOT
-        if fin in self._short_set:
+        if short:
             return RootClass.SHORT if key in self.S.class_keys else RootClass.NOT_A_ROOT
-        if self.L is not None and self.L.contains(iso):
-            return RootClass.LONG
-        return RootClass.NOT_A_ROOT
+        return RootClass.LONG if self._in_l(iso) else RootClass.NOT_A_ROOT
 
     @cached_property
-    def _short_set(self) -> frozenset[Coords]:
-        return frozenset(self.finite.short_roots)
+    def _short_of(self) -> dict[IntVector, bool]:
+        """Finite roots by simple-root coordinates: is the root short."""
+        short = self.finite.short_coords
+        return {c: c in short for c in self.finite.coords}
+
+    @cached_property
+    def _l_modulus(self) -> int:
+        """2k when k times the ambient lattice lies in the span of L, else 0.
+
+        L is a union of cosets of twice its span, so in the first case
+        membership in L depends only on the coordinates mod 2k.
+        """
+        amb, k = self.ambient_lattice, self.lacing
+        for j in range(amb.dim):
+            col = tuple(k * amb.basis[i][j] for i in range(amb.dim))
+            if self.L.lattice.coords(col) is None:
+                return 0
+        return 2 * k
+
+    @cached_property
+    def _l_residues(self) -> dict[IntVector, bool]:
+        return {}
+
+    def _in_l(self, iso: IntVector) -> bool:
+        if self.L is None:
+            return False
+        m = self._l_modulus
+        key = tuple(x % m for x in iso) if m else iso
+        hit = self._l_residues.get(key)
+        if hit is None:
+            hit = self.L.contains(self.ambient_lattice.from_coords(iso))
+            self._l_residues[key] = hit
+        return hit
+
+    def s_class(self, iso: Sequence[int]) -> int | None:
+        """Index of the S representative congruent to iso mod 2L, or None."""
+        return self.S.class_index.get(parity(iso))
 
     def root_class(self, r: Root) -> RootClass:
         return self.classify(r.finite, r.iso)
 
     def is_root(self, r: Root) -> bool:
-        return self.root_class(r).is_root
+        return self.classify(r.finite, r.iso) is not RootClass.NOT_A_ROOT
 
     # -- arithmetic on roots ---------------------------------------------
 
@@ -273,43 +313,34 @@ class Ears:
         elif b.finite is None:
             fin = a.finite
         else:
-            fin = tuple(x + y for x, y in zip(a.finite, b.finite))
-            if all(x == 0 for x in fin):
+            fin = tuple(map(add, a.finite, b.finite))
+            if not any(fin):
                 fin = None
-        return Root(fin, vec_add(a.iso, b.iso))
+        return Root(fin, tuple(map(add, a.iso, b.iso)))
 
     def neg(self, r: Root) -> Root:
         fin = None if r.finite is None else tuple(-x for x in r.finite)
-        return Root(fin, vec_scale(-1, r.iso))
+        return Root(fin, tuple(-x for x in r.iso))
 
     def scale_root(self, c: int, r: Root) -> Root:
         fin = None if r.finite is None else tuple(c * x for x in r.finite)
-        if fin is not None and all(x == 0 for x in fin):
+        if fin is not None and not any(fin):
             fin = None
-        return Root(fin, vec_scale(c, r.iso))
+        return Root(fin, tuple(c * x for x in r.iso))
 
     def finite_index(self, r: Root) -> int:
         """Position of the finite part in the root list; -1 for isotropic."""
         if r.finite is None:
             return -1
-        return self.finite.root_index[r.finite]
+        return self.finite.coord_index[r.finite]
 
     def sort_key(self, r: Root):
-        return (self.finite_index(r), self.iso_coords(r.iso))
-
-    def iso_coords(self, iso: Sequence[int]) -> IntVector:
-        c = self.ambient_lattice.coords(iso)
-        if c is None:
-            raise ValueError(f"{tuple(iso)} is not an ambient lattice point")
-        return c
+        return (self.finite_index(r), r.iso)
 
     def root_coords(self, r: Root) -> IntVector:
         """Integer coordinates in the root-lattice basis (simple roots, then lattice basis)."""
-        if r.finite is None:
-            fin = (0,) * self.rank
-        else:
-            fin = self.finite.simple_coords_table[r.finite]
-        return fin + self.iso_coords(r.iso)
+        fin = (0,) * self.rank if r.finite is None else r.finite
+        return fin + r.iso
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         """Inverse of root_coords; the result need not classify as a root."""
@@ -318,14 +349,8 @@ class Ears:
         coords = tuple(int(x) for x in coords)
         if len(coords) != self.rank + self.nullity:
             raise ValueError("coordinate length mismatch")
-        fin_c, iso_c = coords[: self.rank], coords[self.rank :]
-        fin = tuple(
-            sum(Fraction(c) * s[i] for c, s in zip(fin_c, self.finite.simple_roots))
-            for i in range(self.finite.dim)
-        )
-        if all(x == 0 for x in fin):
-            fin = None
-        return Root(fin, self.ambient_lattice.from_coords(iso_c))
+        fin, iso = coords[: self.rank], coords[self.rank :]
+        return Root(fin if any(fin) else None, iso)
 
     def pairing(self, beta: Root, alpha: Root) -> int:
         """Cartan pairing; isotropic directions are null for the form."""
@@ -339,10 +364,8 @@ class Ears:
     # -- enumeration -----------------------------------------------------
 
     def window_iso(self, w: Window) -> Iterator[IntVector]:
-        """Ambient vectors whose basis coordinates have sup-norm <= bound, in lex order."""
-        rng = range(-w.bound, w.bound + 1)
-        for x in itertools.product(rng, repeat=self.nullity):
-            yield self.ambient_lattice.from_coords(x)
+        """Lattice coordinates with sup-norm <= bound, in lex order."""
+        return itertools.product(range(-w.bound, w.bound + 1), repeat=self.nullity)
 
 
 def _derive_semilattices(spec: EarsSpec) -> tuple[Semilattice, Semilattice | None]:
@@ -421,18 +444,13 @@ def enumerate_roots(e: Ears, w: Window) -> list[Root]:
     coordinates), then one block per finite root in root-list order.
     """
     iso_list = list(e.window_iso(w))
-    out: list[Root] = []
-    for iso in iso_list:
-        if e.classify(None, iso) is RootClass.ISOTROPIC:
-            out.append(Root(None, iso))
-    for fin in e.finite.roots:
-        short = e.finite.is_short(fin)
-        for iso in iso_list:
-            if short:
-                if e.S.contains(iso):
-                    out.append(Root(fin, iso))
-            elif e.L is not None and e.L.contains(iso):
-                out.append(Root(fin, iso))
+    keys = [parity(iso) for iso in iso_list]
+    out = [Root(None, iso) for iso, key in zip(iso_list, keys) if key in e.r0_keys]
+    in_s = [iso for iso, key in zip(iso_list, keys) if key in e.S.class_keys]
+    in_l = [iso for iso in iso_list if e._in_l(iso)]
+    short = e.finite.short_coords
+    for fin in e.finite.coords:
+        out.extend(Root(fin, iso) for iso in (in_s if fin in short else in_l))
     return out
 
 
@@ -565,14 +583,16 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     noniso = [r for r in roots if r.finite is not None]
 
     failures = []
-    pair_keys = e.r0_keys
+    rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
     for iso in e.window_iso(w):
-        direct = e.S.key(iso) in pair_keys
-        brute = any(
-            e.S.coset_class(vec_sub(iso, rep)) is not None for rep in e.S.reps
-        )
+        direct = parity(iso) in e.r0_keys
+        brute = any(parity(vec_sub(iso, rep)) in e.S.class_keys for rep in rep_coords)
         if direct != brute:
-            failures.append({"iso": list(iso), "class_based": direct, "pairwise": brute})
+            failures.append({
+                "iso": list(e.ambient_lattice.from_coords(iso)),
+                "class_based": direct,
+                "pairwise": brute,
+            })
     checks["isotropic_support"] = {"passed": not failures, "failures": failures[:5]}
 
     problems = check_compatibility(e)
@@ -580,12 +600,9 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
 
     string_failures = []
     for alpha in noniso:
+        steps = [(n, e.scale_root(n, alpha)) for n in range(-8, 9)]
         for beta in roots:
-            members = set()
-            for n in range(-8, 9):
-                cand = e.add(beta, e.scale_root(n, alpha))
-                if e.is_root(cand):
-                    members.add(n)
+            members = {n for n, step in steps if e.is_root(e.add(beta, step))}
             d, u = -min(members), max(members)
             if members != set(range(-d, u + 1)) or d - u != e.pairing(beta, alpha):
                 string_failures.append(
@@ -605,17 +622,17 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
         while frontier:
             cur = frontier.pop()
             for other in pool - seen:
-                if e.finite.inner(cur.finite, other.finite) != 0:
+                if e.pairing(cur, other) != 0:
                     seen.add(other)
                     frontier.append(other)
         connected = seen == pool
     checks["indecomposable"] = {"passed": connected, "components_connected": connected}
 
     doubled = []
-    for fin in e.finite.roots:
+    for fin in e.finite.coords:
         twice = tuple(2 * x for x in fin)
-        if twice in e.finite.root_index:
-            doubled.append(list(map(str, fin)))
+        if twice in e.finite.coord_index:
+            doubled.append(list(fin))
     for r in noniso:
         if e.is_root(e.scale_root(2, r)):
             doubled.append(root_to_json(e, r))
@@ -625,11 +642,8 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
 
 
 def root_to_json(e: Ears, r: Root) -> dict:
-    if r.finite is None:
-        fin = None
-    else:
-        fin = list(e.finite.simple_coords_table[r.finite])
-    return {"finite": fin, "iso": list(e.iso_coords(r.iso))}
+    fin = None if r.finite is None else list(r.finite)
+    return {"finite": fin, "iso": list(r.iso)}
 
 
 def root_from_json(e: Ears, obj: dict) -> Root:

@@ -1,7 +1,7 @@
 """Desk-scale multiloop realization: traceless matrices over Laurent polynomials.
 
 Elements are finite sums of (matrix unit or Cartan difference) tensor a
-Laurent monomial in nu variables, with coefficients in the rational group
+Laurent monomial in nu variables, with coefficients in the integer group
 ring of Z/m (cyclic convolution, so zeta ** m = 1 holds by construction and
 all equality checks are exact).  This realizes the simply-laced type A
 system over the full lattice: root spaces are matrix positions graded by
@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .finite import FiniteType
@@ -25,21 +24,24 @@ TermKey = tuple  # ("e", i, j) or ("h", r)
 
 @dataclass(frozen=True)
 class CycScalar:
-    """Element of Q[Z/m]: coefficient vector for (1, zeta, ..., zeta**(m-1))."""
+    """Element of Z[Z/m]: integer coefficient vector for (1, zeta, ..., zeta**(m-1))."""
 
     modulus: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         if len(self.coeffs) != self.modulus:
             raise ValueError("need exactly one coefficient per group element")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        if not all(type(c) is int for c in self.coeffs):
+            if any(c != int(c) for c in self.coeffs):
+                raise ValueError(f"group-ring coefficients {self.coeffs} are not integers")
+            object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     @classmethod
     def zero(cls, m: int) -> "CycScalar":
-        return cls(m, (Fraction(0),) * m)
+        return cls(m, (0,) * m)
 
     @classmethod
     def one(cls, m: int) -> "CycScalar":
@@ -47,8 +49,8 @@ class CycScalar:
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> "CycScalar":
-        coeffs = [Fraction(0)] * m
-        coeffs[power % m] = Fraction(1)
+        coeffs = [0] * m
+        coeffs[power % m] = 1
         return cls(m, tuple(coeffs))
 
     @property
@@ -73,7 +75,7 @@ class CycScalar:
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
         m = self.modulus
-        out = [Fraction(0)] * m
+        out = [0] * m
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -82,8 +84,14 @@ class CycScalar:
                     out[(i + j) % m] += a * b
         return CycScalar(m, tuple(out))
 
-    def scale(self, q) -> "CycScalar":
-        q = Fraction(q)
+    def rotate(self, k: int) -> "CycScalar":
+        """Product with zeta**k: the coefficients move k places cyclically."""
+        k %= self.modulus
+        if not k:
+            return self
+        return CycScalar(self.modulus, self.coeffs[-k:] + self.coeffs[:-k])
+
+    def scale(self, q: int) -> "CycScalar":
         return CycScalar(self.modulus, tuple(q * a for a in self.coeffs))
 
     def unity_exponent(self) -> int | None:
@@ -227,17 +235,14 @@ class LieTorus:
         """The simply-laced system realized by this torus (full isotropic lattice)."""
         return build_ears(EarsSpec.simply_laced(FiniteType("A", self.ell), self.nu))
 
-    def finite_root(self, i: int, j: int):
-        fin = tuple(
-            Fraction(int(t == i)) - Fraction(int(t == j)) for t in range(self.size)
-        )
-        assert fin in self.ears.finite.root_index
-        return fin
+    def finite_root(self, i: int, j: int) -> IntVector:
+        """Simple-root coordinates of e_i - e_j, the root of the matrix unit e_ij.
 
-    def root_of_key(self, key: TermKey, lam: IntVector) -> Root:
-        if key[0] == "e":
-            return Root(self.finite_root(key[1], key[2]), lam)
-        return Root(None, lam)
+        The simple roots are the adjacent differences e_r - e_(r+1).
+        """
+        if not (0 <= i <= self.ell and 0 <= j <= self.ell) or i == j:
+            raise ValueError("matrix unit indices must be distinct and in range")
+        return tuple(int(i <= r < j) - int(j <= r < i) for r in range(self.ell))
 
 
 def build_torus(ell: int, nu: int, modulus: int) -> LieTorus:
@@ -263,26 +268,26 @@ def bracket(x: TorusElement, y: TorusElement) -> TorusElement:
     return _canonical(x.ell, x.nu, x.modulus, acc)
 
 
-def _basis_bracket(k1: TermKey, k2: TermKey) -> list[tuple[TermKey, int]]:
+@cache
+def _basis_bracket(k1: TermKey, k2: TermKey) -> tuple[tuple[TermKey, int], ...]:
     if k1[0] == "h" and k2[0] == "h":
-        return []
+        return ()
     if k1[0] == "h":
         _, i, j = k2
         r = k1[1]
         c = (r == i) - (r == j) - (r + 1 == i) + (r + 1 == j)
-        return [(k2, c)] if c else []
+        return ((k2, c),) if c else ()
     if k2[0] == "h":
-        return [(key, -sign) for key, sign in _basis_bracket(k2, k1)]
+        return tuple((key, -sign) for key, sign in _basis_bracket(k2, k1))
     _, i, j = k1
     _, k, l = k2
-    out: list[tuple[TermKey, int]] = []
     if j == k and i == l:
-        out.extend((("h", r), sign) for r, sign in _diag_to_h(i, j))
-    elif j == k:
-        out.append((("e", i, l), 1))
-    elif l == i:
-        out.append((("e", k, j), -1))
-    return out
+        return tuple((("h", r), sign) for r, sign in _diag_to_h(i, j))
+    if j == k:
+        return ((("e", i, l), 1),)
+    if l == i:
+        return ((("e", k, j), -1),)
+    return ()
 
 
 def trace_form(x: TorusElement, y: TorusElement) -> CycScalar:
@@ -333,7 +338,7 @@ class TorusAutomorphism:
                 new_c = -c
             else:
                 new_key, new_lam = key, lam
-                new_c = c * CycScalar.zeta(self.modulus, self._degree_exponent(key, lam))
+                new_c = c.rotate(self._degree_exponent(key, lam))
             prev = acc.get((new_key, new_lam))
             acc[(new_key, new_lam)] = new_c if prev is None else prev + new_c
         return _canonical(x.ell, x.nu, x.modulus, acc)
@@ -566,7 +571,20 @@ def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):
 
 
 def _scalar_action_exponent(x: TorusElement, y: TorusElement, m: int) -> int | None:
+    """The least k with y = zeta**k x, or None.
+
+    Multiplying by zeta**k rotates every coefficient by k places and keeps
+    the terms, so k is read off the first coefficient and checked on the rest.
+    """
+    if [t[:2] for t in x.terms] != [t[:2] for t in y.terms]:
+        return None
+    if not x.terms:
+        return 0
+    lead, image = x.terms[0][2].coeffs, y.terms[0][2].coeffs
+    i = next(i for i, a in enumerate(lead) if a)
     for k in range(m):
-        if y == x.scale(CycScalar.zeta(m, k)):
+        if image[(i + k) % m] == lead[i] and all(
+            cx.rotate(k) == cy for (_, _, cx), (_, _, cy) in zip(x.terms, y.terms)
+        ):
             return k
     return None

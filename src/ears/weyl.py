@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .lattice import IntVector, snf, vec_add, vec_scale, vec_sub
-from .system import Ears, Root, RootClass, Window, enumerate_roots
+from .system import Ears, Root, RootClass, Window, enumerate_roots, parity
 
 
 def _require_nonisotropic(e: Ears, base: Sequence[Root]) -> None:
@@ -34,10 +34,10 @@ def reflect(e: Ears, alpha: Root, beta: Root) -> Root:
     if beta.finite is None:
         return beta
     fin = e.finite
-    ai = fin.root_index[alpha.finite]
-    bi = fin.root_index[beta.finite]
+    ai = fin.coord_index[alpha.finite]
+    bi = fin.coord_index[beta.finite]
     c = fin.pairing_table[bi][ai]
-    new_fin = fin.roots[fin.reflect_table[ai][bi]]
+    new_fin = fin.coords[fin.reflect_table[ai][bi]]
     return Root(new_fin, vec_sub(beta.iso, vec_scale(c, alpha.iso)))
 
 
@@ -55,10 +55,9 @@ def orbit_closure(
     if margin is None:
         margin = w.bound
     cap = w.bound + margin
-    coords = e.iso_coords
 
     def inside(r: Root) -> bool:
-        return max((abs(x) for x in coords(r.iso)), default=0) <= cap
+        return max(map(abs, r.iso), default=0) <= cap
 
     closed: set[Root] = {r for r in base if inside(r)}
     frontier = list(closed)
@@ -72,9 +71,7 @@ def orbit_closure(
                     fresh.append(image)
         frontier = fresh
     bound = w.bound
-    return {
-        r for r in closed if max((abs(x) for x in coords(r.iso)), default=0) <= bound
-    }
+    return {r for r in closed if max(map(abs, r.iso), default=0) <= bound}
 
 
 @dataclass(frozen=True)
@@ -115,16 +112,16 @@ def _candidate_pool(e: Ears, w: Window) -> list[Root]:
     iso_pool: set[IntVector] = set()
     for semi in filter(None, (e.S, e.L)):
         for rep in semi.reps:
+            rep_coords = e.ambient_lattice.coords(rep)
             for shift in shifts:
-                iso_pool.add(vec_add(rep, e.ambient_lattice.from_coords(shift)))
+                iso_pool.add(vec_add(rep_coords, shift))
     out: list[Root] = []
-    for fin in e.finite.roots:
+    for fin in e.finite.coords:
         for iso in iso_pool:
             r = Root(fin, iso)
             if e.is_root(r):
                 out.append(r)
-    out.sort(key=lambda r: (max((abs(x) for x in e.iso_coords(r.iso)), default=0),)
-             + e.sort_key(r))
+    out.sort(key=lambda r: (max(map(abs, r.iso), default=0),) + e.sort_key(r))
     return out
 
 
@@ -160,14 +157,14 @@ def minimal_reflectable_size(
     rank_floor = n if _span_is_full(e, target) else 1
     a1 = e.spec.type.family == "A" and e.rank == 1
     needed_classes = (
-        {e.S.key(r.iso) for r in target} if a1 else set()
+        {parity(r.iso) for r in target} if a1 else set()
     )
     tested = 0
     for size in range(1, max_size + 1):
         if size < rank_floor:
             continue
         for combo in itertools.combinations(pool, size):
-            if a1 and {e.S.key(r.iso) for r in combo} != needed_classes:
+            if a1 and {parity(r.iso) for r in combo} != needed_classes:
                 continue
             if not _span_is_full(e, combo):
                 continue
@@ -236,7 +233,6 @@ def decompose_all(
     if not base:
         raise ValueError("base must be nonempty")
     bound = w.bound
-    coords = e.iso_coords
     steps: list[tuple[int, Root]] = []
     for b in sorted(base, key=e.sort_key):
         steps.append((1, b))
@@ -250,7 +246,7 @@ def decompose_all(
             nxt = e.add(node, e.scale_root(sign, b))
             if nxt in parent:
                 continue
-            if max((abs(x) for x in coords(nxt.iso)), default=0) > bound:
+            if max(map(abs, nxt.iso), default=0) > bound:
                 continue
             if not e.is_root(nxt):
                 continue

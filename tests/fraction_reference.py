@@ -1,11 +1,13 @@
-"""Fraction-based eliminations kept as test oracles for the integer core.
+"""Fraction-based code kept as test oracles for the integer core.
 
 Rational Gaussian eliminations for the determinant, the unimodular inverse and
-simple-root coordinates.  The package computes these with the integer routines
-of `ears.lattice` (Bareiss, and the Smith normal form); the tests compare the
-two.
+simple-root coordinates, which the package computes with the integer routines
+of `ears.lattice` (Bareiss, and the Smith normal form).  Root arithmetic on
+realization coordinates (`FractionRoots`), which the package replaced with
+integer simple-root and lattice coordinates.  The tests compare the two.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -84,3 +86,183 @@ def simple_coords(f, root):
     if any(x.denominator != 1 for x in out):
         raise ValueError("non-integral simple-basis coordinates")
     return tuple(int(x) for x in out)
+
+
+class FractionRoots:
+    """Root arithmetic on realization coordinates, as the package once did it.
+
+    A root here is a pair (finite part, isotropic part): the finite part is a
+    tuple of `Fraction`s in the standard realization of `e.finite` (None for
+    an isotropic root), and the isotropic part is an ambient vector, whose
+    lattice coordinates every classification solves for again.  The package
+    now works on simple-root and lattice coordinates; `to_int` translates.
+    """
+
+    def __init__(self, e):
+        self.e = e
+        self.short = frozenset(e.finite.short_roots)
+
+    def classify(self, finite_part, iso):
+        from ears.system import RootClass
+
+        e = self.e
+        iso = tuple(int(x) for x in iso)
+        key = e.S.key(iso)
+        if key is None:
+            raise ValueError(f"isotropic part {iso} lies outside the ambient lattice")
+        if finite_part is None:
+            return RootClass.ISOTROPIC if key in e.r0_keys else RootClass.NOT_A_ROOT
+        fin = tuple(finite_part)
+        if fin not in e.finite.root_index:
+            return RootClass.NOT_A_ROOT
+        if fin in self.short:
+            return RootClass.SHORT if key in e.S.class_keys else RootClass.NOT_A_ROOT
+        if e.L is not None and e.L.contains(iso):
+            return RootClass.LONG
+        return RootClass.NOT_A_ROOT
+
+    def is_root(self, r):
+        return self.classify(*r).is_root
+
+    def add(self, a, b):
+        if a[0] is None:
+            fin = b[0]
+        elif b[0] is None:
+            fin = a[0]
+        else:
+            fin = tuple(x + y for x, y in zip(a[0], b[0]))
+            if all(x == 0 for x in fin):
+                fin = None
+        return fin, tuple(x + y for x, y in zip(a[1], b[1]))
+
+    def scale_root(self, c, r):
+        fin = None if r[0] is None else tuple(c * x for x in r[0])
+        if fin is not None and all(x == 0 for x in fin):
+            fin = None
+        return fin, tuple(c * x for x in r[1])
+
+    def enumerate_roots(self, bound):
+        """Window roots in the package's order: isotropic block, then one per finite root."""
+        e = self.e
+        rng = range(-bound, bound + 1)
+        iso_list = [
+            e.ambient_lattice.from_coords(x)
+            for x in itertools.product(rng, repeat=e.nullity)
+        ]
+        out = [(None, iso) for iso in iso_list if self.classify(None, iso).is_root]
+        for fin in e.finite.roots:
+            for iso in iso_list:
+                if fin in self.short:
+                    if e.S.contains(iso):
+                        out.append((fin, iso))
+                elif e.L is not None and e.L.contains(iso):
+                    out.append((fin, iso))
+        return out
+
+    def string_members(self, alpha, beta):
+        """The n in [-8, 8] with beta + n * alpha a root, as `verify_axioms` scans them."""
+        return {
+            n
+            for n in range(-8, 9)
+            if self.is_root(self.add(beta, self.scale_root(n, alpha)))
+        }
+
+    def to_int(self, r):
+        """The package's integer root for a realization-coordinate root."""
+        from ears.system import Root
+
+        fin = None if r[0] is None else simple_coords(self.e.finite, r[0])
+        return Root(fin, self.e.ambient_lattice.coords(r[1]))
+
+    def from_int(self, r):
+        """Inverse of to_int."""
+        f = self.e.finite
+        fin = None if r.finite is None else f.roots[f.coord_index[r.finite]]
+        return fin, self.e.ambient_lattice.from_coords(r.iso)
+
+    def value(self, c, r):
+        """Exponent of character `c` on a realization root, without the integer root path."""
+        from ears.characters import A1CosetRule, LatticeHomRule
+
+        e = self.e
+        coords = e.ambient_lattice.coords(r[1])
+        if isinstance(c.rule, LatticeHomRule):
+            fin = (0,) * e.rank if r[0] is None else simple_coords(e.finite, r[0])
+            return sum(x * v for x, v in zip(fin + coords, c._std_values)) % c.modulus
+        if isinstance(c.rule, A1CosetRule):
+            i = e.S.coset_class(r[1])
+            if r[0] is not None:
+                return 0 if i == 0 else 1
+            return 1 if (i is not None and i > 0) else 0
+        if max((abs(x) for x in coords), default=0) > c.rule.window:
+            raise ValueError("root lies outside the table window")
+        return c.rule.lookup[self.to_int(r)] % c.modulus
+
+    def root_json(self, r):
+        fin = None if r[0] is None else list(simple_coords(self.e.finite, r[0]))
+        return {"finite": fin, "iso": list(self.e.ambient_lattice.coords(r[1]))}
+
+    def verify_character(self, c, bound, core_only=False):
+        """The report JSON of `ears.characters` character verification, on Fractions."""
+        from ears.characters import TableRule
+
+        m = c.modulus
+        roots = self.enumerate_roots(bound)
+        exps = {r: self.value(c, r) for r in roots}
+        firsts = [r for r in roots if r[0] is not None] if core_only else roots
+        table = isinstance(c.rule, TableRule)
+        checked = skipped = 0
+        add_failures = []
+        for alpha in firsts:
+            for beta in roots:
+                total = self.add(alpha, beta)
+                if not self.is_root(total):
+                    continue
+                if total in exps:
+                    et = exps[total]
+                elif table:
+                    skipped += 1
+                    continue
+                else:
+                    et = self.value(c, total)
+                checked += 1
+                if (exps[alpha] + exps[beta] - et) % m:
+                    add_failures.append({
+                        "alpha": self.root_json(alpha),
+                        "beta": self.root_json(beta),
+                        "lhs": (exps[alpha] + exps[beta]) % m,
+                        "rhs": et,
+                    })
+        inv_failures = []
+        for r in roots:
+            if (exps[r] + exps[self.scale_root(-1, r)]) % m:
+                inv_failures.append({"root": self.root_json(r), "exponent": exps[r]})
+        ok = not add_failures and not inv_failures
+        return {
+            "kind": "core" if core_only else "full",
+            "window": bound,
+            "ok": ok,
+            "pairs_checked": checked,
+            "pairs_skipped": skipped,
+            "additivity_failures": add_failures[:5],
+            "inverse_failures": inv_failures[:5],
+        }
+
+
+def lattice_coords(e, vector):
+    """Rational coordinates of an ambient vector in the lattice basis of `e`.
+
+    They are integers exactly when the vector is an ambient lattice point.
+    """
+    n = e.nullity
+    basis = e.ambient_lattice.basis
+    a = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(vector[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] for i in range(n))

@@ -216,6 +216,31 @@ class TestSolveMod:
         transposed = [[a[i][j] for i in range(rows)] for j in range(cols)]
         assert _solve_snf(snf(transposed), [x // m for x in ra], 0)[0] is None
 
+    def test_exact_certificate_preferred(self):
+        # the first failing SNF row (d = 2) only cancels mod 2; the second
+        # (d = 0) cancels exactly and is returned instead
+        res = solve_mod([[2], [0]], [1, 1], 2)
+        assert res.certificate == (0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 12), st.data())
+    def test_exact_certificate_found_when_one_exists(self, cols, extra, m, data):
+        rows = cols + extra
+        a = [[data.draw(st.integers(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+        b = [data.draw(st.integers(-6, 6)) for _ in range(rows)]
+        u, d, _ = snf(a)
+        c = [sum(x * y for x, y in zip(row, b)) for row in u]
+        exact_rows = [
+            i for i in range(rows) if (i >= cols or d[i][i] == 0) and c[i] % m
+        ]
+        res = solve_mod(a, b, m)
+        if not exact_rows:
+            return
+        assert not res.sat
+        r = res.certificate
+        assert not any(sum(x * row[j] for x, row in zip(r, a)) for j in range(cols))
+        assert sum(x * y for x, y in zip(r, b)) % m
+
     def test_solution_check_survives_optimize(self):
         script = textwrap.dedent(
             """

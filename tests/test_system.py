@@ -1,5 +1,6 @@
 import pytest
 
+from fraction_reference import lattice_coords, simple_coords
 from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
 from ears.system import (
@@ -108,7 +109,7 @@ class TestBuild:
 
 class TestClassify:
     def test_short_at_representative(self, b2_affine):
-        theta_s = b2_affine.finite.highest_short
+        theta_s = simple_coords(b2_affine.finite, b2_affine.finite.highest_short)
         assert b2_affine.classify(theta_s, (1,)) is RootClass.SHORT
 
     def test_zero_is_isotropic(self, affine_a1):
@@ -120,19 +121,21 @@ class TestClassify:
 
     def test_long_needs_l_membership(self, b2_nu2_twisted):
         e = b2_nu2_twisted
-        theta_l = e.finite.highest_long
+        theta_l = simple_coords(e.finite, e.finite.highest_long)
+        theta_s = simple_coords(e.finite, e.finite.highest_short)
         assert e.classify(theta_l, (2, 1)) is RootClass.LONG
         assert e.classify(theta_l, (1, 0)) is RootClass.NOT_A_ROOT
-        assert e.classify(e.finite.highest_short, (1, 0)) is RootClass.SHORT
+        assert e.classify(theta_s, (1, 0)) is RootClass.SHORT
 
     def test_outside_ambient_lattice_raises(self):
         s = Semilattice.full(IntLattice(((2,),)))
         e = build_ears(EarsSpec.rank_one(1, s))
         with pytest.raises(ValueError):
-            e.classify(None, (1,))
+            e.classify(None, lattice_coords(e, (1,)))
 
     def test_non_root_finite_part(self, a2_nu1):
         doubled = tuple(2 * x for x in a2_nu1.finite.roots[0])
+        doubled = simple_coords(a2_nu1.finite, doubled)
         assert a2_nu1.classify(doubled, (0,)) is RootClass.NOT_A_ROOT
 
     def test_enumerated_roots_all_classify(self, b2_nu2_twisted):

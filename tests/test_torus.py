@@ -1,12 +1,15 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ears.characters import standard_hom_character, verify_character
 from ears.system import Root, Window, enumerate_roots
 from ears.torus import (
     CycScalar,
     TorusElement,
+    _scalar_action_exponent,
     bracket,
     build_torus,
     chevalley,
@@ -44,6 +47,48 @@ class TestCycScalar:
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             CycScalar.one(2) * CycScalar.one(3)
+
+    def test_coefficients_are_integers(self):
+        with pytest.raises(ValueError):
+            CycScalar(2, (0.5, 0))
+        c = CycScalar(2, (2.0, -1))
+        assert c.coeffs == (2, -1)
+        assert all(type(x) is int for x in c.coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                            st.integers(-10, 10))
+    ))
+    def test_rotation_is_product_with_zeta(self, case):
+        m, coeffs, k = case
+        c = CycScalar(m, tuple(coeffs))
+        assert c.rotate(k) == c * CycScalar.zeta(m, k)
+
+
+def _action_exponent_by_products(x, y, m):
+    """The exponent as first read: try every power of zeta in turn."""
+    for k in range(m):
+        if y == x.scale(CycScalar.zeta(m, k)):
+            return k
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_scalar_action_exponent_matches_products(m, data):
+    t = build_torus(2, 1, m)
+    coeff = st.lists(st.integers(-2, 2), min_size=m, max_size=m).map(
+        lambda c: CycScalar(m, tuple(c))
+    )
+    units = [t.e(0, 1), t.e(1, 2, (1,)), t.h(0, (-1,)), t.h(1)]
+    x = t.zero()
+    for u in data.draw(st.lists(st.sampled_from(units), max_size=3)):
+        x = x + u.scale(data.draw(coeff))
+    y = x.scale(CycScalar.zeta(m, data.draw(st.integers(0, m - 1))))
+    if data.draw(st.booleans()):
+        y = y + data.draw(st.sampled_from(units)).scale(data.draw(coeff))
+    assert _scalar_action_exponent(x, y, m) == _action_exponent_by_products(x, y, m)
 
 
 class TestBracket:
