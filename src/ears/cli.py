@@ -117,16 +117,15 @@ def cmd_info(args) -> int:
     oracle = Window(args.window) if args.refl_oracle else None
     inv = invariants(e, oracle_window=oracle)
     axioms = verify_axioms(e, w)
+    roots = enumerate_roots(e, w)
     report = {
         "command": "info",
         "inputs": {"spec_sha256": digest},
         "window": w.bound,
         "invariants": inv.to_json(),
         "root_counts": {
-            "window_total": len(enumerate_roots(e, w)),
-            "window_nonisotropic": sum(
-                1 for r in enumerate_roots(e, w) if r.finite is not None
-            ),
+            "window_total": len(roots),
+            "window_nonisotropic": sum(1 for r in roots if r.finite is not None),
         },
         "checks": axioms.checks,
     }
@@ -138,8 +137,11 @@ def cmd_char_verify(args) -> int:
     e, spec_digest = _load_spec(args.spec)
     c, char_digest = _load_character(args.char, e)
     w = Window(args.window)
-    core = verify_core_character(c, w)
-    full = verify_character(c, w)
+    try:
+        core = verify_core_character(c, w)
+        full = verify_character(c, w)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report = {
         "command": "char-verify",
         "inputs": {"spec_sha256": spec_digest, "char_sha256": char_digest},

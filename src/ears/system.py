@@ -647,7 +647,10 @@ def root_to_json(e: Ears, r: Root) -> dict:
 
 
 def root_from_json(e: Ears, obj: dict) -> Root:
-    """Inverse of root_to_json; a finite part must have one entry per simple root."""
+    """Inverse of root_to_json; a finite part must have one entry per simple root.
+
+    Coordinates must be JSON integers: floats and booleans are rejected.
+    """
     fin = obj["finite"]
     if fin is None:
         fin = (0,) * e.rank
@@ -655,4 +658,7 @@ def root_from_json(e: Ears, obj: dict) -> Root:
         raise ValueError(
             f"finite part needs {e.rank} simple-root coordinates, got {len(fin)}"
         )
-    return e.root_from_coords(tuple(fin) + tuple(obj["iso"]))
+    coords = tuple(fin) + tuple(obj["iso"])
+    if not all(type(x) is int for x in coords):
+        raise ValueError(f"root coordinates {coords} are not integers")
+    return e.root_from_coords(coords)

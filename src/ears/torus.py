@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .finite import FiniteType
 from .lattice import IntVector
@@ -94,25 +94,21 @@ class CycScalar:
     def scale(self, q: int) -> "CycScalar":
         return CycScalar(self.modulus, tuple(q * a for a in self.coeffs))
 
-    def unity_exponent(self) -> int | None:
-        """The k with self = zeta**k, or None when self is not a group element."""
-        hits = [i for i, a in enumerate(self.coeffs) if a]
-        if len(hits) == 1 and self.coeffs[hits[0]] == 1:
-            return hits[0]
-        return None
-
     def _check(self, other: "CycScalar") -> None:
         if self.modulus != other.modulus:
             raise ValueError("scalar modulus mismatch")
 
 
-def _diag_to_h(i: int, j: int) -> list[tuple[int, int]]:
-    """e_ii - e_jj expanded over the Cartan differences h_r = e_rr - e_(r+1)(r+1)."""
+@cache
+def _unit_root(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero simple-root coordinates (r, +-1) of e_i - e_j, the root of e_ij.
+
+    The simple roots are the adjacent differences e_r - e_(r+1), so the same
+    pairs expand e_ii - e_jj over the Cartan differences h_r = e_rr - e_(r+1)(r+1).
+    """
     if i < j:
-        return [(r, 1) for r in range(i, j)]
-    if i > j:
-        return [(r, -1) for r in range(j, i)]
-    return []
+        return tuple((r, 1) for r in range(i, j))
+    return tuple((r, -1) for r in range(j, i))
 
 
 @dataclass(frozen=True)
@@ -134,11 +130,7 @@ class TorusElement:
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
-        acc: dict[tuple[TermKey, IntVector], CycScalar] = {}
-        for key, lam, c in self.terms + other.terms:
-            prev = acc.get((key, lam))
-            acc[(key, lam)] = c if prev is None else prev + c
-        return _canonical(self.ell, self.nu, self.modulus, acc)
+        return _canonical(self.ell, self.nu, self.modulus, self.terms + other.terms)
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
@@ -154,19 +146,22 @@ class TorusElement:
             c = CycScalar.one(self.modulus).scale(c)
         return _canonical(
             self.ell, self.nu, self.modulus,
-            {(key, lam): coeff * c for key, lam, coeff in self.terms},
+            ((key, lam, coeff * c) for key, lam, coeff in self.terms),
         )
 
 
 def _canonical(
-    ell: int, nu: int, modulus: int, acc: dict[tuple[TermKey, IntVector], CycScalar]
+    ell: int, nu: int, modulus: int, terms: Iterable[tuple[TermKey, IntVector, CycScalar]]
 ) -> TorusElement:
-    terms = tuple(
-        (key, lam, c)
-        for (key, lam), c in sorted(acc.items())
-        if not c.is_zero
+    """The sum of the given terms: equal (key, degree) merged, zeros dropped, sorted."""
+    acc: dict[tuple[TermKey, IntVector], CycScalar] = {}
+    for key, lam, c in terms:
+        prev = acc.get((key, lam))
+        acc[(key, lam)] = c if prev is None else prev + c
+    return TorusElement(
+        ell, nu, modulus,
+        tuple((key, lam, c) for (key, lam), c in sorted(acc.items()) if not c.is_zero),
     )
-    return TorusElement(ell, nu, modulus, terms)
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,8 @@ class LieTorus:
         """
         if not (0 <= i <= self.ell and 0 <= j <= self.ell) or i == j:
             raise ValueError("matrix unit indices must be distinct and in range")
-        return tuple(int(i <= r < j) - int(j <= r < i) for r in range(self.ell))
+        coords = dict(_unit_root(i, j))
+        return tuple(coords.get(r, 0) for r in range(self.ell))
 
 
 def build_torus(ell: int, nu: int, modulus: int) -> LieTorus:
@@ -252,20 +248,14 @@ def build_torus(ell: int, nu: int, modulus: int) -> LieTorus:
 def bracket(x: TorusElement, y: TorusElement) -> TorusElement:
     """Lie bracket: matrix commutator with Laurent degrees adding."""
     x._check(y)
-    m = x.modulus
-    acc: dict[tuple[TermKey, IntVector], CycScalar] = {}
-
-    def put(key: TermKey, lam: IntVector, c: CycScalar) -> None:
-        prev = acc.get((key, lam))
-        acc[(key, lam)] = c if prev is None else prev + c
-
+    terms = []
     for key1, lam1, c1 in x.terms:
         for key2, lam2, c2 in y.terms:
             lam = tuple(a + b for a, b in zip(lam1, lam2))
             c = c1 * c2
             for key, sign in _basis_bracket(key1, key2):
-                put(key, lam, c if sign == 1 else c.scale(sign))
-    return _canonical(x.ell, x.nu, x.modulus, acc)
+                terms.append((key, lam, c if sign == 1 else c.scale(sign)))
+    return _canonical(x.ell, x.nu, x.modulus, terms)
 
 
 @cache
@@ -282,7 +272,7 @@ def _basis_bracket(k1: TermKey, k2: TermKey) -> tuple[tuple[TermKey, int], ...]:
     _, i, j = k1
     _, k, l = k2
     if j == k and i == l:
-        return tuple((("h", r), sign) for r, sign in _diag_to_h(i, j))
+        return tuple((("h", r), sign) for r, sign in _unit_root(i, j))
     if j == k:
         return ((("e", i, l), 1),)
     if l == i:
@@ -315,48 +305,47 @@ def _basis_trace(k1: TermKey, k2: TermKey) -> int:
 
 @dataclass(frozen=True)
 class TorusAutomorphism:
-    """Chevalley flip, diagonal scaling from a lattice homomorphism, or a composite."""
+    """Monomial map x_(key, lam) -> (-1)**flip * zeta**k * x_target(key, lam).
 
-    kind: str
+    The exponent is k = hom . (coords(key), lam), where coords(key) are the
+    simple-root coordinates of the root of key (zero for h_r): hom is indexed
+    by the simple roots and then the nu lattice generators.  With flip set,
+    target transposes e_ij to e_ji, keeps h_r and negates lam; otherwise it is
+    the identity.  The sign is (-1)**flip because transposition reverses the
+    matrix commutator, and only -1 turns it back into a bracket homomorphism.
+    """
+
     ell: int
     nu: int
     modulus: int
-    hom: tuple[int, ...] | None = None
-    factors: tuple["TorusAutomorphism", "TorusAutomorphism"] | None = None
+    flip: bool
+    hom: tuple[int, ...]
+
+    def target(self, key: TermKey, lam: IntVector) -> tuple[TermKey, IntVector]:
+        if not self.flip:
+            return key, lam
+        return (("e", key[2], key[1]) if key[0] == "e" else key), tuple(-t for t in lam)
 
     def apply(self, x: TorusElement) -> TorusElement:
         if (x.ell, x.nu, x.modulus) != (self.ell, self.nu, self.modulus):
             raise ValueError("automorphism / element parameter mismatch")
-        if self.kind == "composite":
-            left, right = self.factors
-            return left.apply(right.apply(x))
-        acc: dict[tuple[TermKey, IntVector], CycScalar] = {}
+        terms = []
         for key, lam, c in x.terms:
-            if self.kind == "chevalley":
-                new_key = ("e", key[2], key[1]) if key[0] == "e" else key
-                new_lam = tuple(-t for t in lam)
-                new_c = -c
-            else:
-                new_key, new_lam = key, lam
-                new_c = c.rotate(self._degree_exponent(key, lam))
-            prev = acc.get((new_key, new_lam))
-            acc[(new_key, new_lam)] = new_c if prev is None else prev + new_c
-        return _canonical(x.ell, x.nu, x.modulus, acc)
+            c = c.rotate(self._degree_exponent(key, lam))
+            terms.append((*self.target(key, lam), -c if self.flip else c))
+        return _canonical(x.ell, x.nu, x.modulus, terms)
 
     def _degree_exponent(self, key: TermKey, lam: IntVector) -> int:
+        """hom . (coords(key), lam) mod m: the power of zeta put on x_(key, lam)."""
         exp = sum(h * t for h, t in zip(self.hom[self.ell :], lam))
         if key[0] == "e":
-            _, i, j = key
-            if i < j:
-                exp += sum(self.hom[r] for r in range(i, j))
-            else:
-                exp -= sum(self.hom[r] for r in range(j, i))
+            exp += sum(self.hom[r] * s for r, s in _unit_root(key[1], key[2]))
         return exp % self.modulus
 
 
 def chevalley(t: LieTorus) -> TorusAutomorphism:
     """The involution x tensor p(t) -> -transpose(x) tensor p(1/t)."""
-    return TorusAutomorphism("chevalley", t.ell, t.nu, t.modulus)
+    return TorusAutomorphism(t.ell, t.nu, t.modulus, True, (0,) * (t.ell + t.nu))
 
 
 def diagonal_from_hom(t: LieTorus, hom: Sequence[int]) -> TorusAutomorphism:
@@ -368,15 +357,20 @@ def diagonal_from_hom(t: LieTorus, hom: Sequence[int]) -> TorusAutomorphism:
     hom = tuple(int(x) % t.modulus for x in hom)
     if len(hom) != t.ell + t.nu:
         raise ValueError("homomorphism needs rank + nullity exponents")
-    return TorusAutomorphism("diagonal", t.ell, t.nu, t.modulus, hom=hom)
+    return TorusAutomorphism(t.ell, t.nu, t.modulus, False, hom)
 
 
 def compose(left: TorusAutomorphism, right: TorusAutomorphism) -> TorusAutomorphism:
+    """The map left after right, as one monomial map.
+
+    A flip negates both coords(key) and lam, so left's exponent is read off
+    the image of right with the sign (-1)**right.flip.
+    """
     if (left.ell, left.nu, left.modulus) != (right.ell, right.nu, right.modulus):
         raise ValueError("cannot compose automorphisms of different tori")
-    return TorusAutomorphism(
-        "composite", left.ell, left.nu, left.modulus, factors=(left, right)
-    )
+    m, sign = left.modulus, -1 if right.flip else 1
+    hom = tuple((r + sign * l) % m for l, r in zip(left.hom, right.hom))
+    return TorusAutomorphism(left.ell, left.nu, m, left.flip != right.flip, hom)
 
 
 @dataclass(frozen=True)
@@ -425,32 +419,23 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> Automor
         label = _term_label(images[id(x)])
         if label is None:
             map_failures.append({"x": repr((key, lam)), "reason": "image not graded"})
-            continue
-        if a.kind == "chevalley":
-            want = (("e", key[2], key[1]) if key[0] == "e" else key,
-                    tuple(-v for v in lam))
-        elif a.kind == "diagonal":
-            want = (key, lam)
-        else:
-            want = label  # composite: any single graded target is acceptable
-        if label != want:
+        elif label != a.target(key, lam):
             map_failures.append({"x": repr((key, lam)), "image": repr(label)})
     checks["root_space_mapping"] = {"passed": not map_failures, "failures": map_failures[:5]}
 
     order_failures = []
-    if a.kind in ("chevalley", "diagonal"):
-        power = 2 if a.kind == "chevalley" else t.modulus
-        for x in basis:
-            y = x
-            for _ in range(power):
-                y = a.apply(y)
-            if y != x:
-                order_failures.append({"x": repr(_term_label(x))})
-        checks["finite_order"] = {
-            "passed": not order_failures,
-            "power": power,
-            "failures": order_failures[:5],
-        }
+    power = 2 if a.flip else t.modulus
+    for x in basis:
+        y = x
+        for _ in range(power):
+            y = a.apply(y)
+        if y != x:
+            order_failures.append({"x": repr(_term_label(x))})
+    checks["finite_order"] = {
+        "passed": not order_failures,
+        "power": power,
+        "failures": order_failures[:5],
+    }
 
     form_failures = []
     by_degree: dict[IntVector, list[TorusElement]] = {}

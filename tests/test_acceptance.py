@@ -38,6 +38,7 @@ from ears.system import (
 )
 from ears.torus import (
     CycScalar,
+    TorusAutomorphism,
     TorusElement,
     build_torus,
     chevalley,
@@ -347,10 +348,7 @@ def test_criterion_6_negative_controls():
     # corrupted diagonal map: incoherent scaling across one root space
     t = build_torus(2, 1, 2)
 
-    class Corrupt:
-        kind = "diagonal"
-        ell, nu, modulus = t.ell, t.nu, t.modulus
-
+    class Corrupt(TorusAutomorphism):
         def apply(self, x):
             terms = []
             for key, lam, c in x.terms:
@@ -359,7 +357,8 @@ def test_criterion_6_negative_controls():
                 terms.append((key, lam, c))
             return TorusElement(x.ell, x.nu, x.modulus, tuple(terms))
 
-    bad_report = verify_automorphism(t, Corrupt(), Window(1))
+    bad = Corrupt(t.ell, t.nu, t.modulus, False, (0, 0, 0))
+    bad_report = verify_automorphism(t, bad, Window(1))
     assert not bad_report.ok
     assert bad_report.checks["bracket_compatibility"]["failures"]
 

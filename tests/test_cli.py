@@ -1,6 +1,9 @@
 import json
+from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ears.cli import main
 
@@ -252,6 +255,13 @@ def exit_code(argv):
         return exc.code
 
 
+def assert_input_error(capsys, argv):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 class TestExitContract:
     @pytest.mark.parametrize(
         "case", ["negative_window", "taus_not_vectors", "out_spec_missing_dir"]
@@ -272,10 +282,138 @@ class TestExitContract:
                 "--out-char", str(tmp_path / "c.json"),
             ],
         }[case]
-        assert exit_code(argv) == 2
-        err = capsys.readouterr().err
+        assert_input_error(capsys, argv)
+
+
+class TestCharVerifyInput:
+    @pytest.fixture
+    def extracted(self, capsys):
+        """Table character of an A2 torus diagonal map, extracted at window 1."""
+        code, report = run(
+            capsys, "torus", "extract", "--ell", "2", "--nu", "1", "--modulus", "2",
+            "--hom", "1,0,1", "--window", "1",
+        )
+        assert code == 0
+        return report["character"]
+
+    def test_table_smaller_than_window(self, capsys, tmp_path, extracted):
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(extracted))
+        assert_input_error(
+            capsys, ["char-verify", str(SPEC_DIR / "a2_nu1.json"), str(path)]
+        )
+
+    def test_table_missing_entry(self, capsys, tmp_path, extracted):
+        del extracted["rule"]["entries"][0]
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(extracted))
+        assert_input_error(
+            capsys,
+            ["char-verify", str(SPEC_DIR / "a2_nu1.json"), str(path), "--window", "1"],
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("modulus", 2.0),
+            ("modulus", True),
+            ("basis entry", 1.0),
+            ("values entry", 1.5),
+            ("values entry", "a"),
+            ("table window", "1"),
+            ("exponent", 0.0),
+            ("exponent", False),
+            ("root coordinate", float("inf")),
+            ("root coordinate", 1.0),
+        ],
+    )
+    def test_non_integer_field(self, capsys, tmp_path, field, value):
+        table_fields = ("table window", "exponent", "root coordinate")
+        char = _affine_character("table" if field in table_fields else "hom")
+        rule = char["rule"]
+        if field == "modulus":
+            char["modulus"] = value
+        elif field == "basis entry":
+            rule["basis"][0][0] = value
+        elif field == "values entry":
+            rule["values"][0] = value
+        elif field == "table window":
+            rule["window"] = value
+        elif field == "exponent":
+            rule["entries"][0]["exponent"] = value
+        else:
+            rule["entries"][0]["root"]["iso"][0] = value
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(char))
+        assert_input_error(capsys, ["char-verify", AFFINE, str(path), "--window", "1"])
+
+
+@cache
+def _affine_table() -> str:
+    from ears.characters import Character, TableRule, standard_hom_character
+    from ears.system import EarsSpec, Window, build_ears, enumerate_roots
+
+    e = build_ears(EarsSpec.from_json(json.load(open(AFFINE))))
+    hom = standard_hom_character(e, (1, 1), 2)
+    entries = tuple((r, hom.eval(r).exponent) for r in enumerate_roots(e, Window(1)))
+    return json.dumps(Character(e, 2, TableRule(1, entries)).to_json())
+
+
+def _affine_character(kind: str) -> dict:
+    """A fresh, valid character of the affine A1 spec, of the given rule kind."""
+    if kind == "table":
+        return json.loads(_affine_table())
+    if kind == "hom":
+        return {"modulus": 4, "rule": {"kind": "hom", "basis": [[1, 0], [0, 1]],
+                                       "values": [1, 2]}}
+    return {"modulus": 2, "rule": {"kind": "a1coset"}}
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+LEAF_REPLACEMENTS = st.one_of(
+    st.text(max_size=3),
+    st.floats(),
+    st.none(),
+    st.integers(max_value=-1),
+    st.lists(st.lists(st.integers(-2, 2), max_size=2), min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["hom", "table", "a1coset"]), st.data())
+def test_character_json_leaf_fuzz(capsys, tmp_path, kind, data):
+    """One corrupted leaf: exit 0, 1 with a witness, or 2 with an error line."""
+    char = _affine_character(kind)
+    path = data.draw(st.sampled_from(sorted(_leaf_paths(char), key=repr)))
+    parent = char
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = data.draw(LEAF_REPLACEMENTS)
+    char_file = tmp_path / "char.json"
+    char_file.write_text(json.dumps(char))
+    capsys.readouterr()
+    code = main(["char-verify", AFFINE, str(char_file), "--window", "1"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
         assert "error:" in err
-        assert "Traceback" not in err
+        return
+    report = json.loads(out)
+    if code == 1:
+        failed = [c for c in report["checks"].values() if not c["passed"]]
+        assert failed
+        assert all(c["additivity_failures"] or c["inverse_failures"] for c in failed)
 
 
 class TestDeterminism:

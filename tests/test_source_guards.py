@@ -3,15 +3,19 @@
 Certificate and invariant checks must be explicit exceptions, which still run
 under `python -O`, so the package has no `assert` statement.  Rationals belong
 to the construction of the finite root systems, so `ears/finite.py` is the only
-module that imports `fractions`.
+module that imports `fractions`.  The traced benchmark run wraps `ears`
+functions and methods by name, so every name it lists must still exist.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ears"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ears"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -54,3 +58,28 @@ def test_no_assert_statements(path):
 def test_fractions_only_in_finite(path):
     if path.name != "finite.py":
         assert not imports_fractions(path.read_text()), f"{path.name} imports fractions"
+
+
+def load_trace_calls():
+    spec = importlib.util.spec_from_file_location(
+        "trace_calls", ROOT / "bench" / "trace_calls.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    trace = load_trace_calls()
+    missing = []
+    for layer, names in trace.SPANNED.items():
+        module = importlib.import_module(f"ears.{layer}")
+        missing += [
+            f"{layer}.{name}" for name in names if not callable(getattr(module, name, None))
+        ]
+    for layer, methods in trace.COUNTED.items():
+        module = importlib.import_module(f"ears.{layer}")
+        for cls_name, meth in methods:
+            if not callable(getattr(getattr(module, cls_name, None), meth, None)):
+                missing.append(f"{layer}.{cls_name}.{meth}")
+    assert not missing, f"traced names missing from ears: {missing}"

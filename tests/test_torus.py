@@ -8,6 +8,7 @@ from ears.characters import standard_hom_character, verify_character
 from ears.system import Root, Window, enumerate_roots
 from ears.torus import (
     CycScalar,
+    TorusAutomorphism,
     TorusElement,
     _scalar_action_exponent,
     bracket,
@@ -39,10 +40,6 @@ class TestCycScalar:
         a = CycScalar(3, (1, 1, 0))
         b = CycScalar(3, (0, 1, 0))
         assert a * b == CycScalar(3, (0, 1, 1))
-
-    def test_unity_exponent(self):
-        assert CycScalar.zeta(4, 3).unity_exponent() == 3
-        assert CycScalar(4, (1, 1, 0, 0)).unity_exponent() is None
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
@@ -231,6 +228,28 @@ class TestComposite:
                     assert deg == tuple(-x for x in lam)
 
 
+def _random_map(t):
+    return st.builds(
+        TorusAutomorphism, st.just(t.ell), st.just(t.nu), st.just(t.modulus),
+        st.booleans(), st.tuples(*[st.integers(0, t.modulus - 1)] * (t.ell + t.nu)),
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 4), (2, 2, 2), (3, 1, 3)], ids=str)
+def test_compose_matches_nested_application(shape):
+    t = build_torus(*shape)
+    basis = t.graded_basis(Window(1))
+
+    @settings(max_examples=15, deadline=None)
+    @given(_random_map(t), _random_map(t))
+    def check(left, right):
+        comp = compose(left, right)
+        for x in basis:
+            assert comp.apply(x) == left.apply(right.apply(x))
+
+    check()
+
+
 class TestFormPreservation:
     def test_trace_form_values(self, torus):
         t = torus
@@ -247,13 +266,8 @@ class TestFormPreservation:
 
 
 @dataclass(frozen=True)
-class _CorruptedDiagonal:
+class _CorruptedDiagonal(TorusAutomorphism):
     """Scales e01 only at Laurent degree zero: incoherent across the root space."""
-
-    ell: int
-    nu: int
-    modulus: int
-    kind: str = "diagonal"
 
     def apply(self, x: TorusElement) -> TorusElement:
         terms = []
@@ -264,21 +278,45 @@ class _CorruptedDiagonal:
         return TorusElement(x.ell, x.nu, x.modulus, tuple(terms))
 
 
+@dataclass(frozen=True)
+class _CorruptedComposite(TorusAutomorphism):
+    """Claims the flip but applies only its diagonal part: keys and degrees stay put."""
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        diagonal = TorusAutomorphism(self.ell, self.nu, self.modulus, False, self.hom)
+        return diagonal.apply(x)
+
+
+def _corrupted_diagonal(t):
+    return _CorruptedDiagonal(t.ell, t.nu, t.modulus, False, (0,) * (t.ell + t.nu))
+
+
 class TestNegativeControls:
     def test_corrupted_diagonal_fails_with_witness(self, torus):
-        bad = _CorruptedDiagonal(torus.ell, torus.nu, torus.modulus)
+        bad = _corrupted_diagonal(torus)
         report = verify_automorphism(torus, bad, Window(1))
         assert not report.ok
         assert report.checks["bracket_compatibility"]["failures"]
 
     def test_corrupted_diagonal_fails_extraction(self, torus):
-        bad = _CorruptedDiagonal(torus.ell, torus.nu, torus.modulus)
+        bad = _corrupted_diagonal(torus)
         with pytest.raises(ValueError):
             extract_core_character(torus, bad, Window(1))
 
     def test_chevalley_composite_not_cartan(self, torus):
         with pytest.raises(ValueError):
             extract_core_character(torus, chevalley(torus), Window(1))
+
+    def test_composite_keeping_key_and_degree_fails_mapping(self, torus):
+        bad = _CorruptedComposite(torus.ell, torus.nu, torus.modulus, True, (1, 0, 1))
+        report = verify_automorphism(torus, bad, Window(1))
+        assert not report.ok
+        mapping = report.checks["root_space_mapping"]
+        assert not mapping["passed"]
+        assert mapping["failures"]
+        # the map is a diagonal automorphism, so only the mapping check sees the lie
+        assert all(c["passed"] for name, c in report.checks.items()
+                   if name != "root_space_mapping")
 
 
 class TestExtraction:
