@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for extended affine root systems and their characters."""
 
-from .finite import FiniteRootSystem, FiniteType, build_finite, highest_roots
+from .finite import FiniteRootSystem, FiniteType, build_finite
 from .lattice import IntLattice, Semilattice, snf, solve_mod, sum_semilattices
 from .system import (
     Ears,
@@ -67,7 +67,6 @@ __all__ = [
     "extend_ind_zero",
     "extendability",
     "extract_core_character",
-    "highest_roots",
     "invariants",
     "minimal_reflectable_size",
     "orbit_closure",

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import IntVector, Semilattice, det, inverse_unimodular, matvec, solve_mod
+from .lattice import (
+    IntVector,
+    Semilattice,
+    det,
+    inverse_unimodular,
+    json_int,
+    json_int_rows,
+    matvec,
+    solve_mod,
+)
 from .system import (
     Ears,
     Root,
@@ -201,31 +210,22 @@ class Character:
         return {"modulus": self.modulus, "rule": rule}
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer; floats, strings and booleans are rejected, not coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def character_from_json(e: Ears, obj: dict) -> Character:
-    m = _json_int(obj["modulus"], "modulus")
+    m = json_int(obj["modulus"], "modulus")
     rule_obj = obj["rule"]
     kind = rule_obj["kind"]
     if kind == "hom":
         rule: LatticeHomRule | A1CosetRule | TableRule = LatticeHomRule(
-            tuple(
-                tuple(_json_int(x, "basis entry") for x in v) for v in rule_obj["basis"]
-            ),
-            tuple(_json_int(x, "value") for x in rule_obj["values"]),
+            json_int_rows(rule_obj["basis"], "basis entry"),
+            tuple(json_int(x, "value") for x in rule_obj["values"]),
         )
     elif kind == "a1coset":
         rule = A1CosetRule()
     elif kind == "table":
         rule = TableRule(
-            _json_int(rule_obj["window"], "table window"),
+            json_int(rule_obj["window"], "table window"),
             tuple(
-                (root_from_json(e, ent["root"]), _json_int(ent["exponent"], "exponent"))
+                (root_from_json(e, ent["root"]), json_int(ent["exponent"], "exponent"))
                 for ent in rule_obj["entries"]
             ),
         )

@@ -1,26 +1,28 @@
 """Standard realizations of the irreducible reduced finite root systems.
 
-Coordinates are exact rationals in the usual orthonormal models (denominators
-at most 2), with the inner product scaled per type so that short roots always
-have squared length 2.  Pairings, reflections and root strings are therefore
-exact integer data.
+Coordinates are integers.  Types A, B, C, D and G use their usual orthonormal
+models; E6, E7, E8 and F4 use twice theirs, whose only non-integral entries
+are halves.  Scaling by a positive factor keeps the lexicographic order, so
+the sorted root list and the lex-positive simple roots are those of the usual
+models.  The inner product is the plain dot product, and `norm` rescales it
+so that short roots have norm 2.  Pairings, reflections and root strings are
+therefore exact integer data.
 
-The rationals stay in this module.  Every root also has integer coordinates
-in the simple-root basis (`coords`); the rest of the package works only with
-those, through tables keyed or indexed by them.
+Every root also has integer coordinates in the simple-root basis (`coords`);
+the rest of the package works only with those, through tables keyed or
+indexed by them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .lattice import IntLattice, IntVector
 
-Coords = tuple[Fraction, ...]
+Coords = tuple[int, ...]
 
 _RANK_RULES = {
     "A": lambda r: r >= 1,
@@ -66,98 +68,60 @@ class FiniteType:
         return cls(text[0].upper(), int(text[1:]))
 
 
-def _q(x) -> Fraction:
-    return Fraction(x)
+def _vec(n: int, entries) -> Coords:
+    v = [0] * n
+    for i, x in entries:
+        v[i] = x
+    return tuple(v)
 
 
-def _e8_roots() -> list[Coords]:
-    roots = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * 8
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(v))
-    half = Fraction(1, 2)
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(tuple(half * s for s in signs))
-    return roots
+def _pairs(n: int, c: int) -> list[Coords]:
+    """+-c e_i +- c e_j for i < j."""
+    return [
+        _vec(n, ((i, si * c), (j, sj * c)))
+        for i, j in itertools.combinations(range(n), 2)
+        for si in (1, -1)
+        for sj in (1, -1)
+    ]
 
 
-def _generate(t: FiniteType) -> tuple[list[Coords], Fraction]:
+def _units(n: int, c: int) -> list[Coords]:
+    """+-c e_i."""
+    return [_vec(n, ((i, s * c),)) for i in range(n) for s in (1, -1)]
+
+
+def _differences(n: int) -> list[Coords]:
+    """e_i - e_j for i != j."""
+    return [_vec(n, ((i, 1), (j, -1))) for i, j in itertools.permutations(range(n), 2)]
+
+
+def _generate(t: FiniteType) -> list[Coords]:
+    """The roots of `t` in its usual model, doubled for E and F."""
     fam, r = t.family, t.rank
-    roots: list[Coords] = []
-    scale = Fraction(1)
     if fam == "A":
-        n = r + 1
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    v = [Fraction(0)] * n
-                    v[i], v[j] = Fraction(1), Fraction(-1)
-                    roots.append(tuple(v))
-    elif fam in ("B", "C", "D"):
-        for i in range(r):
-            for j in range(i + 1, r):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [Fraction(0)] * r
-                        v[i], v[j] = Fraction(si), Fraction(sj)
-                        roots.append(tuple(v))
-        if fam == "B":
-            scale = Fraction(2)
-            for i in range(r):
-                for s in (1, -1):
-                    v = [Fraction(0)] * r
-                    v[i] = Fraction(s)
-                    roots.append(tuple(v))
-        elif fam == "C":
-            for i in range(r):
-                for s in (2, -2):
-                    v = [Fraction(0)] * r
-                    v[i] = Fraction(s)
-                    roots.append(tuple(v))
-    elif fam == "E":
-        e8 = _e8_roots()
+        return _differences(r + 1)
+    if fam == "B":
+        return _pairs(r, 1) + _units(r, 1)
+    if fam == "C":
+        return _pairs(r, 1) + _units(r, 2)
+    if fam == "D":
+        return _pairs(r, 1)
+    if fam == "E":
+        # 2(+-e_i +- e_j), and (+-1, ..., +-1) with an even number of minus signs
+        e8 = _pairs(8, 2) + [
+            s for s in itertools.product((1, -1), repeat=8) if s.count(-1) % 2 == 0
+        ]
         if r == 8:
-            roots = e8
-        elif r == 7:
+            return e8
+        if r == 7:
             # vanishing pairing with e7 + e8
-            roots = [v for v in e8 if v[6] + v[7] == 0]
-        else:
-            roots = [v for v in e8 if v[5] - v[6] == 0 and v[5] + v[7] == 0]
-    elif fam == "F":
-        scale = Fraction(2)
-        for i in range(4):
-            for s in (1, -1):
-                v = [Fraction(0)] * 4
-                v[i] = Fraction(s)
-                roots.append(tuple(v))
-        half = Fraction(1, 2)
-        for signs in itertools.product((1, -1), repeat=4):
-            roots.append(tuple(half * s for s in signs))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [Fraction(0)] * 4
-                        v[i], v[j] = Fraction(si), Fraction(sj)
-                        roots.append(tuple(v))
-    elif fam == "G":
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    v = [Fraction(0)] * 3
-                    v[i], v[j] = Fraction(1), Fraction(-1)
-                    roots.append(tuple(v))
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            v = [Fraction(0)] * 3
-            v[i], v[j], v[k] = Fraction(2), Fraction(-1), Fraction(-1)
-            roots.append(tuple(v))
-            roots.append(tuple(-x for x in v))
-    return roots, scale
+            return [v for v in e8 if v[6] + v[7] == 0]
+        return [v for v in e8 if v[5] == v[6] == -v[7]]
+    if fam == "F":
+        return _units(4, 2) + list(itertools.product((1, -1), repeat=4)) + _pairs(4, 2)
+    # G2: e_i - e_j and +-(2 e_i - e_j - e_k), in the plane x + y + z = 0
+    third = [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    return _differences(3) + third + [tuple(-x for x in v) for v in third]
 
 
 @dataclass(frozen=True)
@@ -166,7 +130,6 @@ class FiniteRootSystem:
 
     type: FiniteType
     roots: tuple[Coords, ...]
-    scale: Fraction
 
     @property
     def rank(self) -> int:
@@ -180,65 +143,66 @@ class FiniteRootSystem:
     def lacing(self) -> int:
         return self.type.lacing
 
-    def inner(self, x: Sequence, y: Sequence) -> Fraction:
-        return self.scale * sum(
-            (_q(a) * _q(b) for a, b in zip(x, y, strict=True)), Fraction(0)
-        )
+    def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """Dot product of realization coordinates."""
+        return sum(a * b for a, b in zip(x, y, strict=True))
 
-    def norm(self, x: Sequence) -> Fraction:
-        return self.inner(x, x)
+    @cached_property
+    def _short_inner(self) -> int:
+        return min(self.inner(r, r) for r in self.roots)
+
+    def norm(self, x: Sequence[int]) -> int:
+        """Squared length, normalized so that short roots have norm 2."""
+        n, rem = divmod(2 * self.inner(x, x), self._short_inner)
+        if rem:
+            raise ValueError(f"{tuple(x)} has a non-integral norm")
+        return n
 
     @cached_property
     def root_index(self) -> dict[Coords, int]:
         return {r: i for i, r in enumerate(self.roots)}
 
-    def is_root(self, v: Sequence) -> bool:
-        return tuple(_q(x) for x in v) in self.root_index
+    def is_root(self, v: Sequence[int]) -> bool:
+        return tuple(v) in self.root_index
 
     @cached_property
     def short_roots(self) -> tuple[Coords, ...]:
-        return tuple(r for r in self.roots if self._root_norms[r] == 2)
+        return tuple(r for r in self.roots if self.norm(r) == 2)
 
     @cached_property
     def long_roots(self) -> tuple[Coords, ...]:
-        return tuple(r for r in self.roots if self._root_norms[r] != 2)
+        return tuple(r for r in self.roots if self.norm(r) != 2)
 
-    @cached_property
-    def _root_norms(self) -> dict[Coords, Fraction]:
-        return {r: self.norm(r) for r in self.roots}
-
-    def pairing(self, beta: Sequence, alpha: Coords) -> int:
+    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
         """Integer Cartan pairing 2(beta, alpha) / (alpha, alpha)."""
-        na = self._root_norms.get(tuple(alpha))
-        if na is None:
-            na = self.norm(alpha)
+        na = self.inner(alpha, alpha)
         if na == 0:
             raise ValueError("pairing against the zero vector")
-        val = 2 * self.inner(beta, alpha) / na
-        if val.denominator != 1:
+        c, rem = divmod(2 * self.inner(beta, alpha), na)
+        if rem:
             raise ValueError("non-integral pairing: arguments are not root data")
-        return int(val)
+        return c
 
     def reflect(self, alpha: Coords, beta: Coords) -> Coords:
         """Reflection of beta in the hyperplane orthogonal to alpha."""
         c = self.pairing(beta, alpha)
-        out = tuple(_q(b) - c * _q(a) for a, b in zip(alpha, beta))
+        out = tuple(b - c * a for a, b in zip(alpha, beta))
         if out not in self.root_index:
             raise ValueError("reflection left the root system")
         return out
 
-    def root_string(self, alpha: Coords, beta: Sequence) -> tuple[int, int]:
+    def root_string(self, alpha: Coords, beta: Sequence[int]) -> tuple[int, int]:
         """(d, u) for the alpha-string through beta inside roots union {0}.
 
         beta may be a root or 0; the string is checked to be an unbroken
         segment with d - u equal to the Cartan pairing.
         """
-        if self.norm(alpha) == 0:
+        if self.inner(alpha, alpha) == 0:
             raise ValueError("string direction must be a root")
-        zero = tuple(Fraction(0) for _ in range(self.dim))
+        zero = (0,) * self.dim
         members = set()
         for n in range(-8, 9):
-            v = tuple(_q(b) + n * _q(a) for a, b in zip(alpha, beta))
+            v = tuple(b + n * a for a, b in zip(alpha, beta))
             if v == zero or v in self.root_index:
                 members.add(n)
         if 0 not in members:
@@ -253,7 +217,7 @@ class FiniteRootSystem:
     @cached_property
     def positive_roots(self) -> tuple[Coords, ...]:
         # lexicographic positivity defines a valid positive system
-        return tuple(r for r in self.roots if r > tuple(Fraction(0) for _ in r))
+        return tuple(r for r in self.roots if r > (0,) * len(r))
 
     @cached_property
     def simple_roots(self) -> tuple[Coords, ...]:
@@ -358,14 +322,9 @@ class FiniteRootSystem:
 
 def build_finite(t: FiniteType) -> FiniteRootSystem:
     """Construct the full root list for a finite type, sorted for determinism."""
-    roots, scale = _generate(t)
-    system = FiniteRootSystem(t, tuple(sorted(roots)), scale)
-    for r, n in system._root_norms.items():
-        if n not in (Fraction(2), Fraction(2 * t.lacing)):
+    system = FiniteRootSystem(t, tuple(sorted(_generate(t))))
+    for r in system.roots:
+        n = system.norm(r)
+        if n not in (2, 2 * t.lacing):
             raise AssertionError(f"root {r} has unexpected norm {n}")
     return system
-
-
-def highest_roots(f: FiniteRootSystem) -> tuple[Coords, Coords | None]:
-    """Highest short root and highest long root (None when simply laced)."""
-    return f.highest_short, f.highest_long

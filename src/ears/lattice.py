@@ -22,6 +22,18 @@ def _as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+def json_int(value, field: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_int_rows(rows, field: str) -> IntMatrix:
+    """A JSON list of lists of integers, each entry checked by `json_int`."""
+    return tuple(tuple(json_int(x, field) for x in row) for row in rows)
+
+
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -324,8 +336,10 @@ class IntLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntLattice":
-        basis = _as_matrix(obj.get("basis", obj.get("lattice_basis", [])))
-        if len(basis) != obj["dim"]:
+        basis = json_int_rows(
+            obj.get("basis", obj.get("lattice_basis", [])), "basis entry"
+        )
+        if len(basis) != json_int(obj["dim"], "dim"):
             raise ValueError("lattice dim does not match basis")
         return cls(basis)
 
@@ -446,10 +460,10 @@ class Semilattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Semilattice":
-        lat = IntLattice(_as_matrix(obj["lattice_basis"]))
-        if lat.dim != obj["dim"]:
+        lat = IntLattice(json_int_rows(obj["lattice_basis"], "basis entry"))
+        if lat.dim != json_int(obj["dim"], "dim"):
             raise ValueError("semilattice dim does not match basis")
-        return cls(lat, tuple(tuple(r) for r in obj["reps"]))
+        return cls(lat, json_int_rows(obj["reps"], "rep entry"))
 
 
 def sum_semilattices(s1: Semilattice, s2: Semilattice) -> frozenset[IntVector]:

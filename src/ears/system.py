@@ -22,6 +22,7 @@ from .lattice import (
     IntLattice,
     IntVector,
     Semilattice,
+    json_int,
     sum_semilattices,
     vec_add,
     vec_scale,
@@ -168,18 +169,18 @@ class EarsSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EarsSpec":
-        t = FiniteType(obj["type"], obj["rank"])
-        nullity = obj["nullity"]
+        t = FiniteType(obj["type"], json_int(obj["rank"], "rank"))
+        nullity = json_int(obj["nullity"], "nullity")
         if "S" in obj:
-            return cls.rank_one(nullity, Semilattice.from_json(obj["S"]))
+            return cls(t, nullity, s=Semilattice.from_json(obj["S"]))
         if "lattice" in obj:
-            return cls.simply_laced(t, nullity, IntLattice.from_json(obj["lattice"]))
-        return cls.twisted(
+            return cls(t, nullity, lattice=IntLattice.from_json(obj["lattice"]))
+        return cls(
             t,
             nullity,
-            obj["twist"],
-            Semilattice.from_json(obj["S1"]),
-            Semilattice.from_json(obj["S2"]),
+            json_int(obj["twist"], "twist"),
+            s1=Semilattice.from_json(obj["S1"]),
+            s2=Semilattice.from_json(obj["S2"]),
         )
 
 
@@ -649,7 +650,7 @@ def root_to_json(e: Ears, r: Root) -> dict:
 def root_from_json(e: Ears, obj: dict) -> Root:
     """Inverse of root_to_json; a finite part must have one entry per simple root.
 
-    Coordinates must be JSON integers: floats and booleans are rejected.
+    Coordinates must be JSON integers: floats, strings and booleans are rejected.
     """
     fin = obj["finite"]
     if fin is None:
@@ -658,7 +659,6 @@ def root_from_json(e: Ears, obj: dict) -> Root:
         raise ValueError(
             f"finite part needs {e.rank} simple-root coordinates, got {len(fin)}"
         )
-    coords = tuple(fin) + tuple(obj["iso"])
-    if not all(type(x) is int for x in coords):
-        raise ValueError(f"root coordinates {coords} are not integers")
-    return e.root_from_coords(coords)
+    return e.root_from_coords(
+        tuple(json_int(x, "root coordinate") for x in tuple(fin) + tuple(obj["iso"]))
+    )

@@ -4,7 +4,9 @@ Rational Gaussian eliminations for the determinant, the unimodular inverse and
 simple-root coordinates, which the package computes with the integer routines
 of `ears.lattice` (Bareiss, and the Smith normal form).  Root arithmetic on
 realization coordinates (`FractionRoots`), which the package replaced with
-integer simple-root and lattice coordinates.  The tests compare the two.
+integer simple-root and lattice coordinates.  The rational construction of
+the finite root systems (`FractionFinite`), which the package replaced with
+integer models.  The tests compare the two.
 """
 
 import itertools
@@ -86,6 +88,148 @@ def simple_coords(f, root):
     if any(x.denominator != 1 for x in out):
         raise ValueError("non-integral simple-basis coordinates")
     return tuple(int(x) for x in out)
+
+
+def _e8_roots():
+    roots = []
+    for i in range(8):
+        for j in range(i + 1, 8):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [Fraction(0)] * 8
+                    v[i], v[j] = Fraction(si), Fraction(sj)
+                    roots.append(tuple(v))
+    half = Fraction(1, 2)
+    for signs in itertools.product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            roots.append(tuple(half * s for s in signs))
+    return roots
+
+
+def _generate(t):
+    """Roots in the usual orthonormal models, and the per-type inner-product scale."""
+    fam, r = t.family, t.rank
+    roots = []
+    scale = Fraction(1)
+    if fam == "A":
+        n = r + 1
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    v = [Fraction(0)] * n
+                    v[i], v[j] = Fraction(1), Fraction(-1)
+                    roots.append(tuple(v))
+    elif fam in ("B", "C", "D"):
+        for i in range(r):
+            for j in range(i + 1, r):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        v = [Fraction(0)] * r
+                        v[i], v[j] = Fraction(si), Fraction(sj)
+                        roots.append(tuple(v))
+        if fam == "B":
+            scale = Fraction(2)
+            for i in range(r):
+                for s in (1, -1):
+                    v = [Fraction(0)] * r
+                    v[i] = Fraction(s)
+                    roots.append(tuple(v))
+        elif fam == "C":
+            for i in range(r):
+                for s in (2, -2):
+                    v = [Fraction(0)] * r
+                    v[i] = Fraction(s)
+                    roots.append(tuple(v))
+    elif fam == "E":
+        e8 = _e8_roots()
+        if r == 8:
+            roots = e8
+        elif r == 7:
+            roots = [v for v in e8 if v[6] + v[7] == 0]
+        else:
+            roots = [v for v in e8 if v[5] - v[6] == 0 and v[5] + v[7] == 0]
+    elif fam == "F":
+        scale = Fraction(2)
+        for i in range(4):
+            for s in (1, -1):
+                v = [Fraction(0)] * 4
+                v[i] = Fraction(s)
+                roots.append(tuple(v))
+        half = Fraction(1, 2)
+        for signs in itertools.product((1, -1), repeat=4):
+            roots.append(tuple(half * s for s in signs))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                for si in (1, -1):
+                    for sj in (1, -1):
+                        v = [Fraction(0)] * 4
+                        v[i], v[j] = Fraction(si), Fraction(sj)
+                        roots.append(tuple(v))
+    elif fam == "G":
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    v = [Fraction(0)] * 3
+                    v[i], v[j] = Fraction(1), Fraction(-1)
+                    roots.append(tuple(v))
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            v = [Fraction(0)] * 3
+            v[i], v[j], v[k] = Fraction(2), Fraction(-1), Fraction(-1)
+            roots.append(tuple(v))
+            roots.append(tuple(-x for x in v))
+    return roots, scale
+
+
+class FractionFinite:
+    """A finite root system built as the package once built it.
+
+    Roots have `Fraction` coordinates in the usual orthonormal models, with
+    halves for E and F, and the inner product is the dot product times a
+    per-type `scale` that gives short roots squared length 2.  Every table
+    is computed directly from the rational pairing.
+    """
+
+    def __init__(self, t):
+        roots, self.scale = _generate(t)
+        self.rank = t.rank
+        self.roots = tuple(sorted(roots))
+        self.dim = len(self.roots[0])
+        self.norms = {r: self.inner(r, r) for r in self.roots}
+        pos = [r for r in self.roots if r > tuple(Fraction(0) for _ in r)]
+        pos_set = set(pos)
+        simple = [
+            p for p in pos
+            if not any(q != p and tuple(a - b for a, b in zip(p, q)) in pos_set for q in pos)
+        ]
+        self.simple_roots = tuple(sorted(simple, reverse=True))
+
+    def inner(self, x, y):
+        return self.scale * sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
+
+    def pairing(self, beta, alpha):
+        val = 2 * self.inner(beta, alpha) / self.norms[alpha]
+        if val.denominator != 1:
+            raise ValueError("non-integral pairing")
+        return int(val)
+
+    def coords(self):
+        return tuple(simple_coords(self, r) for r in self.roots)
+
+    def short_coords(self):
+        return frozenset(simple_coords(self, r) for r in self.roots if self.norms[r] == 2)
+
+    def pairing_table(self):
+        return tuple(tuple(self.pairing(b, a) for a in self.roots) for b in self.roots)
+
+    def reflect_table(self, pairing_table):
+        index = {r: i for i, r in enumerate(self.roots)}
+        return tuple(
+            tuple(
+                index[tuple(y - pairing_table[j][i] * x for x, y in zip(a, b))]
+                for j, b in enumerate(self.roots)
+            )
+            for i, a in enumerate(self.roots)
+        )
 
 
 class FractionRoots:

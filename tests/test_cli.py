@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ears.cli import main
+from ears.system import EarsSpec
 
 from conftest import SPEC_DIR
 
@@ -380,6 +381,12 @@ def _leaf_paths(obj, path=()):
         yield path
 
 
+def _replace_leaf(obj, path, value):
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+
+
 LEAF_REPLACEMENTS = st.one_of(
     st.text(max_size=3),
     st.floats(),
@@ -395,11 +402,8 @@ LEAF_REPLACEMENTS = st.one_of(
 def test_character_json_leaf_fuzz(capsys, tmp_path, kind, data):
     """One corrupted leaf: exit 0, 1 with a witness, or 2 with an error line."""
     char = _affine_character(kind)
-    path = data.draw(st.sampled_from(sorted(_leaf_paths(char), key=repr)))
-    parent = char
-    for step in path[:-1]:
-        parent = parent[step]
-    parent[path[-1]] = data.draw(LEAF_REPLACEMENTS)
+    _replace_leaf(char, data.draw(st.sampled_from(sorted(_leaf_paths(char), key=repr))),
+                  data.draw(LEAF_REPLACEMENTS))
     char_file = tmp_path / "char.json"
     char_file.write_text(json.dumps(char))
     capsys.readouterr()
@@ -414,6 +418,61 @@ def test_character_json_leaf_fuzz(capsys, tmp_path, kind, data):
         failed = [c for c in report["checks"].values() if not c["passed"]]
         assert failed
         assert all(c["additivity_failures"] or c["inverse_failures"] for c in failed)
+
+
+def _load_spec(name: str) -> dict:
+    return json.loads((SPEC_DIR / name).read_text())
+
+
+def _spec_file(tmp_path, spec: dict) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+class TestSpecInput:
+    """Spec fields hold JSON integers; anything else is bad input, never truncated."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("S", "reps", 1, 0), 1.5),
+            (("S", "lattice_basis", 0, 0), 1.7),
+            (("S", "lattice_basis", 0, 0), "1"),
+            (("nullity",), True),
+            (("rank",), 1.5),
+            (("nullity",), 1.0),
+        ],
+    )
+    def test_non_integer_field(self, capsys, tmp_path, path, value):
+        spec = _load_spec("affine_a1.json")
+        _replace_leaf(spec, path, value)
+        assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
+
+    def test_semilattice_form_needs_type_a1(self, capsys, tmp_path):
+        spec = _load_spec("affine_a1.json")
+        spec["type"], spec["rank"] = "B", 2
+        assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["affine_a1.json", "a2_nu1.json", "b2_nu2_twist1.json"]), st.data())
+def test_spec_json_leaf_fuzz(capsys, tmp_path, name, data):
+    """One corrupted spec leaf: exit 0 on a spec that reads back exactly as written,
+    or 2 with an error line.  A truncated or coerced value would read back changed."""
+    spec = _load_spec(name)
+    _replace_leaf(spec, data.draw(st.sampled_from(sorted(_leaf_paths(spec), key=repr))),
+                  data.draw(LEAF_REPLACEMENTS))
+    capsys.readouterr()
+    code = main(["info", _spec_file(tmp_path, spec), "--window", "1"])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert "error:" in err
+        return
+    read_back = EarsSpec.from_json(spec).to_json()
+    assert json.dumps(read_back, sort_keys=True) == json.dumps(spec, sort_keys=True)
 
 
 class TestDeterminism:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_reference
-from ears.finite import FiniteType, build_finite, highest_roots
+from ears.finite import FiniteType, build_finite
 
 COUNTS = {
     "A1": (2, 2, 0),
@@ -169,26 +169,27 @@ class TestRootString:
 
 class TestHighestRoots:
     def test_b2(self, systems):
-        ts, tl = highest_roots(systems["B2"])
+        f = systems["B2"]
+        ts, tl = f.highest_short, f.highest_long
         assert ts == (Fraction(1), Fraction(0))
         assert tl == (Fraction(1), Fraction(1))
 
     def test_a2(self, systems):
         f = systems["A2"]
-        ts, tl = highest_roots(f)
+        ts, tl = f.highest_short, f.highest_long
         s1, s2 = f.simple_roots
         assert ts == tuple(a + b for a, b in zip(s1, s2))
         assert tl is None
 
     def test_g2_difference_is_root(self, systems):
         f = systems["G2"]
-        ts, tl = highest_roots(f)
+        ts, tl = f.highest_short, f.highest_long
         assert f.is_root(tuple(a - b for a, b in zip(tl, ts)))
 
     @pytest.mark.parametrize("name", ["B2", "B3", "C3", "F4", "G2"])
     def test_dominance(self, systems, name):
         f = systems[name]
-        ts, tl = highest_roots(f)
+        ts, tl = f.highest_short, f.highest_long
         for s in f.simple_roots:
             assert f.pairing(ts, s) >= 0
             assert f.pairing(tl, s) >= 0
@@ -225,6 +226,21 @@ def test_simple_coords_table_matches_fraction_oracle(systems, name):
     f = systems[name]
     expected = {r: fraction_reference.simple_coords(f, r) for r in f.roots}
     assert f.simple_coords_table == expected
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_integer_construction_matches_fraction_oracle(systems, name):
+    """Roots are the rational roots times 2 for E and F, times 1 otherwise."""
+    f = systems[name]
+    ref = fraction_reference.FractionFinite(f.type)
+    factor = 2 if f.type.family in ("E", "F") else 1
+    assert all(type(x) is int for r in f.roots for x in r)
+    assert f.roots == tuple(tuple(factor * x for x in r) for r in ref.roots)
+    assert f.coords == ref.coords()
+    assert f.short_coords == ref.short_coords()
+    pairs = ref.pairing_table()
+    assert f.pairing_table == pairs
+    assert f.reflect_table == ref.reflect_table(pairs)
 
 
 def test_parse_type():

@@ -1,10 +1,10 @@
 """Source guards over the `ears` package, read with `ast`.
 
 Certificate and invariant checks must be explicit exceptions, which still run
-under `python -O`, so the package has no `assert` statement.  Rationals belong
-to the construction of the finite root systems, so `ears/finite.py` is the only
-module that imports `fractions`.  The traced benchmark run wraps `ears`
-functions and methods by name, so every name it lists must still exist.
+under `python -O`, so the package has no `assert` statement.  The package
+computes over the integers only, so no module imports `fractions`.  The traced
+benchmark run wraps `ears` functions and methods by name, so every name it
+lists must still exist.
 """
 
 import ast
@@ -55,9 +55,8 @@ def test_no_assert_statements(path):
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_fractions_only_in_finite(path):
-    if path.name != "finite.py":
-        assert not imports_fractions(path.read_text()), f"{path.name} imports fractions"
+def test_no_fractions_import(path):
+    assert not imports_fractions(path.read_text()), f"{path.name} imports fractions"
 
 
 def load_trace_calls():
