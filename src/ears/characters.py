@@ -23,11 +23,9 @@ from typing import Sequence
 from .lattice import (
     IntVector,
     Semilattice,
-    det,
     inverse_unimodular,
     json_int,
     json_int_rows,
-    matvec,
     solve_mod,
 )
 from .system import (
@@ -75,8 +73,6 @@ class LatticeHomRule:
     basis: tuple[IntVector, ...]
     values: tuple[int, ...]
 
-    kind = "hom"
-
 
 @dataclass(frozen=True)
 class A1CosetRule:
@@ -87,8 +83,6 @@ class A1CosetRule:
     3 to 6 distinct nonzero representatives avoid 2L.
     """
 
-    kind = "a1coset"
-
 
 @dataclass(frozen=True)
 class TableRule:
@@ -96,8 +90,6 @@ class TableRule:
 
     window: int
     entries: tuple[tuple[Root, int], ...]
-
-    kind = "table"
 
     @cached_property
     def lookup(self) -> dict[Root, int]:
@@ -136,11 +128,10 @@ class Character:
                 raise ValueError("homomorphism basis must be square of rank + nullity")
             if len(self.rule.values) != n:
                 raise ValueError("one exponent per basis vector required")
-            cols = tuple(
-                tuple(self.rule.basis[j][i] for j in range(n)) for i in range(n)
-            )
-            if abs(det(cols)) != 1:
-                raise ValueError("homomorphism basis must be unimodular")
+            try:
+                self._std_values
+            except ValueError:
+                raise ValueError("homomorphism basis must be unimodular") from None
         elif isinstance(self.rule, A1CosetRule):
             if self.ears.spec.kind != "rank_one":
                 raise ValueError("coset rule requires a rank-one system")
@@ -166,7 +157,14 @@ class Character:
         )
 
     def eval(self, r: Root) -> UnityValue:
-        """Value on a root, as an exponent of the fixed primitive m-th root of unity."""
+        """Value on a root, as an exponent of the fixed primitive m-th root of unity.
+
+        This is the checked entry point: it classifies r and raises ValueError
+        on a non-root.  Loops over roots they have already enumerated or
+        classified read `_exponent` instead, so each root is classified once.
+        The result stays a `UnityValue` because the benchmark's `roundtrip`
+        task reads `eval(r).exponent`.
+        """
         if not self.ears.is_root(r):
             raise ValueError(f"{r} does not classify as a root")
         return UnityValue(self._exponent(r), self.modulus)
@@ -274,7 +272,7 @@ def _verify(c: Character, w: Window, core_only: bool) -> CharacterCheckReport:
     e = c.ears
     m = c.modulus
     roots = enumerate_roots(e, w)
-    exps = {r: c.eval(r).exponent for r in roots}
+    exps = {r: c._exponent(r) for r in roots}
     firsts = [r for r in roots if r.finite is not None] if core_only else roots
     table_bound = c.rule.window if isinstance(c.rule, TableRule) else None
     checked = skipped = 0
@@ -346,8 +344,8 @@ def verify_square_shift_identity(c: Character, w: Window) -> dict:
                 cap = max(max(map(abs, r.iso), default=0) for r in (plus, minus))
                 if cap > table_bound:
                     continue
-            lhs = 2 * c.eval(alpha).exponent
-            rhs = c.eval(plus).exponent + c.eval(minus).exponent
+            lhs = 2 * c._exponent(alpha)
+            rhs = c._exponent(plus) + c._exponent(minus)
             checked += 1
             if (lhs - rhs) % m:
                 failures.append(
@@ -380,12 +378,6 @@ def build_a1_counterexample(
         taus.append(tuple(1 if i < 6 else 0 for i in range(nullity)))
     reps = (tuple(0 for _ in range(nullity)),) + tuple(tuple(t) for t in taus)
     s = Semilattice(IntLattice.standard(nullity), reps)
-    violation = sum_free_violation(s)
-    if violation is not None:
-        raise ValueError(
-            f"representatives {violation} sum into 2L; the coset rule would not "
-            "be a character"
-        )
     e = build_ears(EarsSpec.rank_one(nullity, s))
     return Character(e, 2, A1CosetRule())
 
@@ -421,9 +413,7 @@ def recheck_witness(
     return ok, {"coord_sum": coord_sum, "exponent_sum": exp_sum % c.modulus}
 
 
-def extendability(
-    c: Character, w: Window, basis: Sequence[IntVector] | None = None
-) -> ExtendabilityResult:
+def extendability(c: Character, w: Window) -> ExtendabilityResult:
     """Decide whether the character extends to a root-lattice homomorphism.
 
     Every window root contributes the linear constraint coords . h = exponent
@@ -439,22 +429,12 @@ def extendability(
     n = e.rank + e.nullity
     roots = enumerate_roots(e, w)
     coord_rows = [e.root_coords(r) for r in roots]
-    if basis is not None:
-        cols = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-        if abs(det(cols)) != 1:
-            raise ValueError("supplied lattice basis is not unimodular")
-        inv = inverse_unimodular(cols)
-        coord_rows = [matvec(inv, row) for row in coord_rows]
-    exps = [c.eval(r).exponent for r in roots]
+    exps = [c._exponent(r) for r in roots]
     res = solve_mod(coord_rows, exps, m)
     if res.sat:
-        values = res.solution
-        if basis is None:
-            basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        hom = Character(e, m, LatticeHomRule(tuple(map(tuple, basis)), values))
-        for r in roots:
-            if hom.eval(r).exponent != c.eval(r).exponent:
-                raise AssertionError("solver produced a non-extending homomorphism")
+        hom = standard_hom_character(e, res.solution, m)
+        if any(hom._exponent(r) != x for r, x in zip(roots, exps)):
+            raise AssertionError("solver produced a non-extending homomorphism")
         return ExtendabilityResult(True, hom, None, m)
     cert = res.certificate
     ra = [sum(cert[i] * coord_rows[i][j] for i in range(len(roots))) for j in range(n)]
@@ -487,15 +467,12 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
     n = e.rank + e.nullity
     if len(base) != n:
         raise ValueError("base must have rank + nullity elements")
-    coords = [e.root_coords(b) for b in base]
-    cols = tuple(tuple(coords[j][i] for j in range(n)) for i in range(n))
-    if abs(det(cols)) != 1:
-        raise ValueError("base is not a basis of the root lattice")
+    coords = tuple(e.root_coords(b) for b in base)
+    values = tuple(c.eval(b).exponent for b in base)
+    hom = Character(e, m, LatticeHomRule(coords, values))
     cover = check_reflectable(e, base, w)
     if not cover.covered:
         raise ValueError("base reflections do not cover the window")
-    values = tuple(c.eval(b).exponent for b in base)
-    hom = Character(e, m, LatticeHomRule(tuple(map(tuple, coords)), values))
     decs = decompose_all(e, base, w)
     for r in enumerate_roots(e, w):
         if r.finite is not None:
@@ -503,17 +480,14 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
             if dec is None:
                 raise ValueError(f"cannot decompose {r} inside the window")
             acc = 0
-            prefix = e.zero_root
-            for sign, b in dec.terms:
-                step = e.scale_root(sign, b)
-                prefix = e.add(prefix, step)
-                acc = (acc + c.eval(step).exponent) % m
-                if c.eval(prefix).exponent != acc:
+            for (sign, b), prefix in zip(dec.terms, dec.prefixes(e)):
+                acc = (acc + c._exponent(e.scale_root(sign, b))) % m
+                if c._exponent(prefix) != acc:
                     raise ValueError(
                         f"telescoping failed at prefix {prefix}: the character is "
                         "not multiplicative along the decomposition"
                     )
-        if hom.eval(r).exponent != c.eval(r).exponent:
+        if hom._exponent(r) != c._exponent(r):
             raise ValueError(
                 f"extension disagrees with the character at {r}; the data is "
                 "not index-zero consistent or the window is too small"

@@ -428,13 +428,6 @@ class Semilattice:
             return None
         return tuple(x % 2 for x in c)
 
-    def coset_class(self, v: Sequence[int]) -> int | None:
-        """Index i with v = reps[i] mod 2L, or None when the class is absent."""
-        k = self.key(v)
-        if k is None:
-            raise ValueError(f"vector {tuple(v)} lies outside the ambient lattice")
-        return self.class_index.get(k)
-
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.dim:
             return False

@@ -571,6 +571,23 @@ class AxiomReport:
         return {"window": self.window, "ok": self.ok, "checks": self.checks}
 
 
+def finite_parts_connected(e: Ears, roots: Sequence[Root]) -> bool:
+    """Is the non-orthogonality graph on these non-isotropic roots connected?
+
+    The pairing reads only finite parts, and two roots with the same finite
+    part pair to 2, so the search runs on the distinct finite parts.
+    """
+    table = e.finite.pairing_table
+    todo = {e.finite.coord_index[r.finite] for r in roots}
+    frontier = [todo.pop()] if todo else []
+    while frontier:
+        cur = frontier.pop()
+        linked = {j for j in todo if table[cur][j]}
+        todo -= linked
+        frontier.extend(linked)
+    return not todo
+
+
 def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     """Window-scale verification of the structural axioms.
 
@@ -615,18 +632,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
         "failures": string_failures[:5],
     }
 
-    connected = True
-    if noniso:
-        seen = {noniso[0]}
-        frontier = [noniso[0]]
-        pool = set(noniso)
-        while frontier:
-            cur = frontier.pop()
-            for other in pool - seen:
-                if e.pairing(cur, other) != 0:
-                    seen.add(other)
-                    frontier.append(other)
-        connected = seen == pool
+    connected = finite_parts_connected(e, noniso)
     checks["indecomposable"] = {"passed": connected, "components_connected": connected}
 
     doubled = []

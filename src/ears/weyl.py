@@ -136,9 +136,7 @@ def _span_is_full(e: Ears, roots: Iterable[Root]) -> bool:
     return all(i < len(d[0]) and d[i][i] == 1 for i in range(n))
 
 
-def minimal_reflectable_size(
-    e: Ears, w: Window, max_size: int, margin: int | None = None
-) -> MinimalBaseSearch:
+def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSearch:
     """Smallest base size whose orbit covers the non-isotropic window roots.
 
     The candidate pool restricts isotropic parts to coset representatives plus
@@ -169,7 +167,7 @@ def minimal_reflectable_size(
             if not _span_is_full(e, combo):
                 continue
             tested += 1
-            orbit = orbit_closure(e, combo, w, margin)
+            orbit = orbit_closure(e, combo, w)
             if target_set <= orbit:
                 return MinimalBaseSearch(
                     size, combo, max_size, w.bound, len(pool), tested,
@@ -188,10 +186,7 @@ class Decomposition:
     terms: tuple[tuple[int, Root], ...]
 
     def total(self, e: Ears) -> Root:
-        acc = e.zero_root
-        for sign, r in self.terms:
-            acc = e.add(acc, e.scale_root(sign, r))
-        return acc
+        return (self.prefixes(e) or [e.zero_root])[-1]
 
     def prefixes(self, e: Ears) -> list[Root]:
         out = []
@@ -203,10 +198,8 @@ class Decomposition:
 
     def verify(self, e: Ears, target: Root) -> bool:
         """Re-check the prefix property and the total, via classify alone."""
-        for p in self.prefixes(e):
-            if not e.is_root(p):
-                return False
-        return self.total(e) == target
+        walk = self.prefixes(e)
+        return all(map(e.is_root, walk)) and (walk or [e.zero_root])[-1] == target
 
 
 def decompose(e: Ears, target: Root, base: Sequence[Root], w: Window) -> Decomposition:

@@ -6,7 +6,9 @@ of `ears.lattice` (Bareiss, and the Smith normal form).  Root arithmetic on
 realization coordinates (`FractionRoots`), which the package replaced with
 integer simple-root and lattice coordinates.  The rational construction of
 the finite root systems (`FractionFinite`), which the package replaced with
-integer models.  The tests compare the two.
+integer models.  The coset lookup on ambient vectors (`coset_class`), which
+the package reads from class keys of lattice coordinates (`Ears.s_class`).
+The tests compare the two.
 """
 
 import itertools
@@ -334,7 +336,7 @@ class FractionRoots:
             fin = (0,) * e.rank if r[0] is None else simple_coords(e.finite, r[0])
             return sum(x * v for x, v in zip(fin + coords, c._std_values)) % c.modulus
         if isinstance(c.rule, A1CosetRule):
-            i = e.S.coset_class(r[1])
+            i = coset_class(e.S, r[1])
             if r[0] is not None:
                 return 0 if i == 0 else 1
             return 1 if (i is not None and i > 0) else 0
@@ -391,6 +393,14 @@ class FractionRoots:
             "additivity_failures": add_failures[:5],
             "inverse_failures": inv_failures[:5],
         }
+
+
+def coset_class(s, v):
+    """Index i with v = reps[i] mod 2L for an ambient vector v, or None when absent."""
+    k = s.key(v)
+    if k is None:
+        raise ValueError(f"vector {tuple(v)} lies outside the ambient lattice")
+    return s.class_index.get(k)
 
 
 def lattice_coords(e, vector):

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_reference
 from ears.characters import (
     A1CosetRule,
     Character,
+    LatticeHomRule,
     TableRule,
     UnityValue,
     build_a1_counterexample,
@@ -42,6 +46,29 @@ class TestUnityValue:
         x = UnityValue(2, 5)
         assert (x * UnityValue(4, 5)).exponent == 1
         assert x.inverse().exponent == 3
+
+
+class TestHomBasis:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_unimodular_check_matches_fraction_oracle(self, affine_a1, a2_nu1, data):
+        e = data.draw(st.sampled_from((affine_a1, a2_nu1)), label="system")
+        n = e.rank + e.nullity
+        m = 5
+        basis = tuple(
+            tuple(data.draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(n)
+        )
+        values = tuple(data.draw(st.integers(0, m - 1)) for _ in range(n))
+        cols = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
+        rule = LatticeHomRule(basis, values)
+        if abs(fraction_reference.det(cols)) != 1:
+            with pytest.raises(ValueError, match="unimodular"):
+                Character(e, m, rule)
+            return
+        inv = fraction_reference.inverse_unimodular(cols)
+        assert Character(e, m, rule)._std_values == tuple(
+            sum(values[i] * inv[i][j] for i in range(n)) % m for j in range(n)
+        )
 
 
 class TestCosetRuleValues:
@@ -131,7 +158,7 @@ class TestVerify:
         e = a1_nu2_full
         entries = []
         for r in enumerate_roots(e, Window(2)):
-            i = e.S.coset_class(r.iso)
+            i = fraction_reference.coset_class(e.S, r.iso)
             if r.finite is not None:
                 entries.append((r, 0 if i == 0 else 1))
             else:
@@ -207,15 +234,6 @@ class TestExtendability:
         corrupted = Character(a2_nu1, 2, TableRule(2, tuple(entries)))
         with pytest.raises(ValueError):
             extendability(corrupted, Window(2))
-
-    def test_custom_lattice_basis(self, affine_a1):
-        c = standard_hom_character(affine_a1, (1, 1), 2)
-        basis = ((1, 0), (1, 1))
-        res = extendability(c, Window(2), basis=basis)
-        assert res.sat
-        assert res.hom.rule.basis == basis
-        for r in enumerate_roots(affine_a1, Window(2)):
-            assert res.hom.eval(r).exponent == c.eval(r).exponent
 
     def test_extendable_coset_variant(self):
         # three cosets in rank two satisfy the sum-free condition vacuously

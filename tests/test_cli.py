@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from functools import cache
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from ears.cli import main
 from ears.system import EarsSpec
 
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, load_spec_file
 
 AFFINE = str(SPEC_DIR / "affine_a1.json")
 CEX_SPEC = str(SPEC_DIR / "counterexample_nu6.json")
@@ -490,3 +493,40 @@ class TestDeterminism:
         main(list(argv))
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestBenchChild:
+    """The library calls the benchmark's child process makes, run as it runs them."""
+
+    def child(self, tmp_path, kind, obj):
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps(obj))
+        root = SPEC_DIR.parent
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "child.py"), kind, str(task)],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return proc.returncode, json.loads(proc.stdout)
+
+    def test_roundtrip(self, tmp_path):
+        values, m = [1, 0, 1], 2
+        code, report = self.child(
+            tmp_path,
+            "roundtrip",
+            {"spec": load_spec_file("a2_nu1.json"), "modulus": m, "values": values, "window": 1},
+        )
+        assert code == 0
+        assert set(report) == {"basis", "values", "roots"}
+        for row in report["roots"]:
+            assert row[-1] == sum(x * v for x, v in zip(row, values)) % m
+
+    def test_solve_mod_unsat(self, tmp_path):
+        code, report = self.child(
+            tmp_path, "solve_mod", {"rows": [[1, 0], [0, 2]], "rhs": [1, 1], "modulus": 2}
+        )
+        assert code == 1
+        assert set(report) == {"sat", "certificate"}
+        assert report["sat"] is False

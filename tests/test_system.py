@@ -12,6 +12,7 @@ from ears.system import (
     build_ears,
     check_compatibility,
     enumerate_roots,
+    finite_parts_connected,
     index_formula,
     invariants,
     root_from_json,
@@ -19,6 +20,24 @@ from ears.system import (
     twist_order,
     verify_axioms,
 )
+
+from conftest import SPEC_DIR, load_spec_file
+
+
+def root_level_connected(e, noniso):
+    """The search `verify_axioms` made on the roots themselves, kept as an oracle."""
+    if not noniso:
+        return True
+    seen = {noniso[0]}
+    frontier = [noniso[0]]
+    pool = set(noniso)
+    while frontier:
+        cur = frontier.pop()
+        for other in pool - seen:
+            if e.pairing(cur, other) != 0:
+                seen.add(other)
+                frontier.append(other)
+    return seen == pool
 
 
 class TestSpecValidation:
@@ -254,3 +273,27 @@ class TestRootJson:
         e = a2_nu2
         for r in enumerate_roots(e, Window(1)):
             assert e.root_from_coords(e.root_coords(r)) == r
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize(
+        "name",
+        sorted(p.name for p in SPEC_DIR.glob("*.json") if not p.name.endswith("_char.json")),
+    )
+    def test_finite_parts_match_root_search(self, name):
+        e = build_ears(EarsSpec.from_json(load_spec_file(name)))
+        windows = (0, 1) if name.startswith("counterexample") else (0, 1, 2)
+        for n in windows:
+            noniso = [r for r in enumerate_roots(e, Window(n)) if r.finite is not None]
+            assert finite_parts_connected(e, noniso) == root_level_connected(e, noniso)
+
+    def test_orthogonal_finite_parts_disconnected(self):
+        e = build_ears(EarsSpec.from_json(load_spec_file("a3_nu2.json")))
+        roots = [
+            Root(fin, iso)
+            for fin in ((1, 0, 0), (0, 0, 1))
+            for iso in ((0, 0), (1, 0))
+        ]
+        assert all(e.is_root(r) for r in roots)
+        assert not root_level_connected(e, roots)
+        assert not finite_parts_connected(e, roots)
