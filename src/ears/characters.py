@@ -26,6 +26,7 @@ from .lattice import (
     inverse_unimodular,
     json_int,
     json_int_rows,
+    parity,
     solve_mod,
 )
 from .system import (
@@ -33,7 +34,7 @@ from .system import (
     Root,
     Window,
     enumerate_roots,
-    invariants,
+    index_formula,
     root_from_json,
     root_to_json,
 )
@@ -95,18 +96,18 @@ class TableRule:
     def lookup(self) -> dict[Root, int]:
         return dict(self.entries)
 
+    @cached_property
+    def box(self) -> Window:
+        return Window(self.window)
 
-def sum_free_violation(
-    s: Semilattice, lo: int = 3, hi: int = 6
-) -> tuple[int, ...] | None:
-    """First index set (sizes lo..hi, distinct nonzero reps) whose sum falls in 2L."""
+
+def sum_free_violation(s: Semilattice) -> tuple[int, ...] | None:
+    """First index set (3 to 6 distinct nonzero reps) whose sum falls in 2L."""
     keys = [s.key(r) for r in s.reps]
-    for k in range(lo, min(hi, s.index) + 1):
+    for k in range(3, min(6, s.index) + 1):
         for combo in itertools.combinations(range(1, s.coset_count), k):
-            acc = [0] * s.dim
-            for i in combo:
-                acc = [(a + b) % 2 for a, b in zip(acc, keys[i])]
-            if not any(acc):
+            total = map(sum, zip(*(keys[i] for i in combo)))
+            if not any(parity(total)):
                 return combo
     return None
 
@@ -179,7 +180,7 @@ class Character:
             if r.finite is not None:
                 return 0 if i == 0 else 1
             return 1 if (i is not None and i > 0) else 0
-        if max(map(abs, r.iso), default=0) > self.rule.window:
+        if not self.rule.box.contains(r.iso):
             raise ValueError("root lies outside the table window")
         try:
             return self.rule.lookup[r] % self.modulus
@@ -331,7 +332,7 @@ def verify_square_shift_identity(c: Character, w: Window) -> dict:
     roots = enumerate_roots(e, w)
     iso_roots = [r for r in roots if r.finite is None]
     noniso = [r for r in roots if r.finite is not None]
-    table_bound = c.rule.window if isinstance(c.rule, TableRule) else None
+    table = c.rule.box if isinstance(c.rule, TableRule) else None
     checked = 0
     failures = []
     for sigma in iso_roots:
@@ -340,10 +341,10 @@ def verify_square_shift_identity(c: Character, w: Window) -> dict:
             minus = e.add(alpha, e.neg(sigma))
             if not (e.is_root(plus) and e.is_root(minus)):
                 continue
-            if table_bound is not None:
-                cap = max(max(map(abs, r.iso), default=0) for r in (plus, minus))
-                if cap > table_bound:
-                    continue
+            if table is not None and not (
+                table.contains(plus.iso) and table.contains(minus.iso)
+            ):
+                continue
             lhs = 2 * c._exponent(alpha)
             rhs = c._exponent(plus) + c._exponent(minus)
             checked += 1
@@ -461,9 +462,9 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
     """
     e = c.ears
     m = c.modulus
-    inv = invariants(e)
-    if inv.ind_R != 0:
-        raise ValueError(f"system has index {inv.ind_R}; constructive extension needs 0")
+    ind_r, _ = index_formula(e)
+    if ind_r != 0:
+        raise ValueError(f"system has index {ind_r}; constructive extension needs 0")
     n = e.rank + e.nullity
     if len(base) != n:
         raise ValueError("base must have rank + nullity elements")

@@ -3,6 +3,8 @@
 Reports are canonical JSON on stdout (stable key order, no timestamps), so a
 run is byte-identical for identical inputs; elapsed time goes to stderr.
 Exit codes: 0 all checks pass, 1 a check failed (witness included), 2 bad input.
+Every ValueError a command raises is bad input, mapped to exit 2 in `main`; an
+AssertionError is an internal fault and is not caught.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .torus import (
 from .weyl import check_reflectable, decompose, minimal_reflectable_size, orbit_closure
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Bad input found by the front end itself (files, JSON, missing options)."""
 
 
 def _read_json(path: str) -> tuple[dict, str]:
@@ -137,11 +139,8 @@ def cmd_char_verify(args) -> int:
     e, spec_digest = _load_spec(args.spec)
     c, char_digest = _load_character(args.char, e)
     w = Window(args.window)
-    try:
-        core = verify_core_character(c, w)
-        full = verify_character(c, w)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    core = verify_core_character(c, w)
+    full = verify_character(c, w)
     report = {
         "command": "char-verify",
         "inputs": {"spec_sha256": spec_digest, "char_sha256": char_digest},
@@ -158,10 +157,7 @@ def cmd_char_extend(args) -> int:
     e, spec_digest = _load_spec(args.spec)
     c, char_digest = _load_character(args.char, e)
     w = Window(args.window)
-    try:
-        result = extendability(c, w)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = extendability(c, w)
     report = {
         "command": "char-extend",
         "inputs": {"spec_sha256": spec_digest, "char_sha256": char_digest},
@@ -188,10 +184,7 @@ def cmd_counterexample(args) -> int:
         ):
             raise InputError(f"{args.taus} must hold a JSON list of integer vectors")
         taus = [tuple(t) for t in obj]
-    try:
-        c = build_a1_counterexample(args.nullity, taus)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    c = build_a1_counterexample(args.nullity, taus)
     _write_json(args.out_spec, c.ears.spec.to_json())
     _write_json(args.out_char, c.to_json())
     report = {
@@ -225,49 +218,43 @@ def cmd_weyl(args) -> int:
         "base": [root_to_json(e, r) for r in base],
     }
     failed = False
-    try:
-        if args.action == "orbit":
-            orbit = sorted(orbit_closure(e, base, w), key=e.sort_key)
-            report["orbit_size"] = len(orbit)
-            report["orbit"] = [root_to_json(e, r) for r in orbit]
-        elif args.action == "check":
-            res = check_reflectable(e, base, w)
-            report["covered"] = res.covered
-            report["missing"] = [root_to_json(e, r) for r in res.missing[:10]]
-            failed = not res.covered
-        elif args.action == "minsize":
-            res = minimal_reflectable_size(e, w, args.max_size)
-            report["search_space"] = res.search_space
-            report["candidates"] = res.candidates
-            report["subsets_tested"] = res.subsets_tested
-            report["minimal_size"] = res.size
-            if res.base is not None:
-                report["base_found"] = [root_to_json(e, r) for r in res.base]
-            failed = res.size is None
-        else:
-            if not args.target:
-                raise InputError("decompose requires --target")
-            target = _parse_roots(e, args.target)
-            if len(target) != 1:
-                raise InputError("--target must hold exactly one root")
-            dec = decompose(e, target[0], base, w)
-            ok = dec.verify(e, target[0])
-            report["target"] = root_to_json(e, target[0])
-            report["terms"] = [
-                {"sign": sign, "root": root_to_json(e, r)} for sign, r in dec.terms
-            ]
-            report["prefixes_are_roots"] = ok
-            failed = not ok
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.action == "orbit":
+        orbit = sorted(orbit_closure(e, base, w), key=e.sort_key)
+        report["orbit_size"] = len(orbit)
+        report["orbit"] = [root_to_json(e, r) for r in orbit]
+    elif args.action == "check":
+        res = check_reflectable(e, base, w)
+        report["covered"] = res.covered
+        report["missing"] = [root_to_json(e, r) for r in res.missing[:10]]
+        failed = not res.covered
+    elif args.action == "minsize":
+        res = minimal_reflectable_size(e, w, args.max_size)
+        report["search_space"] = res.search_space
+        report["candidates"] = res.candidates
+        report["subsets_tested"] = res.subsets_tested
+        report["minimal_size"] = res.size
+        if res.base is not None:
+            report["base_found"] = [root_to_json(e, r) for r in res.base]
+        failed = res.size is None
+    else:
+        if not args.target:
+            raise InputError("decompose requires --target")
+        target = _parse_roots(e, args.target)
+        if len(target) != 1:
+            raise InputError("--target must hold exactly one root")
+        dec = decompose(e, target[0], base, w)
+        ok = dec.verify(e, target[0])
+        report["target"] = root_to_json(e, target[0])
+        report["terms"] = [
+            {"sign": sign, "root": root_to_json(e, r)} for sign, r in dec.terms
+        ]
+        report["prefixes_are_roots"] = ok
+        failed = not ok
     return _finish(report, args, failed)
 
 
 def cmd_torus(args) -> int:
-    try:
-        t = build_torus(args.ell, args.nu, args.modulus)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    t = build_torus(args.ell, args.nu, args.modulus)
     w = Window(args.window)
     report = {
         "command": f"torus-{args.action}",
@@ -283,25 +270,21 @@ def cmd_torus(args) -> int:
             hom = [int(x) for x in args.hom.split(",")]
         except ValueError as exc:
             raise InputError(f"cannot parse --hom {args.hom!r}") from exc
-    failed = False
-    try:
-        if args.action == "check-chevalley":
-            rep = verify_automorphism(t, chevalley(t), w)
-            report["checks"] = rep.checks
-            failed = not rep.ok
-        elif args.action == "check-diagonal":
-            rep = verify_automorphism(t, diagonal_from_hom(t, hom), w)
-            report["checks"] = rep.checks
-            failed = not rep.ok
-        else:
-            char, extraction = extract_core_character(t, diagonal_from_hom(t, hom), w)
-            report["extraction"] = extraction
-            report["character"] = char.to_json()
-            failed = not all(
-                v is True or not isinstance(v, bool) for v in extraction.values()
-            )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.action == "check-chevalley":
+        rep = verify_automorphism(t, chevalley(t), w)
+        report["checks"] = rep.checks
+        failed = not rep.ok
+    elif args.action == "check-diagonal":
+        rep = verify_automorphism(t, diagonal_from_hom(t, hom), w)
+        report["checks"] = rep.checks
+        failed = not rep.ok
+    else:
+        char, extraction = extract_core_character(t, diagonal_from_hom(t, hom), w)
+        report["extraction"] = extraction
+        report["character"] = char.to_json()
+        failed = not all(
+            v is True or not isinstance(v, bool) for v in extraction.values()
+        )
     return _finish(report, args, failed)
 
 
@@ -371,7 +354,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.func(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

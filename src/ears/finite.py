@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import IntLattice, IntVector
+from .lattice import IntLattice, IntVector, json_int
 
 Coords = tuple[int, ...]
 
@@ -43,6 +43,7 @@ class FiniteType:
     rank: int
 
     def __post_init__(self) -> None:
+        json_int(self.rank, "rank")
         if self.family not in _RANK_RULES:
             raise ValueError(f"unknown family {self.family!r}")
         if not _RANK_RULES[self.family](self.rank):

@@ -9,7 +9,7 @@ point anywhere.  Vectors are tuples of ints, matrices are tuples of row tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
@@ -18,20 +18,24 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
 
-def _as_matrix(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def json_int(value, field: str) -> int:
-    """A JSON integer; floats, strings and booleans are rejected, not coerced."""
+    """An int; floats, strings and booleans are rejected, not coerced.
+
+    This is the one integer check, for JSON input and library arguments alike.
+    """
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
 
 
-def json_int_rows(rows, field: str) -> IntMatrix:
-    """A JSON list of lists of integers, each entry checked by `json_int`."""
+def json_int_rows(rows: Iterable[Sequence[int]], field: str) -> IntMatrix:
+    """Rows as a tuple of int tuples, each entry checked by `json_int`."""
     return tuple(tuple(json_int(x, field) for x in row) for row in rows)
+
+
+def parity(v: Iterable[int]) -> IntVector:
+    """Coordinates mod 2: the class key of a lattice point modulo the doubled lattice."""
+    return tuple([x & 1 for x in v])
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -71,7 +75,7 @@ def det(m: Sequence[Sequence[int]]) -> int:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a = [[int(x) for x in row] for row in m]
+    a = [list(row) for row in json_int_rows(m, "matrix entry")]
     sign, prev = 1, 1
     for k in range(n - 1):
         if not a[k][k]:
@@ -98,7 +102,7 @@ def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     cols = len(mat[0]) if rows else 0
     if any(len(row) != cols for row in mat):
         raise ValueError("ragged matrix")
-    a = [list(map(int, row)) for row in mat]
+    a = [list(row) for row in json_int_rows(mat, "matrix entry")]
     u = _identity(rows)
     v = _identity(cols)
 
@@ -171,7 +175,7 @@ def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return _as_matrix(u), _as_matrix(a), _as_matrix(v)
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 @dataclass(frozen=True)
@@ -240,8 +244,9 @@ def solve_mod(
     a: Sequence[Sequence[int]], b: Sequence[int], m: int
 ) -> ModSolveResult:
     """Solve A x = b over Z/m, or produce an UNSAT certificate."""
-    if m < 1:
+    if json_int(m, "modulus") < 1:
         raise ValueError("modulus must be >= 1")
+    b = tuple(json_int(x, "right-hand side entry") for x in b)
     if len(b) != len(a):
         raise ValueError("right-hand side length does not match row count")
     x, cert = _solve_snf(snf(a), b, m)
@@ -267,6 +272,14 @@ def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     return matmul(v, u)
 
 
+def generates(vectors: Sequence[Sequence[int]], n: int) -> bool:
+    """Do these integer vectors of length n generate Z^n?"""
+    if len(vectors) < n:
+        return False
+    _, d, _ = snf(tuple(zip(*vectors)))
+    return all(d[i][i] == 1 for i in range(n))
+
+
 @dataclass(frozen=True)
 class IntLattice:
     """Full-rank lattice in Z^n, given by a square basis matrix whose columns generate it."""
@@ -275,7 +288,7 @@ class IntLattice:
 
     def __post_init__(self) -> None:
         n = len(self.basis)
-        object.__setattr__(self, "basis", _as_matrix(self.basis))
+        object.__setattr__(self, "basis", json_int_rows(self.basis, "basis entry"))
         if any(len(row) != n for row in self.basis):
             raise ValueError("lattice basis must be square")
         if n and det(self.basis) == 0:
@@ -290,12 +303,6 @@ class IntLattice:
         return len(self.basis)
 
     @cached_property
-    def _is_standard(self) -> bool:
-        return self.basis == tuple(
-            tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim)
-        )
-
-    @cached_property
     def _snf(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         return snf(self.basis)
 
@@ -303,9 +310,7 @@ class IntLattice:
         """Coordinates of v in this basis, or None when v is not a lattice point."""
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        if self._is_standard:
-            return tuple(int(x) for x in v)
-        return _solve_snf(self._snf, v, 0)[0]
+        return _solve_snf(self._snf, [json_int(x, "vector entry") for x in v], 0)[0]
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
@@ -336,9 +341,7 @@ class IntLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntLattice":
-        basis = json_int_rows(
-            obj.get("basis", obj.get("lattice_basis", [])), "basis entry"
-        )
+        basis = obj.get("basis", obj.get("lattice_basis", []))
         if len(basis) != json_int(obj["dim"], "dim"):
             raise ValueError("lattice dim does not match basis")
         return cls(basis)
@@ -356,31 +359,29 @@ class Semilattice:
 
     lattice: IntLattice
     reps: tuple[IntVector, ...]
+    # representative index by class key (parity pattern of basis coordinates)
+    class_index: dict[IntVector, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "reps", tuple(tuple(int(x) for x in r) for r in self.reps)
-        )
+        object.__setattr__(self, "reps", json_int_rows(self.reps, "rep entry"))
         if not self.reps:
             raise ValueError("need at least the trivial representative 0")
-        if any(x != 0 for x in self.reps[0]):
+        if any(self.reps[0]):
             raise ValueError("first representative must be 0")
         keys = []
         for r in self.reps:
-            c = self.lattice.coords(r)
-            if c is None:
+            key = self.key(r)
+            if key is None:
                 raise ValueError(f"representative {r} lies outside the lattice")
-            keys.append(tuple(x % 2 for x in c))
-        if len(set(keys)) != len(keys):
+            keys.append(key)
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
             raise ValueError("representatives are not distinct mod 2L")
         n = self.dim
-        if n:
-            cols = [self.lattice.coords(r) for r in self.reps]
-            cols += [[2 * int(i == j) for i in range(n)] for j in range(n)]
-            m = tuple(tuple(col[i] for col in cols) for i in range(n))
-            _, d, _ = snf(m)
-            if any(d[i][i] != 1 for i in range(n)):
-                raise ValueError("representatives do not span the lattice mod 2L")
+        doubled = [tuple(2 * (i == j) for i in range(n)) for j in range(n)]
+        if not generates(keys + doubled, n):
+            raise ValueError("representatives do not span the lattice mod 2L")
+        object.__setattr__(self, "class_index", index)
 
     @classmethod
     def full(cls, lattice: IntLattice) -> "Semilattice":
@@ -409,24 +410,13 @@ class Semilattice:
         return len(self.reps)
 
     @cached_property
-    def class_index(self) -> dict[IntVector, int]:
-        """Representative index by class key (parity pattern of basis coordinates)."""
-        table = {}
-        for i, r in enumerate(self.reps):
-            c = self.lattice.coords(r)
-            table[tuple(x % 2 for x in c)] = i
-        return table
-
-    @cached_property
     def class_keys(self) -> frozenset[IntVector]:
         return frozenset(self.class_index)
 
     def key(self, v: Sequence[int]) -> IntVector | None:
         """Parity pattern of v in basis coordinates; None when v is outside L."""
         c = self.lattice.coords(v)
-        if c is None:
-            return None
-        return tuple(x % 2 for x in c)
+        return None if c is None else parity(c)
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.dim:
@@ -453,10 +443,10 @@ class Semilattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Semilattice":
-        lat = IntLattice(json_int_rows(obj["lattice_basis"], "basis entry"))
+        lat = IntLattice(obj["lattice_basis"])
         if lat.dim != json_int(obj["dim"], "dim"):
             raise ValueError("semilattice dim does not match basis")
-        return cls(lat, json_int_rows(obj["reps"], "rep entry"))
+        return cls(lat, obj["reps"])
 
 
 def sum_semilattices(s1: Semilattice, s2: Semilattice) -> frozenset[IntVector]:
@@ -471,12 +461,8 @@ def sum_semilattices(s1: Semilattice, s2: Semilattice) -> frozenset[IntVector]:
         if not amb.contains(col):
             raise ValueError("second semilattice is not inside the first ambient lattice")
     keys = set()
-    for a in s1.reps:
-        ka = s1.key(a)
-        for b in s2.reps:
-            kb = amb.coords(b)
-            if kb is None:
-                raise ValueError("semilattices live over incompatible lattices")
-            kb = tuple(x % 2 for x in kb)
-            keys.add(tuple((x + y) % 2 for x, y in zip(ka, kb)))
+    for kb in map(s1.key, s2.reps):
+        if kb is None:
+            raise ValueError("semilattices live over incompatible lattices")
+        keys.update(parity(vec_add(ka, kb)) for ka in s1.class_index)
     return frozenset(keys)

@@ -23,6 +23,7 @@ from .lattice import (
     IntVector,
     Semilattice,
     json_int,
+    parity,
     sum_semilattices,
     vec_add,
     vec_scale,
@@ -49,20 +50,31 @@ class Root(NamedTuple):
     iso: IntVector
 
 
-def parity(v: Sequence[int]) -> IntVector:
-    """Coordinates mod 2: the class key of a lattice point modulo the doubled lattice."""
-    return tuple([x & 1 for x in v])
-
-
 @dataclass(frozen=True)
 class Window:
-    """Finite truncation: cap on the sup-norm of isotropic basis coordinates."""
+    """Finite truncation: cap on the sup-norm of isotropic basis coordinates.
+
+    This class is the one definition of a window: `points` lists the vectors
+    inside it in lexicographic order, and `contains` tests one vector.
+    """
 
     bound: int
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
+        if json_int(self.bound, "window bound") < 0:
             raise ValueError("window bound must be >= 0")
+
+    @staticmethod
+    def norm(v: Sequence[int]) -> int:
+        """Sup-norm of a coordinate vector (0 for the empty vector)."""
+        return max(map(abs, v), default=0)
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return self.norm(v) <= self.bound
+
+    def points(self, dim: int) -> Iterator[IntVector]:
+        """Integer vectors of length dim with sup-norm <= bound, in lex order."""
+        return itertools.product(range(-self.bound, self.bound + 1), repeat=dim)
 
 
 @dataclass(frozen=True)
@@ -83,9 +95,9 @@ class EarsSpec:
     s2: Semilattice | None = None
 
     def __post_init__(self) -> None:
-        if self.nullity < 0:
+        if json_int(self.nullity, "nullity") < 0:
             raise ValueError("nullity must be >= 0")
-        if not 0 <= self.twist <= self.nullity:
+        if not 0 <= json_int(self.twist, "twist") <= self.nullity:
             raise ValueError("twist must satisfy 0 <= t <= nullity")
         forms = [self.s is not None, self.lattice is not None,
                  self.s1 is not None or self.s2 is not None]
@@ -169,8 +181,8 @@ class EarsSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EarsSpec":
-        t = FiniteType(obj["type"], json_int(obj["rank"], "rank"))
-        nullity = json_int(obj["nullity"], "nullity")
+        t = FiniteType(obj["type"], obj["rank"])
+        nullity = obj["nullity"]
         if "S" in obj:
             return cls(t, nullity, s=Semilattice.from_json(obj["S"]))
         if "lattice" in obj:
@@ -178,7 +190,7 @@ class EarsSpec:
         return cls(
             t,
             nullity,
-            json_int(obj["twist"], "twist"),
+            obj["twist"],
             s1=Semilattice.from_json(obj["S1"]),
             s2=Semilattice.from_json(obj["S2"]),
         )
@@ -300,9 +312,6 @@ class Ears:
         """Index of the S representative congruent to iso mod 2L, or None."""
         return self.S.class_index.get(parity(iso))
 
-    def root_class(self, r: Root) -> RootClass:
-        return self.classify(r.finite, r.iso)
-
     def is_root(self, r: Root) -> bool:
         return self.classify(r.finite, r.iso) is not RootClass.NOT_A_ROOT
 
@@ -345,9 +354,7 @@ class Ears:
 
     def root_from_coords(self, coords: Sequence[int]) -> Root:
         """Inverse of root_coords; the result need not classify as a root."""
-        if any(x != int(x) for x in coords):
-            raise ValueError(f"root coordinates {tuple(coords)} are not integers")
-        coords = tuple(int(x) for x in coords)
+        coords = tuple(json_int(x, "root coordinate") for x in coords)
         if len(coords) != self.rank + self.nullity:
             raise ValueError("coordinate length mismatch")
         fin, iso = coords[: self.rank], coords[self.rank :]
@@ -361,12 +368,6 @@ class Ears:
             return 0
         table = self.finite.pairing_table
         return table[self.finite_index(beta)][self.finite_index(alpha)]
-
-    # -- enumeration -----------------------------------------------------
-
-    def window_iso(self, w: Window) -> Iterator[IntVector]:
-        """Lattice coordinates with sup-norm <= bound, in lex order."""
-        return itertools.product(range(-w.bound, w.bound + 1), repeat=self.nullity)
 
 
 def _derive_semilattices(spec: EarsSpec) -> tuple[Semilattice, Semilattice | None]:
@@ -444,7 +445,7 @@ def enumerate_roots(e: Ears, w: Window) -> list[Root]:
     Deterministic order: the isotropic block first (in lex order of basis
     coordinates), then one block per finite root in root-list order.
     """
-    iso_list = list(e.window_iso(w))
+    iso_list = list(w.points(e.nullity))
     keys = [parity(iso) for iso in iso_list]
     out = [Root(None, iso) for iso, key in zip(iso_list, keys) if key in e.r0_keys]
     in_s = [iso for iso, key in zip(iso_list, keys) if key in e.S.class_keys]
@@ -485,7 +486,7 @@ class SystemInvariants:
             "ind_S": dict(self.ind_S),
             "coset_counts": dict(self.coset_counts),
         }
-        if self.refl_search is not None:
+        if self.refl_matches is not None:
             out["refl_search"] = self.refl_search
             out["refl_matches"] = self.refl_matches
         return out
@@ -558,7 +559,10 @@ def invariants(e: Ears, oracle_window: Window | None = None) -> SystemInvariants
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the windowed axiom checks, with witnesses for failures."""
+    """Outcome of named window checks, with witnesses for failures.
+
+    Used for the system axioms and for the torus automorphism checks.
+    """
 
     window: int
     checks: dict
@@ -602,7 +606,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
 
     failures = []
     rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
-    for iso in e.window_iso(w):
+    for iso in w.points(e.nullity):
         direct = parity(iso) in e.r0_keys
         brute = any(parity(vec_sub(iso, rep)) in e.S.class_keys for rep in rep_coords)
         if direct != brute:
@@ -665,6 +669,4 @@ def root_from_json(e: Ears, obj: dict) -> Root:
         raise ValueError(
             f"finite part needs {e.rank} simple-root coordinates, got {len(fin)}"
         )
-    return e.root_from_coords(
-        tuple(json_int(x, "root coordinate") for x in tuple(fin) + tuple(obj["iso"]))
-    )
+    return e.root_from_coords(tuple(fin) + tuple(obj["iso"]))

@@ -10,14 +10,13 @@ Laurent degree, the degree-zero Cartan part plays the role of H.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .finite import FiniteType
-from .lattice import IntVector
-from .system import Ears, EarsSpec, Root, Window, build_ears
+from .lattice import IntVector, json_int
+from .system import AxiomReport, Ears, EarsSpec, Root, Window, build_ears
 
 TermKey = tuple  # ("e", i, j) or ("h", r)
 
@@ -173,11 +172,11 @@ class LieTorus:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.ell < 2:
+        if json_int(self.ell, "ell") < 2:
             raise ValueError("matrix realization needs rank >= 2")
-        if self.nu < 0:
+        if json_int(self.nu, "nu") < 0:
             raise ValueError("nullity must be >= 0")
-        if self.modulus < 1:
+        if json_int(self.modulus, "modulus") < 1:
             raise ValueError("scalar modulus must be >= 1")
 
     @property
@@ -190,7 +189,7 @@ class LieTorus:
     def _lam(self, lam: Sequence[int] | None) -> IntVector:
         if lam is None:
             return (0,) * self.nu
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(json_int(x, "Laurent degree") for x in lam)
         if len(lam) != self.nu:
             raise ValueError("Laurent degree has wrong length")
         return lam
@@ -216,7 +215,7 @@ class LieTorus:
     def graded_basis(self, w: Window) -> list[TorusElement]:
         """All graded basis elements with Laurent degree sup-norm <= bound."""
         out = []
-        for lam in itertools.product(range(-w.bound, w.bound + 1), repeat=self.nu):
+        for lam in w.points(self.nu):
             for r in range(self.ell):
                 out.append(self.h(r, lam))
             for i in range(self.size):
@@ -354,7 +353,7 @@ def diagonal_from_hom(t: LieTorus, hom: Sequence[int]) -> TorusAutomorphism:
     The exponent vector is indexed by the simple roots (adjacent differences
     e_r - e_(r+1)) followed by the nu lattice generators.
     """
-    hom = tuple(int(x) % t.modulus for x in hom)
+    hom = tuple(json_int(x, "homomorphism exponent") % t.modulus for x in hom)
     if len(hom) != t.ell + t.nu:
         raise ValueError("homomorphism needs rank + nullity exponents")
     return TorusAutomorphism(t.ell, t.nu, t.modulus, False, hom)
@@ -373,19 +372,6 @@ def compose(left: TorusAutomorphism, right: TorusAutomorphism) -> TorusAutomorph
     return TorusAutomorphism(left.ell, left.nu, m, left.flip != right.flip, hom)
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
-    window: int
-    checks: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(c["passed"] for c in self.checks.values())
-
-    def to_json(self) -> dict:
-        return {"window": self.window, "ok": self.ok, "checks": self.checks}
-
-
 def _term_label(x: TorusElement) -> tuple[TermKey, IntVector] | None:
     if len(x.terms) != 1:
         return None
@@ -393,7 +379,7 @@ def _term_label(x: TorusElement) -> tuple[TermKey, IntVector] | None:
     return key, lam
 
 
-def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AutomorphismReport:
+def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomReport:
     """Exhaustive window checks: bracket compatibility, grading behavior, order, form."""
     basis = t.graded_basis(w)
     checks: dict = {}
@@ -449,7 +435,7 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> Automor
                 form_failures.append({"x": repr(_term_label(x)), "y": repr(_term_label(y))})
     checks["form_preservation"] = {"passed": not form_failures, "failures": form_failures[:5]}
 
-    return AutomorphismReport(w.bound, checks)
+    return AxiomReport(w.bound, checks)
 
 
 def jacobi_identity_report(t: LieTorus, w: Window) -> dict:
@@ -493,7 +479,7 @@ def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):
         if a.apply(x) != x:
             raise ValueError("automorphism does not fix the Cartan part pointwise")
 
-    box = list(itertools.product(range(-w.bound, w.bound + 1), repeat=t.nu))
+    box = list(w.points(t.nu))
     eta: dict[Root, int] = {}
     for lam in box:
         for i in range(t.size):

@@ -10,15 +10,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .lattice import IntVector, snf, vec_add, vec_scale, vec_sub
-from .system import Ears, Root, RootClass, Window, enumerate_roots, parity
+from .lattice import IntVector, generates, parity, vec_add, vec_scale, vec_sub
+from .system import Ears, Root, RootClass, Window, enumerate_roots
 
 
 def _require_nonisotropic(e: Ears, base: Sequence[Root]) -> None:
     for r in base:
-        cls = e.root_class(r)
+        cls = e.classify(r.finite, r.iso)
         if cls not in (RootClass.SHORT, RootClass.LONG):
             raise ValueError(f"base element {r} does not classify as a non-isotropic root")
 
@@ -54,24 +54,19 @@ def orbit_closure(
         raise ValueError("base must be nonempty")
     if margin is None:
         margin = w.bound
-    cap = w.bound + margin
-
-    def inside(r: Root) -> bool:
-        return max(map(abs, r.iso), default=0) <= cap
-
-    closed: set[Root] = {r for r in base if inside(r)}
+    work = Window(w.bound + margin)
+    closed: set[Root] = {r for r in base if work.contains(r.iso)}
     frontier = list(closed)
     while frontier:
         fresh: list[Root] = []
         for b in base:
             for r in frontier:
                 image = reflect(e, b, r)
-                if image not in closed and inside(image):
+                if image not in closed and work.contains(image.iso):
                     closed.add(image)
                     fresh.append(image)
         frontier = fresh
-    bound = w.bound
-    return {r for r in closed if max(map(abs, r.iso), default=0) <= bound}
+    return {r for r in closed if w.contains(r.iso)}
 
 
 @dataclass(frozen=True)
@@ -121,19 +116,8 @@ def _candidate_pool(e: Ears, w: Window) -> list[Root]:
             r = Root(fin, iso)
             if e.is_root(r):
                 out.append(r)
-    out.sort(key=lambda r: (max(map(abs, r.iso), default=0),) + e.sort_key(r))
+    out.sort(key=lambda r: (Window.norm(r.iso),) + e.sort_key(r))
     return out
-
-
-def _span_is_full(e: Ears, roots: Iterable[Root]) -> bool:
-    """True when the integer span of the roots is the whole root lattice."""
-    cols = [e.root_coords(r) for r in roots]
-    n = e.rank + e.nullity
-    if len(cols) < n:
-        return False
-    mat = tuple(tuple(col[i] for col in cols) for i in range(n))
-    _, d, _ = snf(mat)
-    return all(i < len(d[0]) and d[i][i] == 1 for i in range(n))
 
 
 def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSearch:
@@ -152,7 +136,7 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     target = [r for r in enumerate_roots(e, w) if r.finite is not None]
     target_set = set(target)
     n = e.rank + e.nullity
-    rank_floor = n if _span_is_full(e, target) else 1
+    rank_floor = n if generates([e.root_coords(r) for r in target], n) else 1
     a1 = e.spec.type.family == "A" and e.rank == 1
     needed_classes = (
         {parity(r.iso) for r in target} if a1 else set()
@@ -164,7 +148,7 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
         for combo in itertools.combinations(pool, size):
             if a1 and {parity(r.iso) for r in combo} != needed_classes:
                 continue
-            if not _span_is_full(e, combo):
+            if not generates([e.root_coords(r) for r in combo], n):
                 continue
             tested += 1
             orbit = orbit_closure(e, combo, w)
@@ -225,7 +209,6 @@ def decompose_all(
     _require_nonisotropic(e, base)
     if not base:
         raise ValueError("base must be nonempty")
-    bound = w.bound
     steps: list[tuple[int, Root]] = []
     for b in sorted(base, key=e.sort_key):
         steps.append((1, b))
@@ -239,7 +222,7 @@ def decompose_all(
             nxt = e.add(node, e.scale_root(sign, b))
             if nxt in parent:
                 continue
-            if max(map(abs, nxt.iso), default=0) > bound:
+            if not w.contains(nxt.iso):
                 continue
             if not e.is_root(nxt):
                 continue

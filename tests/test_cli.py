@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,7 +7,7 @@ import sys
 from functools import cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from ears.cli import main
@@ -530,3 +532,180 @@ class TestBenchChild:
         assert code == 1
         assert set(report) == {"sat", "certificate"}
         assert report["sat"] is False
+
+
+# -- argv fuzz ---------------------------------------------------------------
+
+# Specs whose checks finish in milliseconds at windows up to 1.  The
+# counterexample (about 1 s per character command at window 1, 4 s for `info`)
+# is drawn only by the character commands.
+SMALL_SPECS = [
+    str(SPEC_DIR / name)
+    for name in ("affine_a1.json", "a1_nu2_three_coset.json", "a2_nu1.json",
+                 "b2_nu1_untwisted.json", "g2_nu1.json")
+]
+
+
+def _tokens(valid: str, invalid: str):
+    """One option value, valid at least three times in four."""
+    return st.sampled_from(valid.split() * 6 + invalid.split() + ["x", "1.5", ""])
+
+
+WINDOWS = _tokens("0 1", "-1")
+ELLS = _tokens("2 3", "1 -1")
+NUS = _tokens("0 1 2", "-1")
+MODULI = _tokens("1 2 3 4", "0 -3")
+NULLITIES = _tokens("2 6 7", "0 -1")
+MAX_SIZES = _tokens("1 2 3", "0 -1")
+EXPONENTS = _tokens("0 1 2 3", "-1")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files for the argv fuzz: valid, corrupted, malformed and missing."""
+    d = tmp_path_factory.mktemp("fuzz")
+
+    def put(name, text):
+        (d / name).write_text(text)
+        return str(d / name)
+
+    table = json.loads(_affine_table())
+    table["rule"]["entries"][0]["exponent"] += 1
+    spec = _load_spec("affine_a1.json")
+    spec["nullity"] = 1.5
+    return {
+        "chars": [
+            CEX_CHAR,
+            put("hom.json", json.dumps(_affine_character("hom"))),
+            put("coset.json", json.dumps(_affine_character("a1coset"))),
+            put("table.json", _affine_table()),
+            put("table_bad.json", json.dumps(table)),
+            put("garbage.json", "{not json"),
+            str(d / "missing.json"),
+        ],
+        "specs": [put("float_spec.json", json.dumps(spec)), str(d / "missing.json")],
+        "taus": [
+            put("taus.json", "[[1, 0], [0, 1]]"),
+            put("taus_sum.json", "[[1, 0], [0, 1], [1, 1]]"),
+            put("taus_flat.json", "[1, 2]"),
+            put("taus_float.json", "[[1.0, 0]]"),
+        ],
+        "out": [str(d / "out_a.json"), str(d / "no_dir" / "out.json")],
+    }
+
+
+BASES = st.sampled_from([
+    '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]',
+    '[{"finite":[1],"iso":[0]}]',
+    '[{"finite":null,"iso":[0]}]',
+    '[{"finite":[1,0],"iso":[0]},{"finite":[0,1],"iso":[0]},{"finite":[1,0],"iso":[1]}]',
+    '[{"finite":[1.5],"iso":[0]}]',
+    '[{"finite":[1]}]',
+    "[",
+    "[]",
+    "7",
+])
+TARGETS = st.sampled_from([
+    '[{"finite":[1],"iso":[1]}]',
+    '[{"finite":[1],"iso":[5]}]',
+    '[{"finite":[1],"iso":[1]},{"finite":[1],"iso":[0]}]',
+    '[{"finite":null,"iso":[2]}]',
+    "[]",
+])
+
+
+@st.composite
+def cli_argv(draw, files):
+    """An argv for one command, each option present or not, values valid or not.
+
+    --window and --max-size are always given and drawn small, because their
+    defaults (2 and 6) start long enumerations on some inputs.
+    """
+    def maybe(*tokens):
+        return list(tokens) if draw(st.sampled_from([True] * 11 + [False])) else []
+
+    window = ["--window", draw(WINDOWS)]
+    command = draw(st.sampled_from(
+        ["info", "char-verify", "char-extend", "counterexample", "weyl", "torus", "bogus"]
+    ))
+    if command == "info":
+        spec = draw(st.sampled_from(SMALL_SPECS + files["specs"]))
+        return ["info", spec, *window, *maybe("--refl-oracle")]
+    if command in ("char-verify", "char-extend"):
+        # the affine A1 spec is the one the character files are written for
+        spec = draw(st.sampled_from([AFFINE] * 4 + SMALL_SPECS + [CEX_SPEC] + files["specs"]))
+        return [command, spec, draw(st.sampled_from(files["chars"])), *window]
+    if command == "counterexample":
+        return [
+            "counterexample",
+            *maybe("--nullity", draw(NULLITIES)),
+            *maybe("--taus", draw(st.sampled_from(files["taus"]))),
+            "--out-spec", draw(st.sampled_from(files["out"])),
+            "--out-char", files["out"][0],
+        ]
+    if command == "weyl":
+        spec = draw(st.sampled_from([AFFINE] * 3 + SMALL_SPECS + files["specs"]))
+        action = draw(st.sampled_from(["orbit", "check", "minsize", "decompose", "spin"]))
+        return [
+            "weyl", spec, action, *window,
+            *maybe("--base", draw(BASES)),
+            *maybe("--target", draw(TARGETS)),
+            "--max-size", draw(MAX_SIZES),
+        ]
+    if command == "torus":
+        action = draw(st.sampled_from(["check-chevalley", "check-diagonal", "extract", "flip"]))
+        ell, nu = draw(ELLS), draw(NUS)
+        valid = ell.lstrip("-").isdigit() and nu.lstrip("-").isdigit()
+        size = max(int(ell) + int(nu), 0) if valid else 0
+        hom = ",".join(draw(st.lists(EXPONENTS, min_size=size, max_size=size + 1)))
+        return [
+            "torus", action, *window,
+            *maybe("--ell", ell),
+            *maybe("--nu", nu),
+            *maybe("--modulus", draw(MODULI)),
+            *maybe("--hom", hom),
+        ]
+    return [command, *window]
+
+
+def carries_witness(report: dict) -> bool:
+    """Does an exit-1 report name what failed?"""
+    command = report["command"]
+    if command == "char-extend":
+        return bool(report["witness"]) and report["witness_recheck"]["passed"]
+    if command == "weyl-check":
+        return bool(report["missing"])
+    if command == "weyl-minsize":
+        return report["minimal_size"] is None and "subsets_tested" in report
+    if command == "weyl-decompose":
+        return report["prefixes_are_roots"] is False and "terms" in report
+    if command == "torus-extract":
+        return False in report["extraction"].values()
+    failed = [c for c in report.get("checks", {}).values() if not c["passed"]]
+    named = all(
+        c.get("failures") or c.get("additivity_failures") or c.get("inverse_failures")
+        or c.get("components_connected") is False
+        for c in failed
+    )
+    if command == "info" and report["invariants"].get("refl_matches") is False:
+        return named and "refl_search" in report["invariants"]
+    return bool(failed) and named
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz_exit_contract(fuzz_files, data):
+    """Exit 0, 1 with a witness, or 2 with an error line; never a traceback."""
+    argv = data.draw(cli_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()
+    else:
+        report = json.loads(out.getvalue())
+        if code == 1:
+            assert carries_witness(report), (argv, report)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference
+from ears.finite import FiniteType
 from ears.lattice import (
     IntLattice,
     Semilattice,
@@ -20,6 +21,8 @@ from ears.lattice import (
     solve_mod,
     sum_semilattices,
 )
+from ears.system import EarsSpec, Window, build_ears
+from ears.torus import LieTorus, diagonal_from_hom
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -419,3 +422,35 @@ def _zero_only(dim):
     # the doubled lattice: every point lands in the trivial class of the ambient
     basis = tuple(tuple(2 * (i == j) for j in range(dim)) for i in range(dim))
     return Semilattice.full(IntLattice(basis))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntLattice(((1.7,),)),
+        lambda: IntLattice.standard(2).coords((1.0, 2)),
+        lambda: Semilattice(IntLattice.standard(1), ((0,), (1.5,))),
+        lambda: snf(((1.5,),)),
+        lambda: det(((1.5,),)),
+        lambda: solve_mod(((1.5, 0),), (1,), 2),
+        lambda: solve_mod(((1, 0),), (1.5,), 2),
+        lambda: Window(1.5),
+        lambda: FiniteType("A", 1.0),
+        lambda: EarsSpec.rank_one(1.0, Semilattice.standard(1)),
+        lambda: build_ears(EarsSpec.rank_one(1, Semilattice.standard(1))).root_from_coords(
+            (1.0, 0)
+        ),
+        lambda: LieTorus(2.5, 1, 2),
+        lambda: LieTorus(2, 1, 2).e(0, 1, (1.5,)),
+        lambda: diagonal_from_hom(LieTorus(2, 1, 2), (1.5, 0, 1)),
+    ],
+    ids=[
+        "IntLattice", "IntLattice.coords", "Semilattice", "snf", "det", "solve_mod", "solve_mod rhs", "Window",
+        "FiniteType",
+        "EarsSpec", "root_from_coords", "LieTorus", "LieTorus.e", "diagonal_from_hom",
+    ],
+)
+def test_library_constructors_take_ints_only(build):
+    """A float is rejected by `json_int`, never truncated or coerced to an int."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()

@@ -2,7 +2,9 @@
 
 Certificate and invariant checks must be explicit exceptions, which still run
 under `python -O`, so the package has no `assert` statement.  The package
-computes over the integers only, so no module imports `fractions`.  The traced
+computes over the integers only, so no module imports `fractions`.  A window
+is defined once, by `system.Window`, so the sup-norm box and the sup-norm test
+are spelled nowhere else.  The traced
 benchmark run wraps `ears` functions and methods by name, so every name it
 lists must still exist.
 """
@@ -10,6 +12,7 @@ lists must still exist.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ears"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+# the sup-norm test, and a coordinate box running from -bound to bound
+WINDOW_SPELLING = re.compile(r"max\(map\(abs|range\(\s*-[^)]*\.bound")
+
+
+def window_lines(source: str) -> list[int]:
+    return [i for i, line in enumerate(source.splitlines(), 1) if WINDOW_SPELLING.search(line)]
 
 
 def assert_lines(source: str) -> list[int]:
@@ -40,6 +51,9 @@ def test_guards_see_what_they_look_for():
     assert imports_fractions("from fractions import Fraction\n")
     assert imports_fractions("def f():\n    import fractions\n")
     assert not imports_fractions("from .finite import Coords\n")
+    assert window_lines("x = max(map(abs, r.iso), default=0)\n") == [1]
+    assert window_lines("a\nfor t in range(-w.bound, w.bound + 1):\n") == [2]
+    assert window_lines("for n in range(-8, 9):\n") == []
 
 
 def test_package_modules_found():
@@ -57,6 +71,14 @@ def test_no_assert_statements(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_fractions_import(path):
     assert not imports_fractions(path.read_text()), f"{path.name} imports fractions"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "system.py"], ids=lambda p: p.name
+)
+def test_window_spelled_only_in_system(path):
+    lines = window_lines(path.read_text())
+    assert not lines, f"{path.name} spells a window outside system.Window at lines {lines}"
 
 
 def load_trace_calls():

@@ -99,13 +99,13 @@ class TestBuild:
         e = counterexample_char.ears
         roots = enumerate_roots(e, Window(1))
         noniso = [r for r in roots if r.finite is not None]
-        in_s = sum(1 for iso in e.window_iso(Window(1)) if e.S.contains(iso))
+        in_s = sum(1 for iso in Window(1).points(e.nullity) if e.S.contains(iso))
         assert len(noniso) == 2 * in_s == 154
 
     def test_negation_closure(self, b2_nu2_twisted, a1_nu2_three_coset):
         for e in (b2_nu2_twisted, a1_nu2_three_coset):
             for r in enumerate_roots(e, Window(2)):
-                assert e.root_class(e.neg(r)) == e.root_class(r)
+                assert e.classify(*e.neg(r)) == e.classify(*r)
 
     def test_enumeration_is_sorted_and_isotropic_first(self, b2_nu2_twisted):
         e = b2_nu2_twisted
@@ -160,7 +160,7 @@ class TestClassify:
     def test_enumerated_roots_all_classify(self, b2_nu2_twisted):
         e = b2_nu2_twisted
         for r in enumerate_roots(e, Window(1)):
-            assert e.root_class(r).is_root
+            assert e.is_root(r)
 
 
 class TestInvariants:

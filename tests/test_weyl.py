@@ -44,7 +44,7 @@ class TestReflect:
         for a in noniso:
             for b in roots:
                 image = reflect(e, a, b)
-                assert e.root_class(image) == e.root_class(b)
+                assert e.classify(*image) == e.classify(*b)
                 assert reflect(e, a, image) == b
 
 
@@ -158,7 +158,7 @@ class TestDecompose:
         assert len(dec.terms) == 3
         assert dec.verify(e, target)
         for prefix in dec.prefixes(e):
-            assert e.root_class(prefix).is_root
+            assert e.is_root(prefix)
 
     def test_unreachable_raises(self, a1_nu2_full):
         e = a1_nu2_full
