@@ -16,11 +16,12 @@ relation among window roots that certifies the obstruction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 from .lattice import (
+    IntLattice,
     IntVector,
     Semilattice,
     inverse_unimodular,
@@ -31,8 +32,10 @@ from .lattice import (
 )
 from .system import (
     Ears,
+    EarsSpec,
     Root,
     Window,
+    build_ears,
     enumerate_roots,
     index_formula,
     root_from_json,
@@ -91,24 +94,31 @@ class TableRule:
 
     window: int
     entries: tuple[tuple[Root, int], ...]
+    box: Window = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "box", Window(self.window))
 
     @cached_property
     def lookup(self) -> dict[Root, int]:
         return dict(self.entries)
 
-    @cached_property
-    def box(self) -> Window:
-        return Window(self.window)
-
 
 def sum_free_violation(s: Semilattice) -> tuple[int, ...] | None:
-    """First index set (3 to 6 distinct nonzero reps) whose sum falls in 2L."""
+    """An index set of 3 to 6 distinct nonzero reps whose sum falls in 2L, or None.
+
+    The nonzero reps have distinct nonzero class keys, so such a set exists
+    exactly when two different sets of at most 3 reps have equal key sums mod
+    2; their symmetric difference is then one.
+    """
     keys = [s.key(r) for r in s.reps]
-    for k in range(3, min(6, s.index) + 1):
+    seen: dict[IntVector, tuple[int, ...]] = {}
+    for k in (1, 2, 3):
         for combo in itertools.combinations(range(1, s.coset_count), k):
-            total = map(sum, zip(*(keys[i] for i in combo)))
-            if not any(parity(total)):
-                return combo
+            total = parity(map(sum, zip(*(keys[i] for i in combo))))
+            first = seen.setdefault(total, combo)
+            if first is not combo:
+                return tuple(sorted(set(first) ^ set(combo)))
     return None
 
 
@@ -367,9 +377,6 @@ def build_a1_counterexample(
     the sum of the first six, which forces any lattice extension to assign the
     last representative the value +1 while the rule assigns -1.
     """
-    from .system import EarsSpec, build_ears
-    from .lattice import IntLattice
-
     if taus is None:
         if nullity < 6:
             raise ValueError("default representatives need nullity >= 6")

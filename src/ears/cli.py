@@ -116,22 +116,26 @@ def _finish(report: dict, args, failed: bool) -> int:
 def cmd_info(args) -> int:
     e, digest = _load_spec(args.spec)
     w = Window(args.window)
-    oracle = Window(args.window) if args.refl_oracle else None
-    inv = invariants(e, oracle_window=oracle)
+    inv = invariants(e).to_json()
+    refl_matches = None
+    if args.refl_oracle:
+        search = minimal_reflectable_size(e, w, max_size=inv["refl_R"] + 1)
+        refl_matches = search.size == inv["refl_R"]
+        inv.update(refl_search=search.size, refl_matches=refl_matches)
     axioms = verify_axioms(e, w)
     roots = enumerate_roots(e, w)
     report = {
         "command": "info",
         "inputs": {"spec_sha256": digest},
         "window": w.bound,
-        "invariants": inv.to_json(),
+        "invariants": inv,
         "root_counts": {
             "window_total": len(roots),
             "window_nonisotropic": sum(1 for r in roots if r.finite is not None),
         },
         "checks": axioms.checks,
     }
-    failed = not axioms.ok or inv.refl_matches is False
+    failed = not axioms.ok or refl_matches is False
     return _finish(report, args, failed)
 
 

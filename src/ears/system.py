@@ -470,11 +470,9 @@ class SystemInvariants:
     convention: str
     ind_S: dict = field(default_factory=dict)
     coset_counts: dict = field(default_factory=dict)
-    refl_search: int | None = None
-    refl_matches: bool | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "rank": self.rank,
             "nullity": self.nullity,
             "twist": self.twist,
@@ -486,10 +484,6 @@ class SystemInvariants:
             "ind_S": dict(self.ind_S),
             "coset_counts": dict(self.coset_counts),
         }
-        if self.refl_matches is not None:
-            out["refl_search"] = self.refl_search
-            out["refl_matches"] = self.refl_matches
-        return out
 
 
 def twist_order(e: Ears) -> int:
@@ -521,8 +515,8 @@ def index_formula(e: Ears) -> tuple[int, str]:
     raise AssertionError(f"no index row for type {fam}{rank}")
 
 
-def invariants(e: Ears, oracle_window: Window | None = None) -> SystemInvariants:
-    """Compute the invariant record, optionally cross-checked by reflectable search."""
+def invariants(e: Ears) -> SystemInvariants:
+    """Compute the invariant record from the index formula and the twist order."""
     ind_r, convention = index_formula(e)
     lattice_rank = e.rank + e.nullity
     refl = ind_r + lattice_rank
@@ -534,13 +528,6 @@ def invariants(e: Ears, oracle_window: Window | None = None) -> SystemInvariants
     if e.spec.kind == "twisted":
         ind_s.update({"S1": e.spec.s1.index, "S2": e.spec.s2.index})
         counts.update({"S1": e.spec.s1.coset_count, "S2": e.spec.s2.coset_count})
-    refl_search = refl_matches = None
-    if oracle_window is not None:
-        from .weyl import minimal_reflectable_size
-
-        search = minimal_reflectable_size(e, oracle_window, max_size=refl + 1)
-        refl_search = search.size
-        refl_matches = search.size == refl
     return SystemInvariants(
         rank=e.rank,
         nullity=e.nullity,
@@ -552,8 +539,6 @@ def invariants(e: Ears, oracle_window: Window | None = None) -> SystemInvariants
         convention=convention,
         ind_S=ind_s,
         coset_counts=counts,
-        refl_search=refl_search,
-        refl_matches=refl_matches,
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
+from .characters import Character, TableRule, verify_core_character
 from .finite import FiniteType
 from .lattice import IntVector, json_int
 from .system import AxiomReport, Ears, EarsSpec, Root, Window, build_ears
@@ -29,14 +30,12 @@ class CycScalar:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
+        if json_int(self.modulus, "modulus") < 1:
             raise ValueError("modulus must be >= 1")
         if len(self.coeffs) != self.modulus:
             raise ValueError("need exactly one coefficient per group element")
         if not all(type(c) is int for c in self.coeffs):
-            if any(c != int(c) for c in self.coeffs):
-                raise ValueError(f"group-ring coefficients {self.coeffs} are not integers")
-            object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+            raise ValueError(f"group-ring coefficients {self.coeffs} are not integers")
 
     @classmethod
     def zero(cls, m: int) -> "CycScalar":
@@ -60,12 +59,6 @@ class CycScalar:
         self._check(other)
         return CycScalar(
             self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CycScalar") -> "CycScalar":
-        self._check(other)
-        return CycScalar(
-            self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self) -> "CycScalar":
@@ -459,72 +452,47 @@ def jacobi_identity_report(t: LieTorus, w: Window) -> dict:
 
 
 def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):
-    """Read the character of a Cartan automorphism off its root-space action.
+    """Read the character of a Cartan automorphism off its action on the graded basis.
 
-    Requires the automorphism to fix the degree-zero Cartan part pointwise and
-    to act by a root of unity on every window root space.  The isotropic
-    values are produced from the shift rule value(sigma) =
-    value(alpha+sigma) * value(-alpha) and checked to be independent of alpha
-    and to match the actual action on the isotropic spaces; any disagreement
-    raises instead of being patched over.
+    Every graded piece in the window, a root space e_ij tensor t^lam or an
+    isotropic piece h_r tensor t^sigma, must be scaled by a root of unity;
+    its exponent is the table value at its root, and all h_r at one sigma
+    must agree.  The automorphism must fix the degree-zero Cartan part (value
+    0 at degree 0), and the table must obey the shift rule value(sigma) =
+    value(alpha+sigma) * value(-alpha) wherever alpha+sigma is in the window.
+    Any disagreement raises instead of being patched over.
 
     Returns the table character together with a consistency report.
     """
-    from .characters import Character, TableRule, verify_core_character
-
-    m = t.modulus
-    e_sys = t.ears
-    for r in range(t.ell):
-        x = t.h(r)
-        if a.apply(x) != x:
-            raise ValueError("automorphism does not fix the Cartan part pointwise")
-
-    box = list(w.points(t.nu))
-    eta: dict[Root, int] = {}
-    for lam in box:
-        for i in range(t.size):
-            for j in range(t.size):
-                if i == j:
-                    continue
-                x = t.e(i, j, lam)
-                exp = _scalar_action_exponent(x, a.apply(x), m)
-                if exp is None:
-                    raise ValueError(
-                        f"automorphism is not a unity scalar on root space e[{i},{j}] "
-                        f"at degree {lam}"
-                    )
-                eta[Root(t.finite_root(i, j), lam)] = exp
-
-    eta_iso: dict[IntVector, int] = {}
-    for sigma in box:
-        candidates = set()
-        for alpha, exp in eta.items():
-            shifted = tuple(x + s for x, s in zip(alpha.iso, sigma))
-            partner = Root(alpha.finite, shifted)
-            if partner in eta:
-                candidates.add((eta[partner] + eta[e_sys.neg(alpha)]) % m)
-        if len(candidates) != 1:
+    e_sys, m = t.ears, t.modulus
+    table: dict[Root, int] = {}
+    for x in t.graded_basis(w):
+        key, lam = _term_label(x)
+        exp = _scalar_action_exponent(x, a.apply(x), m)
+        if exp is None:
             raise ValueError(
-                f"isotropic value at {sigma} is not independent of the reference "
-                f"root: candidates {sorted(candidates)}"
+                f"automorphism is not a unity scalar on {key} at degree {lam}"
             )
-        value = candidates.pop()
-        for r in range(t.ell):
-            x = t.h(r, sigma)
-            exp = _scalar_action_exponent(x, a.apply(x), m)
-            if exp is None or exp != value:
+        root = Root(t.finite_root(key[1], key[2]) if key[0] == "e" else None, lam)
+        if table.setdefault(root, exp) != exp:
+            raise ValueError(f"Cartan pieces at degree {lam} are scaled differently")
+    if table[e_sys.zero_root]:
+        raise ValueError("automorphism does not fix the Cartan part pointwise")
+    isotropic = [r for r in table if r.finite is None]
+    for alpha in table:
+        if alpha.finite is None:
+            continue
+        for sigma in isotropic:
+            shifted = table.get(e_sys.add(alpha, sigma))
+            if shifted is None:
+                continue
+            if (shifted + table[e_sys.neg(alpha)] - table[sigma]) % m:
                 raise ValueError(
-                    f"action on the isotropic space at {sigma} disagrees with the "
-                    f"shift rule value {value}"
+                    f"isotropic value at {sigma.iso} breaks the shift rule at root {alpha}"
                 )
-        eta_iso[sigma] = value
 
-    entries = [(root, exp) for root, exp in eta.items()]
-    for sigma in box:
-        entries.append((Root(None, sigma), eta_iso[sigma]))
-    entries.sort(key=lambda pair: e_sys.sort_key(pair[0]))
-    char = Character(e_sys, m, TableRule(w.bound, tuple(entries)))
-
+    entries = tuple(sorted(table.items(), key=lambda pair: e_sys.sort_key(pair[0])))
+    char = Character(e_sys, m, TableRule(w.bound, entries))
     core_report = verify_core_character(char, w)
     report = {
         "fixes_cartan": True,

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -109,9 +110,56 @@ class TestCosetRuleValues:
             counterexample_char.eval(Root(None, (1, 1, 1, 0, 0, 0)))
 
 
+def sum_free_violation_by_subsets(s):
+    """The first 3- to 6-subset of nonzero reps, in size then lex order, whose keys
+    sum to 0 mod 2: the exhaustive search, kept as the oracle."""
+    keys = [s.key(r) for r in s.reps]
+    for k in range(3, min(6, s.index) + 1):
+        for combo in itertools.combinations(range(1, s.coset_count), k):
+            if not any(sum(col) % 2 for col in zip(*(keys[i] for i in combo))):
+                return combo
+    return None
+
+
+@st.composite
+def semilattices(draw):
+    """Random semilattices of dimension at most 6 on a unimodular, non-standard basis.
+
+    Class keys are drawn as bit masks; the standard basis masks that are not
+    drawn are inserted at random places, so the reps span the lattice mod 2L.
+    """
+    d = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, 2**d - 1), unique=True, max_size=16 - d))
+    masks += [1 << j for j in range(d) if 1 << j not in masks]
+    masks = draw(st.permutations(masks))
+    basis = tuple(
+        tuple(1 if i == j else draw(st.integers(-2, 2)) if i > j else 0 for j in range(d))
+        for i in range(d)
+    )
+    lattice = IntLattice(basis)
+    reps = [(0,) * d] + [
+        lattice.from_coords(
+            tuple((mask >> j & 1) + 2 * draw(st.integers(-1, 1)) for j in range(d))
+        )
+        for mask in masks
+    ]
+    return Semilattice(lattice, tuple(reps))
+
+
 class TestSumFreeCondition:
     def test_defaults_pass(self, counterexample_char):
         assert sum_free_violation(counterexample_char.ears.S) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(semilattices())
+    def test_matches_subset_search(self, s):
+        found = sum_free_violation(s)
+        assert (found is None) == (sum_free_violation_by_subsets(s) is None)
+        if found is not None:
+            assert 3 <= len(set(found)) == len(found) <= 6
+            assert all(1 <= i < s.coset_count for i in found)
+            keys = [s.key(s.reps[i]) for i in found]
+            assert not any(sum(col) % 2 for col in zip(*keys))
 
     def test_dependent_representative_caught(self):
         s = Semilattice.standard(2)  # reps 00, 01, 10, 11: 01+10+11 = 0 mod 2L
@@ -124,6 +172,15 @@ class TestSumFreeCondition:
     def test_counterexample_rejects_dependent_taus(self):
         with pytest.raises(ValueError):
             build_a1_counterexample(2, [(1, 0), (0, 1), (1, 1)])
+
+
+class TestTableRule:
+    @pytest.mark.parametrize("window", [1.5, -1, True, "1"])
+    def test_window_checked_when_built(self, a2_nu1, window):
+        hom = standard_hom_character(a2_nu1, (1, 0, 1), 2)
+        entries = table_restriction(hom, 1).rule.entries
+        with pytest.raises(ValueError, match="window bound"):
+            Character(a2_nu1, 2, TableRule(window, entries))
 
 
 class TestVerify:

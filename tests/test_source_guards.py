@@ -4,9 +4,9 @@ Certificate and invariant checks must be explicit exceptions, which still run
 under `python -O`, so the package has no `assert` statement.  The package
 computes over the integers only, so no module imports `fractions`.  A window
 is defined once, by `system.Window`, so the sup-norm box and the sup-norm test
-are spelled nowhere else.  The traced
-benchmark run wraps `ears` functions and methods by name, so every name it
-lists must still exist.
+are spelled nowhere else.  Every import sits at module top, so the layering
+between modules is visible in their headers.  The traced benchmark run wraps
+`ears` functions and methods by name, so every name it lists must still exist.
 """
 
 import ast
@@ -45,6 +45,15 @@ def imports_fractions(source: str) -> bool:
     return False
 
 
+def function_import_lines(source: str) -> list[int]:
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            imports = (n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom)))
+            lines += [n.lineno for n in imports]
+    return sorted(set(lines))
+
+
 def test_guards_see_what_they_look_for():
     assert assert_lines("x = 1\nassert x, 'msg'\n") == [2]
     assert assert_lines("raise AssertionError('explicit')\n") == []
@@ -54,6 +63,9 @@ def test_guards_see_what_they_look_for():
     assert window_lines("x = max(map(abs, r.iso), default=0)\n") == [1]
     assert window_lines("a\nfor t in range(-w.bound, w.bound + 1):\n") == [2]
     assert window_lines("for n in range(-8, 9):\n") == []
+    assert function_import_lines("import os\ndef f():\n    from .x import y\n") == [3]
+    assert function_import_lines("class A:\n    def f(self):\n        import os\n") == [3]
+    assert function_import_lines("from .x import y\ndef f():\n    return y\n") == []
 
 
 def test_package_modules_found():
@@ -79,6 +91,12 @@ def test_no_fractions_import(path):
 def test_window_spelled_only_in_system(path):
     lines = window_lines(path.read_text())
     assert not lines, f"{path.name} spells a window outside system.Window at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    lines = function_import_lines(path.read_text())
+    assert not lines, f"{path.name} imports inside a function at lines {lines}"
 
 
 def load_trace_calls():

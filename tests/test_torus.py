@@ -4,12 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ears.characters import standard_hom_character, verify_character
+from ears.characters import (
+    Character,
+    TableRule,
+    standard_hom_character,
+    verify_character,
+    verify_core_character,
+)
 from ears.system import Root, Window, enumerate_roots
 from ears.torus import (
     CycScalar,
     TorusAutomorphism,
     TorusElement,
+    _canonical,
     _scalar_action_exponent,
     bracket,
     build_torus,
@@ -48,9 +55,8 @@ class TestCycScalar:
     def test_coefficients_are_integers(self):
         with pytest.raises(ValueError):
             CycScalar(2, (0.5, 0))
-        c = CycScalar(2, (2.0, -1))
-        assert c.coeffs == (2, -1)
-        assert all(type(x) is int for x in c.coeffs)
+        with pytest.raises(ValueError):
+            CycScalar(2, (2.0, -1))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 6).flatmap(
@@ -364,3 +370,126 @@ class TestValidation:
     def test_wrong_degree_length(self, torus):
         with pytest.raises(ValueError):
             torus.e(0, 1, (1, 2))
+
+
+def extract_by_separate_loops(t, a, w):
+    """The extraction as first written, kept as the oracle for the one-pass version.
+
+    It checks the Cartan part, reads the root spaces, builds each isotropic
+    value from the set of its shift-rule candidates and compares it with the
+    action on the isotropic spaces, in separate loops.
+    """
+    m = t.modulus
+    e_sys = t.ears
+    for r in range(t.ell):
+        x = t.h(r)
+        if a.apply(x) != x:
+            raise ValueError("automorphism does not fix the Cartan part pointwise")
+
+    box = list(w.points(t.nu))
+    eta = {}
+    for lam in box:
+        for i in range(t.size):
+            for j in range(t.size):
+                if i == j:
+                    continue
+                x = t.e(i, j, lam)
+                exp = _scalar_action_exponent(x, a.apply(x), m)
+                if exp is None:
+                    raise ValueError(f"not a unity scalar on e[{i},{j}] at degree {lam}")
+                eta[Root(t.finite_root(i, j), lam)] = exp
+
+    eta_iso = {}
+    for sigma in box:
+        candidates = set()
+        for alpha, exp in eta.items():
+            partner = Root(alpha.finite, tuple(x + s for x, s in zip(alpha.iso, sigma)))
+            if partner in eta:
+                candidates.add((eta[partner] + eta[e_sys.neg(alpha)]) % m)
+        if len(candidates) != 1:
+            raise ValueError(f"isotropic value at {sigma} depends on the reference root")
+        value = candidates.pop()
+        for r in range(t.ell):
+            x = t.h(r, sigma)
+            if _scalar_action_exponent(x, a.apply(x), m) != value:
+                raise ValueError(f"isotropic space at {sigma} disagrees with {value}")
+        eta_iso[sigma] = value
+
+    entries = list(eta.items())
+    for sigma in box:
+        entries.append((Root(None, sigma), eta_iso[sigma]))
+    entries.sort(key=lambda pair: e_sys.sort_key(pair[0]))
+    char = Character(e_sys, m, TableRule(w.bound, tuple(entries)))
+
+    core_report = verify_core_character(char, w)
+    report = {
+        "fixes_cartan": True,
+        "diagonal_on_root_spaces": True,
+        "inverse_rule": not any(
+            f["root"]["finite"] is not None for f in core_report.inverse_failures
+        ),
+        "core_multiplicativity": core_report.ok,
+        "pairs_checked": core_report.pairs_checked,
+    }
+    return char, report
+
+
+@dataclass(frozen=True)
+class _PieceScaling(TorusAutomorphism):
+    """Scales each graded piece by zeta**f(key, lam): the hom's exponent, except
+    that `shifted` adds `delta` at one piece and `garbled` adds a second term
+    to one piece's image, so that image is not a scalar multiple."""
+
+    shifted: tuple | None = None
+    delta: int = 0
+    garbled: tuple | None = None
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        terms = []
+        for key, lam, c in x.terms:
+            k = self._degree_exponent(key, lam)
+            if (key, lam) == self.shifted:
+                k += self.delta
+            terms.append((key, lam, c.rotate(k)))
+            if (key, lam) == self.garbled:
+                terms.append((("h", 0) if key[0] == "e" else ("e", 0, 1), lam, c))
+        return _canonical(x.ell, x.nu, x.modulus, terms)
+
+
+@st.composite
+def _piece_scalings(draw, t, w):
+    m = t.modulus
+    hom = tuple(draw(st.integers(0, m - 1)) for _ in range(t.ell + t.nu))
+    labels = [x.terms[0][:2] for x in t.graded_basis(w)]
+    change = draw(st.sampled_from(("hom", "root", "isotropic", "garble")))
+    kwargs = {}
+    if change == "garble":
+        kwargs["garbled"] = draw(st.sampled_from(labels))
+    elif change != "hom" and m > 1:
+        kind = "e" if change == "root" else "h"
+        kwargs["shifted"] = draw(st.sampled_from([p for p in labels if p[0][0] == kind]))
+        kwargs["delta"] = draw(st.integers(1, m - 1))
+    return _PieceScaling(t.ell, t.nu, m, False, hom, **kwargs)
+
+
+def _outcome(extract, t, a, w):
+    try:
+        char, report = extract(t, a, w)
+    except ValueError:
+        return "ValueError"
+    return char.to_json(), report
+
+
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 1, 2), (2, 1, 4), (2, 2, 2), (3, 1, 3)], ids=str)
+def test_extraction_matches_separate_loops(shape, window):
+    t, w = build_torus(*shape), Window(window)
+
+    @settings(max_examples=12, deadline=None)
+    @given(_piece_scalings(t, w))
+    def check(a):
+        assert _outcome(extract_core_character, t, a, w) == _outcome(
+            extract_by_separate_loops, t, a, w
+        )
+
+    check()
