@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .lattice import (
@@ -31,6 +32,7 @@ from .lattice import (
     solve_mod,
 )
 from .system import (
+    Classes,
     Ears,
     EarsSpec,
     Root,
@@ -180,6 +182,20 @@ class Character:
             raise ValueError(f"{r} does not classify as a root")
         return UnityValue(self._exponent(r), self.modulus)
 
+    @cached_property
+    def _period(self) -> int | None:
+        """A q such that the exponent, and whether a root, depend only on the
+        finite part and iso mod q; None for a table, which has no period.
+
+        A homomorphism reads the coordinates mod m and the coset rule reads
+        them mod 2; `Ears.period` covers membership.
+        """
+        if isinstance(self.rule, LatticeHomRule):
+            return lcm(self.ears.period, self.modulus)
+        if isinstance(self.rule, A1CosetRule):
+            return self.ears.period
+        return None
+
     def _exponent(self, r: Root) -> int:
         """The exponent on r, which the caller has already classified as a root."""
         if isinstance(self.rule, LatticeHomRule):
@@ -254,7 +270,11 @@ def standard_hom_character(e: Ears, values: Sequence[int], modulus: int) -> Char
 
 @dataclass(frozen=True)
 class CharacterCheckReport:
-    """Multiplicativity check over window pairs, with explicit failure witnesses."""
+    """Multiplicativity check over window pairs, with explicit failure witnesses.
+
+    `additivity_failures` holds the first five failing pairs in loop order;
+    `inverse_failures` holds every failing root.
+    """
 
     kind: str
     window: int
@@ -280,48 +300,51 @@ class CharacterCheckReport:
 
 
 def _verify(c: Character, w: Window, core_only: bool) -> CharacterCheckReport:
+    """The pair loop, run once per pair of root classes (see `Classes`)."""
     e = c.ears
     m = c.modulus
-    roots = enumerate_roots(e, w)
-    exps = {r: c._exponent(r) for r in roots}
-    firsts = [r for r in roots if r.finite is not None] if core_only else roots
-    table_bound = c.rule.window if isinstance(c.rule, TableRule) else None
+    classes = Classes.of_roots(enumerate_roots(e, w), c._period)
+    exps = {k: c._exponent(r) for k, r, _ in classes.reps}
+    firsts = [x for x in classes.reps if not core_only or x[1].finite is not None]
+    in_table = isinstance(c.rule, TableRule)
     checked = skipped = 0
-    add_failures: list[dict] = []
-    for alpha in firsts:
-        ea = exps[alpha]
-        for beta in roots:
+    bad: dict = {}
+    for ka, alpha, na in firsts:
+        ea = exps[ka]
+        for kb, beta, nb in classes.reps:
             total = e.add(alpha, beta)
-            et = exps.get(total)
-            if et is None:
-                # not a window root: outside the window, or no root at all
-                if not e.is_root(total):
-                    continue
-                if table_bound is not None:
-                    skipped += 1
-                    continue
-                et = c._exponent(total)
-            checked += 1
-            if (ea + exps[beta] - et) % m:
-                add_failures.append(
-                    {
-                        "alpha": root_to_json(e, alpha),
-                        "beta": root_to_json(e, beta),
-                        "lhs": (ea + exps[beta]) % m,
-                        "rhs": et,
-                    }
-                )
-    inv_failures = []
-    for r in roots:
-        if (exps[r] + exps[e.neg(r)]) % m:
-            inv_failures.append({"root": root_to_json(e, r), "exponent": exps[r]})
+            if not e.is_root(total):
+                continue
+            if in_table and not w.contains(total.iso):
+                # a table has no value outside the window
+                skipped += na * nb
+                continue
+            et = c._exponent(total)
+            checked += na * nb
+            if (ea + exps[kb] - et) % m:
+                bad.setdefault(ka, {})[kb] = ((ea + exps[kb]) % m, et)
+    roots = classes.items
+    add_failures = tuple(
+        {
+            "alpha": root_to_json(e, roots[i]),
+            "beta": root_to_json(e, roots[j]),
+            "lhs": lhs,
+            "rhs": rhs,
+        }
+        for i, j, (lhs, rhs) in itertools.islice(classes.pairs(bad), 5)
+    )
+    unpaired = [k for k, r, _ in classes.reps if (exps[k] + c._exponent(e.neg(r))) % m]
+    inv_failures = tuple(
+        {"root": root_to_json(e, roots[i]), "exponent": exps[classes.keys[i]]}
+        for i in classes.positions(unpaired)
+    )
     return CharacterCheckReport(
         "core" if core_only else "full",
         w.bound,
         checked,
         skipped,
-        tuple(add_failures),
-        tuple(inv_failures),
+        add_failures,
+        inv_failures,
     )
 
 
@@ -336,17 +359,20 @@ def verify_character(c: Character, w: Window) -> CharacterCheckReport:
 
 
 def verify_square_shift_identity(c: Character, w: Window) -> dict:
-    """Check value(alpha)^2 = value(alpha+sigma) * value(alpha-sigma) on the window."""
+    """Check value(alpha)^2 = value(alpha+sigma) * value(alpha-sigma) on the window.
+
+    Runs once per pair of root classes (see `Classes`).
+    """
     e = c.ears
     m = c.modulus
-    roots = enumerate_roots(e, w)
-    iso_roots = [r for r in roots if r.finite is None]
-    noniso = [r for r in roots if r.finite is not None]
+    classes = Classes.of_roots(enumerate_roots(e, w), c._period)
+    iso_roots = [x for x in classes.reps if x[1].finite is None]
+    noniso = [x for x in classes.reps if x[1].finite is not None]
     table = c.rule.box if isinstance(c.rule, TableRule) else None
     checked = 0
-    failures = []
-    for sigma in iso_roots:
-        for alpha in noniso:
+    bad: dict = {}
+    for ks, sigma, ns in iso_roots:
+        for ka, alpha, na in noniso:
             plus = e.add(alpha, sigma)
             minus = e.add(alpha, e.neg(sigma))
             if not (e.is_root(plus) and e.is_root(minus)):
@@ -357,15 +383,15 @@ def verify_square_shift_identity(c: Character, w: Window) -> dict:
                 continue
             lhs = 2 * c._exponent(alpha)
             rhs = c._exponent(plus) + c._exponent(minus)
-            checked += 1
+            checked += ns * na
             if (lhs - rhs) % m:
-                failures.append(
-                    {
-                        "alpha": root_to_json(e, alpha),
-                        "sigma": root_to_json(e, sigma),
-                    }
-                )
-    return {"checked": checked, "failures": failures[:5], "ok": not failures}
+                bad.setdefault(ks, {})[ka] = None
+    roots = classes.items
+    failures = [
+        {"alpha": root_to_json(e, roots[j]), "sigma": root_to_json(e, roots[i])}
+        for i, j, _ in itertools.islice(classes.pairs(bad), 5)
+    ]
+    return {"checked": checked, "failures": failures, "ok": not bad}
 
 
 def build_a1_counterexample(

@@ -11,17 +11,19 @@ from coset classes (coordinates mod 2 for S), never by point enumeration.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .finite import FiniteRootSystem, FiniteType, build_finite
 from .lattice import (
     IntLattice,
     IntVector,
     Semilattice,
+    det,
     json_int,
     parity,
     sum_semilattices,
@@ -280,18 +282,32 @@ class Ears:
         return {c: c in short for c in self.finite.coords}
 
     @cached_property
-    def _l_modulus(self) -> int:
-        """2k when k times the ambient lattice lies in the span of L, else 0.
+    def period(self) -> int:
+        """An even q: whether (finite part, iso) is a root depends only on the
+        finite part and on iso mod q.
 
-        L is a union of cosets of twice its span, so in the first case
-        membership in L depends only on the coordinates mod 2k.
+        S and S + S are read from the coordinates mod 2, L from the
+        coordinates mod `_l_modulus`, which is even.
         """
-        amb, k = self.ambient_lattice, self.lacing
-        for j in range(amb.dim):
-            col = tuple(k * amb.basis[i][j] for i in range(amb.dim))
-            if self.L.lattice.coords(col) is None:
-                return 0
-        return 2 * k
+        return 2 if self.L is None else self._l_modulus
+
+    @cached_property
+    def _l_modulus(self) -> int:
+        """A period of membership in L: 2e for the least e that puts e times
+        every ambient basis vector in the span of L.
+
+        L is a union of cosets of twice its span, so iso and iso + 2e x lie
+        in L together.  The span contains |det B_L| Z^n, so e divides
+        |det B_L|.  A built twisted system gets e = k, an untwisted one e = 1;
+        L = 4Z under an ambient Z, which no system builds, gets e = 4.
+        """
+        amb, span = self.ambient_lattice, self.L.lattice
+        cols = [tuple(row[j] for row in amb.basis) for j in range(amb.dim)]
+        d = abs(det(span.basis))
+        return 2 * next(
+            e for e in range(1, d + 1)
+            if d % e == 0 and all(span.contains(vec_scale(e, c)) for c in cols)
+        )
 
     @cached_property
     def _l_residues(self) -> dict[IntVector, bool]:
@@ -301,7 +317,7 @@ class Ears:
         if self.L is None:
             return False
         m = self._l_modulus
-        key = tuple(x % m for x in iso) if m else iso
+        key = tuple(x % m for x in iso)
         hit = self._l_residues.get(key)
         if hit is None:
             hit = self.L.contains(self.ambient_lattice.from_coords(iso))
@@ -456,6 +472,54 @@ def enumerate_roots(e: Ears, w: Window) -> list[Root]:
     return out
 
 
+class Classes:
+    """Items grouped by a class key that decides every check of a loop.
+
+    A window loop decides each class, or each pair of classes, on its first
+    item and weights the outcome by the class sizes.  Only the classes that
+    fail are walked, in item order, to list witnesses, so the witnesses are
+    the ones a loop over all items would list first.
+    """
+
+    def __init__(self, items: Sequence, keys: Sequence[Hashable]):
+        self.items = items
+        self.keys = keys
+        sizes = Counter(keys)
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        # (key, first item, size) per class, in order of first item
+        self.reps = [(k, items[first[k]], n) for k, n in sizes.items()]
+
+    @classmethod
+    def of_roots(cls, roots: Sequence[Root], q: int | None) -> "Classes":
+        """Roots keyed by finite part and iso mod q; by the root itself when q is None."""
+        if q is None:
+            return cls(roots, roots)
+        residues = {iso: tuple([x % q for x in iso]) for iso in {r.iso for r in roots}}
+        ids: dict[tuple, int] = {}
+        # classes numbered in order of first root: each key is hashed once
+        return cls(roots, [ids.setdefault((r.finite, residues[r.iso]), len(ids)) for r in roots])
+
+    @cached_property
+    def members(self) -> dict[Hashable, list[int]]:
+        """Positions of each class's items, ascending."""
+        out: dict[Hashable, list[int]] = {}
+        for i, k in enumerate(self.keys):
+            out.setdefault(k, []).append(i)
+        return out
+
+    def positions(self, keys: Iterable[Hashable]) -> list[int]:
+        """Positions of the items in the given classes, ascending."""
+        return sorted(itertools.chain.from_iterable(self.members[k] for k in keys))
+
+    def pairs(self, bad: dict[Hashable, dict]) -> Iterator[tuple[int, int, object]]:
+        """(i, j, bad[key i][key j]) for every position pair of a failing class
+        pair, in the order of a loop over i outside and j inside."""
+        for i in self.positions(bad):
+            row = bad[self.keys[i]]
+            for j in self.positions(row):
+                yield i, j, row[self.keys[j]]
+
+
 @dataclass(frozen=True)
 class SystemInvariants:
     """Isomorphism invariants together with the index bookkeeping that feeds them."""
@@ -584,44 +648,50 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     (b) the S/L coupling identities on representatives, (c) unbroken root
     strings with d - u equal to the pairing, (d) connectedness of the
     non-orthogonality graph on non-isotropic window roots, (e) reducedness.
+    Every window check runs once per class of `e.period` (see `Classes`).
     """
     checks: dict = {}
+    q = e.period
     roots = enumerate_roots(e, w)
-    noniso = [r for r in roots if r.finite is not None]
+    classes = Classes.of_roots(roots, q)
+    noniso = [c for c in classes.reps if c[1].finite is not None]
 
-    failures = []
+    isos = list(w.points(e.nullity))
+    points = Classes(isos, [tuple([x % q for x in iso]) for iso in isos])
     rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
-    for iso in w.points(e.nullity):
+    bad: dict = {}
+    for k, iso, _ in points.reps:
         direct = parity(iso) in e.r0_keys
         brute = any(parity(vec_sub(iso, rep)) in e.S.class_keys for rep in rep_coords)
         if direct != brute:
-            failures.append({
-                "iso": list(e.ambient_lattice.from_coords(iso)),
-                "class_based": direct,
-                "pairwise": brute,
-            })
-    checks["isotropic_support"] = {"passed": not failures, "failures": failures[:5]}
+            bad[k] = {"class_based": direct, "pairwise": brute}
+    failures = [
+        {"iso": list(e.ambient_lattice.from_coords(points.items[i])), **bad[points.keys[i]]}
+        for i in itertools.islice(points.positions(bad), 5)
+    ]
+    checks["isotropic_support"] = {"passed": not bad, "failures": failures}
 
     problems = check_compatibility(e)
     checks["semilattice_coupling"] = {"passed": not problems, "failures": problems[:5]}
 
-    string_failures = []
-    for alpha in noniso:
+    bad = {}
+    for ka, alpha, _ in noniso:
         steps = [(n, e.scale_root(n, alpha)) for n in range(-8, 9)]
-        for beta in roots:
+        for kb, beta, _ in classes.reps:
             members = {n for n, step in steps if e.is_root(e.add(beta, step))}
             d, u = -min(members), max(members)
             if members != set(range(-d, u + 1)) or d - u != e.pairing(beta, alpha):
-                string_failures.append(
-                    {"alpha": root_to_json(e, alpha), "beta": root_to_json(e, beta)}
-                )
+                bad.setdefault(ka, {})[kb] = None
     checks["root_strings"] = {
-        "passed": not string_failures,
-        "pairs": len(noniso) * len(roots),
-        "failures": string_failures[:5],
+        "passed": not bad,
+        "pairs": sum(size for _, _, size in noniso) * len(roots),
+        "failures": [
+            {"alpha": root_to_json(e, roots[i]), "beta": root_to_json(e, roots[j])}
+            for i, j, _ in itertools.islice(classes.pairs(bad), 5)
+        ],
     }
 
-    connected = finite_parts_connected(e, noniso)
+    connected = finite_parts_connected(e, [r for _, r, _ in noniso])
     checks["indecomposable"] = {"passed": connected, "components_connected": connected}
 
     doubled = []
@@ -629,9 +699,10 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
         twice = tuple(2 * x for x in fin)
         if twice in e.finite.coord_index:
             doubled.append(list(fin))
-    for r in noniso:
-        if e.is_root(e.scale_root(2, r)):
-            doubled.append(root_to_json(e, r))
+    bad = {k for k, r, _ in noniso if e.is_root(e.scale_root(2, r))}
+    doubled.extend(
+        root_to_json(e, roots[i]) for i in itertools.islice(classes.positions(bad), 5)
+    )
     checks["reduced"] = {"passed": not doubled, "failures": doubled[:5]}
 
     return AxiomReport(w.bound, checks)

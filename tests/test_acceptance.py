@@ -5,6 +5,8 @@ complete.  Everything here is exact integer arithmetic; the only tolerances
 are the wall-clock budgets stated alongside each criterion.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -48,6 +50,7 @@ from ears.torus import (
     jacobi_identity_report,
     verify_automorphism,
 )
+from ears.cli import main
 from ears.weyl import check_reflectable, decompose, minimal_reflectable_size, reflect
 
 from conftest import SPEC_DIR
@@ -368,5 +371,49 @@ def test_criterion_6_negative_controls():
         "negative controls (corrupted table, dependent representatives, corrupted "
         "diagonal) all fail with witnesses",
         True,
+        elapsed,
+    )
+
+
+def _timed_cli(*argv):
+    """Exit code, JSON report and in-process wall time of one `ears` command."""
+    out = io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    return code, json.loads(out.getvalue()), time.monotonic() - start
+
+
+def test_criterion_7_counterexample_at_windows_2_and_3():
+    """The counterexample verified exhaustively past window 1, inside the budgets."""
+    start = time.monotonic()
+    spec = SPEC_DIR / "counterexample_nu6.json"
+    char = SPEC_DIR / "counterexample_nu6_char.json"
+    pairs = {2: (121_000_039, 50_189_908), 3: (2_138_335_783, 564_457_540)}
+    budgets = []
+    for window, (full, core) in pairs.items():
+        code, report, elapsed = _timed_cli("char-verify", spec, char, "--window", window)
+        assert code == 0
+        assert report["checks"]["character"]["pairs_checked"] == full
+        assert report["checks"]["core_character"]["pairs_checked"] == core
+        budgets.append(elapsed < 2)
+
+    code, report, elapsed = _timed_cli("info", spec, "--window", 2)
+    assert code == 0
+    counts = report["root_counts"]
+    strings = report["checks"]["root_strings"]
+    assert strings["pairs"] == counts["window_nonisotropic"] * counts["window_total"]
+    budgets.append(elapsed < 10)
+
+    code, report, elapsed = _timed_cli("info", SPEC_DIR / "a3_nu2.json", "--window", 2)
+    assert code == 0
+    budgets.append(elapsed < 0.5)
+
+    elapsed = time.monotonic() - start
+    report_line(
+        7,
+        "counterexample char-verify at windows 2 and 3 (< 2 s each) and info at "
+        "window 2 (< 10 s); info a3_nu2 at window 2 (< 0.5 s)",
+        all(budgets),
         elapsed,
     )

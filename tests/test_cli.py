@@ -537,8 +537,9 @@ class TestBenchChild:
 # -- argv fuzz ---------------------------------------------------------------
 
 # Specs whose checks finish in milliseconds at windows up to 1.  The
-# counterexample (about 1 s per character command at window 1, 4 s for `info`)
-# is drawn only by the character commands.
+# counterexample is drawn by `info` and `char-verify` at windows up to 2, where
+# each takes under a second, and by `char-extend` at windows up to 1.  `info`
+# draws it without `--refl-oracle`, whose base search on it has no bound.
 SMALL_SPECS = [
     str(SPEC_DIR / name)
     for name in ("affine_a1.json", "a1_nu2_three_coset.json", "a2_nu1.json",
@@ -552,6 +553,7 @@ def _tokens(valid: str, invalid: str):
 
 
 WINDOWS = _tokens("0 1", "-1")
+CEX_WINDOWS = _tokens("0 1 2", "-1")
 ELLS = _tokens("2 3", "1 -1")
 NUS = _tokens("0 1 2", "-1")
 MODULI = _tokens("1 2 3 4", "0 -3")
@@ -629,11 +631,15 @@ def cli_argv(draw, files):
         ["info", "char-verify", "char-extend", "counterexample", "weyl", "torus", "bogus"]
     ))
     if command == "info":
-        spec = draw(st.sampled_from(SMALL_SPECS + files["specs"]))
+        spec = draw(st.sampled_from(SMALL_SPECS + [CEX_SPEC] + files["specs"]))
+        if spec == CEX_SPEC:
+            return ["info", spec, "--window", draw(CEX_WINDOWS)]
         return ["info", spec, *window, *maybe("--refl-oracle")]
     if command in ("char-verify", "char-extend"):
         # the affine A1 spec is the one the character files are written for
         spec = draw(st.sampled_from([AFFINE] * 4 + SMALL_SPECS + [CEX_SPEC] + files["specs"]))
+        if spec == CEX_SPEC and command == "char-verify":
+            window = ["--window", draw(CEX_WINDOWS)]
         return [command, spec, draw(st.sampled_from(files["chars"])), *window]
     if command == "counterexample":
         return [
