@@ -59,14 +59,6 @@ class UnityValue:
         if not 0 <= self.exponent < self.modulus:
             raise ValueError("exponent must be reduced mod the modulus")
 
-    def inverse(self) -> "UnityValue":
-        return UnityValue((-self.exponent) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "UnityValue") -> "UnityValue":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        return UnityValue((self.exponent + other.exponent) % self.modulus, self.modulus)
-
 
 @dataclass(frozen=True)
 class LatticeHomRule:
@@ -273,7 +265,9 @@ class CharacterCheckReport:
     """Multiplicativity check over window pairs, with explicit failure witnesses.
 
     `additivity_failures` holds the first five failing pairs in loop order;
-    `inverse_failures` holds every failing root.
+    `inverse_failures` holds every failing root.  A full report carries the
+    core report of the same pass in `core`, and both carry the window roots
+    they were checked on in `roots`; neither field is part of the JSON.
     """
 
     kind: str
@@ -282,6 +276,8 @@ class CharacterCheckReport:
     pairs_skipped: int
     additivity_failures: tuple[dict, ...]
     inverse_failures: tuple[dict, ...]
+    core: CharacterCheckReport | None = field(default=None, repr=False, compare=False)
+    roots: Sequence[Root] = field(default=(), repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -299,63 +295,68 @@ class CharacterCheckReport:
         }
 
 
-def _verify(c: Character, w: Window, core_only: bool) -> CharacterCheckReport:
-    """The pair loop, run once per pair of root classes (see `Classes`)."""
+def _verify(c: Character, w: Window) -> CharacterCheckReport:
+    """The pair loop, run once per pair of root classes (see `Classes`).
+
+    The core report restricts the same tallies to non-isotropic first classes.
+    """
     e = c.ears
     m = c.modulus
-    classes = Classes.of_roots(enumerate_roots(e, w), c._period)
+    roots = enumerate_roots(e, w)
+    classes = Classes.of_roots(roots, c._period)
     exps = {k: c._exponent(r) for k, r, _ in classes.reps}
-    firsts = [x for x in classes.reps if not core_only or x[1].finite is not None]
     in_table = isinstance(c.rule, TableRule)
-    checked = skipped = 0
+    tally: dict = {}  # first class -> [pairs checked, pairs skipped]
     bad: dict = {}
-    for ka, alpha, na in firsts:
+    for ka, alpha, na in classes.reps:
         ea = exps[ka]
+        row = tally[ka] = [0, 0]
         for kb, beta, nb in classes.reps:
             total = e.add(alpha, beta)
             if not e.is_root(total):
                 continue
             if in_table and not w.contains(total.iso):
                 # a table has no value outside the window
-                skipped += na * nb
+                row[1] += na * nb
                 continue
             et = c._exponent(total)
-            checked += na * nb
+            row[0] += na * nb
             if (ea + exps[kb] - et) % m:
                 bad.setdefault(ka, {})[kb] = ((ea + exps[kb]) % m, et)
-    roots = classes.items
-    add_failures = tuple(
-        {
-            "alpha": root_to_json(e, roots[i]),
-            "beta": root_to_json(e, roots[j]),
-            "lhs": lhs,
-            "rhs": rhs,
-        }
-        for i, j, (lhs, rhs) in itertools.islice(classes.pairs(bad), 5)
-    )
     unpaired = [k for k, r, _ in classes.reps if (exps[k] + c._exponent(e.neg(r))) % m]
     inv_failures = tuple(
         {"root": root_to_json(e, roots[i]), "exponent": exps[classes.keys[i]]}
         for i in classes.positions(unpaired)
     )
-    return CharacterCheckReport(
-        "core" if core_only else "full",
-        w.bound,
-        checked,
-        skipped,
-        add_failures,
-        inv_failures,
-    )
+
+    def report(kind: str, firsts: list, core: CharacterCheckReport | None = None):
+        failing = {k: bad[k] for k in firsts if k in bad}
+        add_failures = tuple(
+            {"alpha": root_to_json(e, roots[i]), "beta": root_to_json(e, roots[j]),
+             "lhs": lhs, "rhs": rhs}
+            for i, j, (lhs, rhs) in itertools.islice(classes.pairs(failing), 5)
+        )
+        checked = sum(tally[k][0] for k in firsts)
+        skipped = sum(tally[k][1] for k in firsts)
+        return CharacterCheckReport(
+            kind, w.bound, checked, skipped, add_failures, inv_failures, core, roots
+        )
+
+    core = report("core", [k for k, r, _ in classes.reps if r.finite is not None])
+    return report("full", list(tally), core)
 
 
 def verify_core_character(c: Character, w: Window) -> CharacterCheckReport:
-    """Multiplicativity over pairs whose first member is non-isotropic."""
-    return _verify(c, w, core_only=True)
+    """Multiplicativity over pairs whose first member is non-isotropic.
+
+    This is the `core` of the full report: both come from one pass.
+    """
+    return _verify(c, w).core
 
 
 def verify_character(c: Character, w: Window) -> CharacterCheckReport:
-    """Multiplicativity over all window pairs, isotropic ones included."""
-    return _verify(c, w, core_only=False)
+    """Multiplicativity over all window pairs; `core` holds the core report."""
+    return _verify(c, w)
 
 
 def verify_square_shift_identity(c: Character, w: Window) -> dict:
@@ -461,7 +462,7 @@ def extendability(c: Character, w: Window) -> ExtendabilityResult:
     if not report.ok:
         raise ValueError("input fails character verification on the window")
     n = e.rank + e.nullity
-    roots = enumerate_roots(e, w)
+    roots = report.roots
     coord_rows = [e.root_coords(r) for r in roots]
     exps = [c._exponent(r) for r in roots]
     res = solve_mod(coord_rows, exps, m)

@@ -22,13 +22,11 @@ from .characters import (
     extendability,
     recheck_witness,
     verify_character,
-    verify_core_character,
 )
 from .system import (
     EarsSpec,
     Window,
     build_ears,
-    enumerate_roots,
     invariants,
     root_from_json,
     root_to_json,
@@ -123,7 +121,7 @@ def cmd_info(args) -> int:
         refl_matches = search.size == inv["refl_R"]
         inv.update(refl_search=search.size, refl_matches=refl_matches)
     axioms = verify_axioms(e, w)
-    roots = enumerate_roots(e, w)
+    roots = axioms.roots
     report = {
         "command": "info",
         "inputs": {"spec_sha256": digest},
@@ -143,8 +141,8 @@ def cmd_char_verify(args) -> int:
     e, spec_digest = _load_spec(args.spec)
     c, char_digest = _load_character(args.char, e)
     w = Window(args.window)
-    core = verify_core_character(c, w)
     full = verify_character(c, w)
+    core = full.core
     report = {
         "command": "char-verify",
         "inputs": {"spec_sha256": spec_digest, "char_sha256": char_digest},

@@ -610,11 +610,14 @@ def invariants(e: Ears) -> SystemInvariants:
 class AxiomReport:
     """Outcome of named window checks, with witnesses for failures.
 
-    Used for the system axioms and for the torus automorphism checks.
+    Used for the system axioms and for the torus automorphism checks.  The
+    axiom report keeps the window roots it enumerated in `roots`, which is
+    not part of the JSON.
     """
 
     window: int
     checks: dict
+    roots: Sequence[Root] = field(default=(), repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -705,7 +708,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     )
     checks["reduced"] = {"passed": not doubled, "failures": doubled[:5]}
 
-    return AxiomReport(w.bound, checks)
+    return AxiomReport(w.bound, checks, roots)
 
 
 def root_to_json(e: Ears, r: Root) -> dict:

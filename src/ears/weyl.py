@@ -126,39 +126,37 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     The candidate pool restricts isotropic parts to coset representatives plus
     shifts of sup-norm at most 1.  Subsets are pruned by two necessary
     conditions before any orbit is computed: the base must span the full root
-    lattice (reflections stay inside the span), and for type A1 the base must
-    meet every coset class of S (A1 pairings are even, so reflections preserve
-    the class of the isotropic part mod 2L).
+    lattice (reflections stay inside the span), so it has rank + nullity
+    elements or more; for type A1 the base must meet every coset class of S
+    (A1 pairings are even, so reflections preserve the class of the isotropic
+    part mod 2L), so it is drawn from the pool members in those classes.  A
+    pool that does not span the lattice has no subset to test.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    pool = _candidate_pool(e, w)
+    full_pool = _candidate_pool(e, w)
     target = [r for r in enumerate_roots(e, w) if r.finite is not None]
     target_set = set(target)
     n = e.rank + e.nullity
-    rank_floor = n if generates([e.root_coords(r) for r in target], n) else 1
     a1 = e.spec.type.family == "A" and e.rank == 1
-    needed_classes = (
-        {parity(r.iso) for r in target} if a1 else set()
-    )
+    needed_classes = {parity(r.iso) for r in target}
+    pool = [r for r in full_pool if parity(r.iso) in needed_classes] if a1 else full_pool
+    found = None
     tested = 0
-    for size in range(1, max_size + 1):
-        if size < rank_floor:
-            continue
-        for combo in itertools.combinations(pool, size):
+    if generates([e.root_coords(r) for r in pool], n):
+        for combo in itertools.chain.from_iterable(
+            itertools.combinations(pool, size) for size in range(n, max_size + 1)
+        ):
             if a1 and {parity(r.iso) for r in combo} != needed_classes:
                 continue
             if not generates([e.root_coords(r) for r in combo], n):
                 continue
             tested += 1
-            orbit = orbit_closure(e, combo, w)
-            if target_set <= orbit:
-                return MinimalBaseSearch(
-                    size, combo, max_size, w.bound, len(pool), tested,
-                    "coset representatives plus shifts of sup-norm <= 1",
-                )
+            if target_set <= orbit_closure(e, combo, w):
+                found = combo
+                break
     return MinimalBaseSearch(
-        None, None, max_size, w.bound, len(pool), tested,
+        None if found is None else len(found), found, max_size, w.bound, len(full_pool), tested,
         "coset representatives plus shifts of sup-norm <= 1",
     )
 

@@ -5,11 +5,17 @@ isotropic coordinates mod a period) and weights the outcome by the class
 sizes.  These are the loops it replaced: they visit every window root, every
 window pair and every window point, and read the exponent with
 `Character._exponent` on each root.  The tests compare the two reports.
+
+`minimal_reflectable_size_by_subsets` is the minimal-base search before it
+pruned its pool: it walks every subset of the whole candidate pool.
 """
 
+import itertools
+
 from ears.characters import CharacterCheckReport, TableRule
-from ears.lattice import parity, vec_sub
+from ears.lattice import generates, parity, vec_sub
 from ears.system import enumerate_roots, root_to_json
+from ears.weyl import MinimalBaseSearch, _candidate_pool, orbit_closure
 
 
 def verify_by_pairs(c, w, core_only):
@@ -139,3 +145,36 @@ def axiom_window_checks(e, w):
             doubled.append(root_to_json(e, r))
     checks["reduced"] = {"passed": not doubled, "failures": doubled[:5]}
     return checks
+
+
+def minimal_reflectable_size_by_subsets(e, w, max_size):
+    """`minimal_reflectable_size` over every subset of the unfiltered pool."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    pool = _candidate_pool(e, w)
+    target = [r for r in enumerate_roots(e, w) if r.finite is not None]
+    target_set = set(target)
+    n = e.rank + e.nullity
+    rank_floor = n if generates([e.root_coords(r) for r in target], n) else 1
+    a1 = e.spec.type.family == "A" and e.rank == 1
+    needed_classes = {parity(r.iso) for r in target} if a1 else set()
+    tested = 0
+    for size in range(1, max_size + 1):
+        if size < rank_floor:
+            continue
+        for combo in itertools.combinations(pool, size):
+            if a1 and {parity(r.iso) for r in combo} != needed_classes:
+                continue
+            if not generates([e.root_coords(r) for r in combo], n):
+                continue
+            tested += 1
+            orbit = orbit_closure(e, combo, w)
+            if target_set <= orbit:
+                return MinimalBaseSearch(
+                    size, combo, max_size, w.bound, len(pool), tested,
+                    "coset representatives plus shifts of sup-norm <= 1",
+                )
+    return MinimalBaseSearch(
+        None, None, max_size, w.bound, len(pool), tested,
+        "coset representatives plus shifts of sup-norm <= 1",
+    )

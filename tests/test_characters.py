@@ -43,11 +43,6 @@ class TestUnityValue:
         with pytest.raises(ValueError):
             UnityValue(-1, 3)
 
-    def test_product_and_inverse(self):
-        x = UnityValue(2, 5)
-        assert (x * UnityValue(4, 5)).exponent == 1
-        assert x.inverse().exponent == 3
-
 
 class TestHomBasis:
     @settings(max_examples=300, deadline=None)

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from functools import cache
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import ears.system
 from ears.cli import main
-from ears.system import EarsSpec
+from ears.system import Classes, EarsSpec
 
 from conftest import SPEC_DIR, load_spec_file
 
@@ -39,6 +41,16 @@ class TestInfo:
         assert code == 0
         assert report["invariants"]["refl_search"] == 2
         assert report["invariants"]["refl_matches"] is True
+
+    def test_refl_oracle_counterexample_prunes(self, capsys):
+        # at window 0 the pool members in the window's classes do not span
+        # the lattice, so the search tests no subset
+        start = time.monotonic()
+        code, report = run(capsys, "info", CEX_SPEC, "--window", "0", "--refl-oracle")
+        assert time.monotonic() - start < 5
+        assert code == 1
+        assert report["invariants"]["refl_search"] is None
+        assert report["invariants"]["refl_matches"] is False
 
     def test_three_coset_index(self, capsys):
         code, report = run(
@@ -497,6 +509,37 @@ class TestDeterminism:
         assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", CEX_SPEC, "--window", "1"),
+        ("char-verify", CEX_SPEC, CEX_CHAR, "--window", "1"),
+        ("char-extend", CEX_SPEC, CEX_CHAR, "--window", "1"),
+    ],
+)
+def test_one_window_enumeration_per_command(monkeypatch, capsys, argv):
+    """A command enumerates the window roots once and groups them once."""
+    calls = {"enumerate_roots": 0, "Classes.of_roots": 0}
+    enumerate_roots = ears.system.enumerate_roots
+    of_roots = Classes.of_roots.__func__
+
+    def counted_enumerate(*args):
+        calls["enumerate_roots"] += 1
+        return enumerate_roots(*args)
+
+    def counted_of_roots(cls, *args):
+        calls["Classes.of_roots"] += 1
+        return of_roots(cls, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ears" and getattr(module, "enumerate_roots", None) is enumerate_roots:
+            monkeypatch.setattr(module, "enumerate_roots", counted_enumerate)
+    monkeypatch.setattr(Classes, "of_roots", classmethod(counted_of_roots))
+    assert main(list(argv)) in (0, 1)
+    capsys.readouterr()
+    assert calls == {"enumerate_roots": 1, "Classes.of_roots": 1}
+
+
 class TestBenchChild:
     """The library calls the benchmark's child process makes, run as it runs them."""
 
@@ -539,7 +582,8 @@ class TestBenchChild:
 # Specs whose checks finish in milliseconds at windows up to 1.  The
 # counterexample is drawn by `info` and `char-verify` at windows up to 2, where
 # each takes under a second, and by `char-extend` at windows up to 1.  `info`
-# draws it without `--refl-oracle`, whose base search on it has no bound.
+# draws it with `--refl-oracle` only at window 0: its base search is
+# exponential at larger windows.
 SMALL_SPECS = [
     str(SPEC_DIR / name)
     for name in ("affine_a1.json", "a1_nu2_three_coset.json", "a2_nu1.json",
@@ -633,7 +677,9 @@ def cli_argv(draw, files):
     if command == "info":
         spec = draw(st.sampled_from(SMALL_SPECS + [CEX_SPEC] + files["specs"]))
         if spec == CEX_SPEC:
-            return ["info", spec, "--window", draw(CEX_WINDOWS)]
+            window = draw(CEX_WINDOWS)
+            oracle = maybe("--refl-oracle") if window == "0" else []
+            return ["info", spec, "--window", window, *oracle]
         return ["info", spec, *window, *maybe("--refl-oracle")]
     if command in ("char-verify", "char-extend"):
         # the affine A1 spec is the one the character files are written for
