@@ -148,6 +148,10 @@ class Character:
                     f"coset rule is not a character: representatives {violation} "
                     "sum into 2L"
                 )
+        elif len(self.rule.lookup) != len(self.rule.entries):
+            raise ValueError("table lists a root more than once")
+        elif non_roots := [r for r in self.rule.lookup if not self.ears.is_root(r)]:
+            raise ValueError(f"table entry {non_roots[0]} is not a root")
 
     @cached_property
     def _std_values(self) -> IntVector:
@@ -175,18 +179,16 @@ class Character:
         return UnityValue(self._exponent(r), self.modulus)
 
     @cached_property
-    def _period(self) -> int | None:
+    def _period(self) -> IntVector | None:
         """A q such that the exponent, and whether a root, depend only on the
         finite part and iso mod q; None for a table, which has no period.
 
-        A homomorphism reads the coordinates mod m and the coset rule reads
-        them mod 2; `Ears.period` covers membership.
+        `Ears.period` covers membership and a homomorphism reads the
+        coordinates mod m; the coset rule reads them mod 2, and its m is 2.
         """
-        if isinstance(self.rule, LatticeHomRule):
-            return lcm(self.ears.period, self.modulus)
-        if isinstance(self.rule, A1CosetRule):
-            return self.ears.period
-        return None
+        if isinstance(self.rule, TableRule):
+            return None
+        return tuple(lcm(q, self.modulus) for q in self.ears.period)
 
     def _exponent(self, r: Root) -> int:
         """The exponent on r, which the caller has already classified as a root."""
@@ -194,7 +196,7 @@ class Character:
             coords = self.ears.root_coords(r)
             return sum(c * v for c, v in zip(coords, self._std_values)) % self.modulus
         if isinstance(self.rule, A1CosetRule):
-            i = self.ears.s_class(r.iso)
+            i = self.ears.S.class_index.get(parity(r.iso))  # S rep of iso mod 2L
             if r.finite is not None:
                 return 0 if i == 0 else 1
             return 1 if (i is not None and i > 0) else 0
@@ -509,7 +511,7 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
     if not cover.covered:
         raise ValueError("base reflections do not cover the window")
     decs = decompose_all(e, base, w)
-    for r in enumerate_roots(e, w):
+    for r in cover.roots:
         if r.finite is not None:
             dec = decs.get(r)
             if dec is None:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import add
+from operator import add, mod
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .finite import FiniteRootSystem, FiniteType, build_finite
@@ -198,6 +198,11 @@ class EarsSpec:
         )
 
 
+def residue(iso: Sequence[int], q: Sequence[int]) -> IntVector:
+    """iso mod q, coordinate by coordinate: the isotropic half of a class key."""
+    return tuple(map(mod, iso, q))
+
+
 def _block_lattice(b1: IntLattice, b2: IntLattice, scale1: int = 1) -> IntLattice:
     n1, n2 = b1.dim, b2.dim
     rows = []
@@ -282,31 +287,24 @@ class Ears:
         return {c: c in short for c in self.finite.coords}
 
     @cached_property
-    def period(self) -> int:
-        """An even q: whether (finite part, iso) is a root depends only on the
-        finite part and on iso mod q.
+    def period(self) -> IntVector:
+        """One even q_j per isotropic coordinate: whether (finite part, iso) is
+        a root depends only on the finite part and `residue(iso, period)`.
 
-        S and S + S are read from the coordinates mod 2, L from the
-        coordinates mod `_l_modulus`, which is even.
+        S and S + S read the coordinates mod 2.  L is a union of cosets of
+        twice its span, so q_j = 2e_j for the least e_j that puts e_j times
+        the j-th ambient basis vector in the span; e_j divides |det B_L|, as
+        the span contains |det B_L| Z^n.  A built twisted system gets e_j = k
+        on its twisted coordinates and 1 elsewhere; L = 4Z under an ambient
+        Z, which no system builds, gets e = 4.
         """
-        return 2 if self.L is None else self._l_modulus
-
-    @cached_property
-    def _l_modulus(self) -> int:
-        """A period of membership in L: 2e for the least e that puts e times
-        every ambient basis vector in the span of L.
-
-        L is a union of cosets of twice its span, so iso and iso + 2e x lie
-        in L together.  The span contains |det B_L| Z^n, so e divides
-        |det B_L|.  A built twisted system gets e = k, an untwisted one e = 1;
-        L = 4Z under an ambient Z, which no system builds, gets e = 4.
-        """
-        amb, span = self.ambient_lattice, self.L.lattice
-        cols = [tuple(row[j] for row in amb.basis) for j in range(amb.dim)]
+        if self.L is None:
+            return (2,) * self.nullity
+        span = self.L.lattice
         d = abs(det(span.basis))
-        return 2 * next(
-            e for e in range(1, d + 1)
-            if d % e == 0 and all(span.contains(vec_scale(e, c)) for c in cols)
+        return tuple(
+            2 * next(e for e in range(1, d + 1) if d % e == 0 and span.contains(vec_scale(e, x)))
+            for x in zip(*self.ambient_lattice.basis)
         )
 
     @cached_property
@@ -316,17 +314,12 @@ class Ears:
     def _in_l(self, iso: IntVector) -> bool:
         if self.L is None:
             return False
-        m = self._l_modulus
-        key = tuple(x % m for x in iso)
+        key = residue(iso, self.period)
         hit = self._l_residues.get(key)
         if hit is None:
             hit = self.L.contains(self.ambient_lattice.from_coords(iso))
             self._l_residues[key] = hit
         return hit
-
-    def s_class(self, iso: Sequence[int]) -> int | None:
-        """Index of the S representative congruent to iso mod 2L, or None."""
-        return self.S.class_index.get(parity(iso))
 
     def is_root(self, r: Root) -> bool:
         return self.classify(r.finite, r.iso) is not RootClass.NOT_A_ROOT
@@ -490,11 +483,12 @@ class Classes:
         self.reps = [(k, items[first[k]], n) for k, n in sizes.items()]
 
     @classmethod
-    def of_roots(cls, roots: Sequence[Root], q: int | None) -> "Classes":
-        """Roots keyed by finite part and iso mod q; by the root itself when q is None."""
+    def of_roots(cls, roots: Sequence[Root], q: IntVector | None) -> "Classes":
+        """Roots keyed by finite part and `residue(iso, q)`; by the root itself
+        when q is None."""
         if q is None:
             return cls(roots, roots)
-        residues = {iso: tuple([x % q for x in iso]) for iso in {r.iso for r in roots}}
+        residues = {iso: residue(iso, q) for iso in {r.iso for r in roots}}
         ids: dict[tuple, int] = {}
         # classes numbered in order of first root: each key is hashed once
         return cls(roots, [ids.setdefault((r.finite, residues[r.iso]), len(ids)) for r in roots])
@@ -660,7 +654,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     noniso = [c for c in classes.reps if c[1].finite is not None]
 
     isos = list(w.points(e.nullity))
-    points = Classes(isos, [tuple([x % q for x in iso]) for iso in isos])
+    points = Classes(isos, [residue(iso, q) for iso in isos])
     rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
     bad: dict = {}
     for k, iso, _ in points.reps:

@@ -8,7 +8,7 @@ and reported inside the requested one, so Weyl words may exit and re-enter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import deque
 from typing import Sequence
 
@@ -71,17 +71,21 @@ def orbit_closure(
 
 @dataclass(frozen=True)
 class ReflectabilityReport:
+    """Orbit coverage of a window; `roots`, the window roots, is not reported."""
+
     covered: bool
     missing: tuple[Root, ...]
     window: int
+    roots: Sequence[Root] = field(default=(), repr=False, compare=False)
 
 
 def check_reflectable(e: Ears, base: Sequence[Root], w: Window) -> ReflectabilityReport:
     """Does the reflection orbit of the base cover all non-isotropic window roots?"""
     orbit = orbit_closure(e, base, w)
-    target = [r for r in enumerate_roots(e, w) if r.finite is not None]
+    roots = enumerate_roots(e, w)
+    target = [r for r in roots if r.finite is not None]
     missing = tuple(sorted((r for r in target if r not in orbit), key=e.sort_key))
-    return ReflectabilityReport(not missing, missing, w.bound)
+    return ReflectabilityReport(not missing, missing, w.bound, roots)
 
 
 @dataclass(frozen=True)

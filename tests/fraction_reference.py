@@ -7,8 +7,8 @@ realization coordinates (`FractionRoots`), which the package replaced with
 integer simple-root and lattice coordinates.  The rational construction of
 the finite root systems (`FractionFinite`), which the package replaced with
 integer models.  The coset lookup on ambient vectors (`coset_class`), which
-the package reads from class keys of lattice coordinates (`Ears.s_class`).
-The tests compare the two.
+the package reads from class keys of lattice coordinates
+(`Semilattice.class_index`).  The tests compare the two.
 """
 
 import itertools

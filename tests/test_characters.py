@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ears.characters
+import ears.weyl
 import fraction_reference
 from ears.characters import (
     A1CosetRule,
@@ -348,6 +350,22 @@ class TestExtendIndZero:
         assert check_reflectable(e, base, Window(2)).covered
         recovered = extend_ind_zero(table_restriction(trivial, 2), base, Window(2))
         assert all(v == 0 for v in recovered._std_values)
+
+    def test_window_enumerated_once(self, monkeypatch, a2_nu1):
+        """The telescoping loop reads the roots `check_reflectable` enumerated."""
+        e = a2_nu1
+        table = table_restriction(standard_hom_character(e, (1, 2, 3), 4), 2)
+        base = [e.root_from_coords(v) for v in ((1, 0, 0), (0, 1, 0), (1, 0, 1))]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_roots(*args)
+
+        for module in (ears.characters, ears.weyl):
+            monkeypatch.setattr(module, "enumerate_roots", counted)
+        extend_ind_zero(table, base, Window(2))
+        assert len(calls) == 1
 
 
 class TestJson:

@@ -16,6 +16,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import enumeration_reference as ref
+from conftest import SPEC_DIR, load_spec_file
+from ears.cli import main
 from ears.characters import (
     A1CosetRule,
     Character,
@@ -83,8 +85,8 @@ def windows_for(e):
 
 
 def class_period(e, m):
-    """q from its definition: S and S + S read mod 2, L mod `_l_modulus`, a hom mod m."""
-    return lcm(2, e._l_modulus if e.L is not None else 2, m)
+    """q from its definition: S and S + S read mod 2, L mod `period`, a hom mod m."""
+    return tuple(lcm(2, q, m) for q in e.period)
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,12 @@ class Shifted(Character):
     """
 
     target: Root | None = None
-    period: int | None = None
+    period: tuple[int, ...] | None = None
 
     def _key(self, r):
         if self.period is None:
             return r
-        return Root(r.finite, tuple(x % self.period for x in r.iso))
+        return Root(r.finite, tuple(x % q for x, q in zip(r.iso, self.period)))
 
     def _exponent(self, r):
         x = super()._exponent(r)
@@ -168,8 +170,8 @@ def test_axiom_checks_match_window_loops(e, data):
 
 @settings(max_examples=40, deadline=None)
 @given(systems())
-def test_l_modulus_is_a_period(e):
-    """`_in_l` caches by iso mod `_l_modulus`: it must agree with L itself."""
+def test_period_memo_agrees_with_l(e):
+    """`_in_l` caches by iso mod `period`: it must agree with L itself."""
     if e.L is None:
         return
     for iso in itertools.product(range(-6, 7), repeat=e.nullity):
@@ -182,12 +184,52 @@ def _l_is_4z(b2_affine):
                 Semilattice.full(IntLattice(((4,),))))
 
 
-def test_l_modulus_is_a_period_without_compatibility(b2_affine):
+def test_period_without_compatibility(b2_affine):
     bad = _l_is_4z(b2_affine)
-    assert bad._l_modulus == 8
+    assert bad.period == (8,)
     for x in range(-20, 21):
         iso = (x,)
         assert bad._in_l(iso) == bad.L.contains(bad.ambient_lattice.from_coords(iso))
+
+
+def assert_shift_invariant(e):
+    """Moving coordinate j by period[j] never changes `classify`, for any finite part."""
+    assert len(e.period) == e.nullity and all(q % 2 == 0 for q in e.period)
+    for iso in itertools.product(range(-3, 4), repeat=e.nullity):
+        for j, q in enumerate(e.period):
+            moved = iso[:j] + (iso[j] + q,) + iso[j + 1:]
+            for fin in (None, *e.finite.coords):
+                assert e.classify(fin, iso) == e.classify(fin, moved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_period_is_a_period_per_coordinate(e):
+    assert_shift_invariant(e)
+
+
+def test_period_is_a_period_without_compatibility(b2_affine):
+    assert_shift_invariant(_l_is_4z(b2_affine))
+
+
+def test_twisted_period_per_coordinate(monkeypatch, capsys):
+    """Only the twisted coordinate pays 2k, so `info` classifies fewer sums."""
+    spec = str(SPEC_DIR / "b2_nu2_twist1.json")
+    e = build_ears(EarsSpec.from_json(load_spec_file("b2_nu2_twist1.json")))
+    assert e.period == (4, 2)
+    classify = Ears.classify
+    calls = []
+
+    def counted(self, *args):
+        calls.append(None)
+        return classify(self, *args)
+
+    monkeypatch.setattr(Ears, "classify", counted)
+    for window, want in ((1, 20_704), (2, 45_744)):
+        calls.clear()
+        assert main(["info", spec, "--window", str(window)]) == 0
+        capsys.readouterr()
+        assert len(calls) == want
 
 
 @pytest.mark.parametrize("window", [0, 1, 2])
@@ -205,6 +247,6 @@ def test_hom_basis_rule_uses_its_own_period(a2_nu1):
     """A hom given on a non-standard basis: q still reads the exponent mod m."""
     basis = ((1, 0, 0), (1, 1, 0), (0, 1, 1))
     c = Character(a2_nu1, 3, LatticeHomRule(basis, (1, 2, 0)))
-    assert c._period == 6
+    assert c._period == (6,)
     w = Window(2)
     assert verify_character(c, w).to_json() == ref.verify_by_pairs(c, w, False).to_json()

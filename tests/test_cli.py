@@ -330,6 +330,20 @@ class TestCharVerifyInput:
             ["char-verify", str(SPEC_DIR / "a2_nu1.json"), str(path), "--window", "1"],
         )
 
+    @pytest.mark.parametrize("command", ["char-verify", "char-extend"])
+    @pytest.mark.parametrize("case", ["repeated_root", "non_root"])
+    def test_table_ambiguous_entry(self, capsys, tmp_path, command, case):
+        char = _affine_character("table")
+        entries = char["rule"]["entries"]
+        if case == "repeated_root":
+            root = next(ent["root"] for ent in entries if ent["exponent"] == 0)
+            entries.append({"root": root, "exponent": 1})
+        else:
+            entries.append({"root": {"finite": [3], "iso": [0]}, "exponent": 0})
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(char))
+        assert_input_error(capsys, [command, AFFINE, str(path), "--window", "1"])
+
     @pytest.mark.parametrize(
         "field, value",
         [

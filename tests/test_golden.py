@@ -1,0 +1,77 @@
+"""Report bytes pinned across commits.
+
+`golden_stdout.json` holds, for each command below, the exit code and the
+sha256 of the stdout of an in-process `main(argv)`.  A change that alters any
+report byte fails here; re-record only for a deliberate byte change, with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ears.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).with_name("golden_stdout.json")
+SPECS = [
+    "a1_nu2_full", "a1_nu2_three_coset", "a2_nu1", "a3_nu2", "affine_a1",
+    "b2_nu1_untwisted", "b2_nu2_twist1", "counterexample_nu6", "g2_nu1",
+]
+CEX = ("specs/counterexample_nu6.json", "specs/counterexample_nu6_char.json")
+DECOMPOSE = (
+    "weyl", "specs/affine_a1.json", "decompose",
+    "--base", '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]',
+    "--target", '[{"finite":[1],"iso":[1]}]', "--window", "3",
+)
+COMMANDS = (
+    [("info", f"specs/{s}.json", "--window", str(w)) for s in SPECS for w in (0, 1, 2)]
+    + [("char-verify", *CEX, "--window", str(w)) for w in (1, 2)]
+    + [("char-extend", *CEX, "--window", "1")]
+    + [("weyl", "specs/affine_a1.json", "minsize", "--window", "3"), DECOMPOSE]
+    + [
+        ("torus", "extract", "--ell", "2", "--nu", "1", "--modulus", "4",
+         "--hom", "1,2,3", "--window", "2"),
+        ("torus", "extract", "--ell", "2", "--nu", "2", "--modulus", "2",
+         "--hom", "1,0,1,1", "--window", "2"),
+        ("torus", "check-chevalley", "--ell", "2", "--nu", "1", "--modulus", "4",
+         "--window", "1"),
+        ("torus", "check-diagonal", "--ell", "2", "--nu", "1", "--modulus", "4",
+         "--hom", "1,2,3", "--window", "1"),
+    ]
+)
+
+
+def run(argv: tuple[str, ...]) -> dict:
+    """Exit code and stdout sha256 of one command; spec paths are repo-relative."""
+    args = [str(ROOT / a) if a.startswith("specs/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden) == sorted(" ".join(a) for a in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_report_bytes_unchanged(golden, argv):
+    assert run(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    GOLDEN.write_text(
+        json.dumps({" ".join(a): run(a) for a in COMMANDS}, indent=1, sort_keys=True) + "\n"
+    )
