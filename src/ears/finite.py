@@ -1,16 +1,13 @@
-"""Standard realizations of the irreducible reduced finite root systems.
+"""The irreducible reduced finite root systems, as integer data in simple-root coordinates.
 
-Coordinates are integers.  Types A, B, C, D and G use their usual orthonormal
-models; E6, E7, E8 and F4 use twice theirs, whose only non-integral entries
-are halves.  Scaling by a positive factor keeps the lexicographic order, so
-the sorted root list and the lex-positive simple roots are those of the usual
-models.  The inner product is the plain dot product, and `norm` rescales it
-so that short roots have norm 2.  Pairings, reflections and root strings are
-therefore exact integer data.
-
-Every root also has integer coordinates in the simple-root basis (`coords`);
-the rest of the package works only with those, through tables keyed or
-indexed by them.
+`build_finite` generates the roots in the usual orthonormal model of each type
+(twice it for E6, E7, E8 and F4, whose usual models have half-integer
+entries; scaling keeps the lexicographic order), sorts them, takes the
+lex-positive roots that are not a difference of two positive roots as simple
+roots, and reads off each root's simple-root coordinates and the Gram matrix
+of the simple roots.  The model is then dropped: a `FiniteRootSystem` is those
+coordinates plus the Gram matrix, and its pairing and reflection tables,
+which the rest of the package works with, are derived from them exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
-from .lattice import IntLattice, IntVector, json_int
+from .lattice import IntMatrix, IntVector, json_int, vec_add, vec_sub
 
 Coords = tuple[int, ...]
 
@@ -125,143 +121,33 @@ def _generate(t: FiniteType) -> list[Coords]:
     return _differences(3) + third + [tuple(-x for x in v) for v in third]
 
 
+def _dot(x: Coords, y: Coords) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
 @dataclass(frozen=True)
 class FiniteRootSystem:
-    """An irreducible reduced finite root system in its standard realization."""
+    """A finite root system as the simple-root coordinates of its roots.
+
+    `coords` lists every root in the order of the sorted usual model.  `gram`
+    holds the inner products of the simple roots, scaled so that short roots
+    have norm 2; the norm of a root c is c.gram.c.
+    """
 
     type: FiniteType
-    roots: tuple[Coords, ...]
+    coords: tuple[IntVector, ...]
+    gram: IntMatrix
 
     @property
     def rank(self) -> int:
         return self.type.rank
 
     @property
-    def dim(self) -> int:
-        return len(self.roots[0])
-
-    @property
     def lacing(self) -> int:
         return self.type.lacing
 
-    def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """Dot product of realization coordinates."""
-        return sum(a * b for a, b in zip(x, y, strict=True))
-
-    @cached_property
-    def _short_inner(self) -> int:
-        return min(self.inner(r, r) for r in self.roots)
-
-    def norm(self, x: Sequence[int]) -> int:
-        """Squared length, normalized so that short roots have norm 2."""
-        n, rem = divmod(2 * self.inner(x, x), self._short_inner)
-        if rem:
-            raise ValueError(f"{tuple(x)} has a non-integral norm")
-        return n
-
-    @cached_property
-    def root_index(self) -> dict[Coords, int]:
-        return {r: i for i, r in enumerate(self.roots)}
-
-    def is_root(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self.root_index
-
-    @cached_property
-    def short_roots(self) -> tuple[Coords, ...]:
-        return tuple(r for r in self.roots if self.norm(r) == 2)
-
-    @cached_property
-    def long_roots(self) -> tuple[Coords, ...]:
-        return tuple(r for r in self.roots if self.norm(r) != 2)
-
-    def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
-        """Integer Cartan pairing 2(beta, alpha) / (alpha, alpha)."""
-        na = self.inner(alpha, alpha)
-        if na == 0:
-            raise ValueError("pairing against the zero vector")
-        c, rem = divmod(2 * self.inner(beta, alpha), na)
-        if rem:
-            raise ValueError("non-integral pairing: arguments are not root data")
-        return c
-
-    def reflect(self, alpha: Coords, beta: Coords) -> Coords:
-        """Reflection of beta in the hyperplane orthogonal to alpha."""
-        c = self.pairing(beta, alpha)
-        out = tuple(b - c * a for a, b in zip(alpha, beta))
-        if out not in self.root_index:
-            raise ValueError("reflection left the root system")
-        return out
-
-    def root_string(self, alpha: Coords, beta: Sequence[int]) -> tuple[int, int]:
-        """(d, u) for the alpha-string through beta inside roots union {0}.
-
-        beta may be a root or 0; the string is checked to be an unbroken
-        segment with d - u equal to the Cartan pairing.
-        """
-        if self.inner(alpha, alpha) == 0:
-            raise ValueError("string direction must be a root")
-        zero = (0,) * self.dim
-        members = set()
-        for n in range(-8, 9):
-            v = tuple(b + n * a for a, b in zip(alpha, beta))
-            if v == zero or v in self.root_index:
-                members.add(n)
-        if 0 not in members:
-            raise ValueError("string base must be a root or zero")
-        d, u = -min(members), max(members)
-        if members != set(range(-d, u + 1)):
-            raise AssertionError("broken root string")
-        if d - u != self.pairing(beta, alpha):
-            raise AssertionError("root string violates d - u = pairing")
-        return d, u
-
-    @cached_property
-    def positive_roots(self) -> tuple[Coords, ...]:
-        # lexicographic positivity defines a valid positive system
-        return tuple(r for r in self.roots if r > (0,) * len(r))
-
-    @cached_property
-    def simple_roots(self) -> tuple[Coords, ...]:
-        pos = set(self.positive_roots)
-        simple = []
-        for p in self.positive_roots:
-            decomposable = any(
-                q != p and tuple(a - b for a, b in zip(p, q)) in pos for q in pos
-            )
-            if not decomposable:
-                simple.append(p)
-        if len(simple) != self.rank:
-            raise AssertionError(f"found {len(simple)} simple roots for rank {self.rank}")
-        return tuple(sorted(simple, reverse=True))
-
-    @cached_property
-    def simple_coords_table(self) -> dict[Coords, tuple[int, ...]]:
-        """Integer coordinates of every root in the simple-root basis.
-
-        The Cartan matrix maps simple coordinates to pairings with the simple
-        roots, so one Smith form of it solves for every root.
-        """
-        simple = self.simple_roots
-        cartan = IntLattice(
-            tuple(tuple(self.pairing(a, b) for a in simple) for b in simple)
-        )
-        table = {}
-        for r in self.roots:
-            c = cartan.coords(tuple(self.pairing(r, b) for b in simple))
-            if c is None:
-                raise AssertionError(f"root {r} has non-integral simple coordinates")
-            table[r] = c
-        return table
-
-    @cached_property
-    def coords(self) -> tuple[IntVector, ...]:
-        """Simple-root coordinates of the roots, in root-list order.
-
-        This integer form is the one `ears.system` works with; the tables
-        below are indexed in the same order.
-        """
-        table = self.simple_coords_table
-        return tuple(table[r] for r in self.roots)
+    def _gram_times(self, c: IntVector) -> IntVector:
+        return tuple(_dot(row, c) for row in self.gram)
 
     @cached_property
     def coord_index(self) -> dict[IntVector, int]:
@@ -270,27 +156,24 @@ class FiniteRootSystem:
 
     @cached_property
     def short_coords(self) -> frozenset[IntVector]:
-        table = self.simple_coords_table
-        return frozenset(table[r] for r in self.short_roots)
+        return frozenset(c for c in self.coords if _dot(c, self._gram_times(c)) == 2)
 
     @cached_property
     def pairing_table(self) -> tuple[tuple[int, ...], ...]:
-        """pairing_table[i][j] = pairing of roots[i] against roots[j].
+        """pairing_table[i][j] = 2(b, a) / (a, a) for b = coords[i], a = coords[j].
 
-        Pairing against a fixed root is linear in the first argument, so each
-        entry is a dot product of simple-root coordinates with the pairings of
-        the simple roots against roots[j].
+        Pairing against a fixed root a is linear, so each entry is a dot
+        product of b with the pairings of the simple roots against a.
         """
-        simple = self.simple_roots
-        cols = [tuple(self.pairing(s, a) for s in simple) for a in self.roots]
-        return tuple(
-            tuple(sum(x * y for x, y in zip(b, col)) for col in cols)
-            for b in self.coords
-        )
+        cols = []
+        for a in self.coords:
+            ga = self._gram_times(a)
+            cols.append(tuple(2 * g // _dot(a, ga) for g in ga))
+        return tuple(tuple(_dot(b, col) for col in cols) for b in self.coords)
 
     @cached_property
     def reflect_table(self) -> tuple[tuple[int, ...], ...]:
-        """reflect_table[i][j] = index of roots[j] reflected through roots[i]."""
+        """reflect_table[i][j] = index of coords[j] reflected through coords[i]."""
         index, pairs = self.coord_index, self.pairing_table
         return tuple(
             tuple(
@@ -300,32 +183,41 @@ class FiniteRootSystem:
             for i, a in enumerate(self.coords)
         )
 
-    @cached_property
-    def highest_short(self) -> Coords:
-        return self._dominant(self.short_roots)
-
-    @cached_property
-    def highest_long(self) -> Coords | None:
-        if not self.long_roots:
-            return None
-        return self._dominant(self.long_roots)
-
-    def _dominant(self, pool: tuple[Coords, ...]) -> Coords:
-        found = [
-            r
-            for r in pool
-            if all(self.pairing(r, s) >= 0 for s in self.simple_roots)
-        ]
-        if len(found) != 1:
-            raise AssertionError("dominant root in a length class must be unique")
-        return found[0]
-
 
 def build_finite(t: FiniteType) -> FiniteRootSystem:
-    """Construct the full root list for a finite type, sorted for determinism."""
-    system = FiniteRootSystem(t, tuple(sorted(_generate(t))))
-    for r in system.roots:
-        n = system.norm(r)
-        if n not in (2, 2 * t.lacing):
-            raise AssertionError(f"root {r} has unexpected norm {n}")
-    return system
+    """Simple-root coordinates and Gram matrix of `t`, read off its usual model.
+
+    Every positive root that is not simple is a positive root plus a simple
+    root, so walking up from the simple roots gives each its coordinates.
+    """
+    roots = sorted(_generate(t))
+    short = min(_dot(r, r) for r in roots)
+    if any(_dot(r, r) not in (short, t.lacing * short) for r in roots):
+        raise AssertionError(f"{t} has a root of unexpected norm")
+    zero = (0,) * len(roots[0])
+    positive = [r for r in roots if r > zero]
+    pos = set(positive)
+    simple = sorted(
+        (p for p in positive
+         if not any(q != p and vec_sub(p, q) in pos for q in pos)),
+        reverse=True,
+    )
+    if len(simple) != t.rank:
+        raise AssertionError(f"found {len(simple)} simple roots for rank {t.rank}")
+    units = [tuple(int(i == j) for j in range(t.rank)) for i in range(t.rank)]
+    table = dict(zip(simple, units))
+    walk = list(simple)
+    for p in walk:  # the walk grows as it reaches new roots
+        for s, unit in zip(simple, units):
+            q = vec_add(p, s)
+            if q in pos and q not in table:
+                table[q] = vec_add(table[p], unit)
+                walk.append(q)
+    if len(table) != len(positive):
+        raise AssertionError("the walk from the simple roots missed a positive root")
+    coords = tuple(
+        table[r] if r > zero else tuple(-x for x in table[tuple(-x for x in r)])
+        for r in roots
+    )
+    gram = tuple(tuple(2 * _dot(a, b) // short for b in simple) for a in simple)
+    return FiniteRootSystem(t, coords, gram)

@@ -183,19 +183,20 @@ class EarsSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EarsSpec":
-        t = FiniteType(obj["type"], obj["rank"])
-        nullity = obj["nullity"]
-        if "S" in obj:
-            return cls(t, nullity, s=Semilattice.from_json(obj["S"]))
-        if "lattice" in obj:
-            return cls(t, nullity, lattice=IntLattice.from_json(obj["lattice"]))
-        return cls(
-            t,
-            nullity,
-            obj["twist"],
-            s1=Semilattice.from_json(obj["S1"]),
-            s2=Semilattice.from_json(obj["S2"]),
-        )
+        """Every form present, and the twist, go to one constructor call, so a
+        spec with two forms, or a twist outside the twisted form, is rejected."""
+        forms = {
+            field: parse(obj[key])
+            for field, key, parse in (
+                ("s", "S", Semilattice.from_json),
+                ("lattice", "lattice", IntLattice.from_json),
+                ("s1", "S1", Semilattice.from_json),
+                ("s2", "S2", Semilattice.from_json),
+            )
+            if key in obj
+        }
+        twist = obj["twist"] if "s1" in forms or "s2" in forms else obj.get("twist", 0)
+        return cls(FiniteType(obj["type"], obj["rank"]), obj["nullity"], twist, **forms)
 
 
 def residue(iso: Sequence[int], q: Sequence[int]) -> IntVector:
@@ -671,9 +672,11 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     problems = check_compatibility(e)
     checks["semilattice_coupling"] = {"passed": not problems, "failures": problems[:5]}
 
+    # beta + n alpha has finite part b + n a, which must lie in the finite
+    # roots or be zero; a finite string has at most four roots, so |n| <= 3
     bad = {}
     for ka, alpha, _ in noniso:
-        steps = [(n, e.scale_root(n, alpha)) for n in range(-8, 9)]
+        steps = [(n, e.scale_root(n, alpha)) for n in range(-3, 4)]
         for kb, beta, _ in classes.reps:
             members = {n for n, step in steps if e.is_root(e.add(beta, step))}
             d, u = -min(members), max(members)
@@ -691,15 +694,12 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     connected = finite_parts_connected(e, [r for _, r, _ in noniso])
     checks["indecomposable"] = {"passed": connected, "components_connected": connected}
 
+    # 2r has finite part 2 r.finite, a root only if a finite root is doubled
     doubled = []
     for fin in e.finite.coords:
         twice = tuple(2 * x for x in fin)
         if twice in e.finite.coord_index:
             doubled.append(list(fin))
-    bad = {k for k, r, _ in noniso if e.is_root(e.scale_root(2, r))}
-    doubled.extend(
-        root_to_json(e, roots[i]) for i in itertools.islice(classes.positions(bad), 5)
-    )
     checks["reduced"] = {"passed": not doubled, "failures": doubled[:5]}
 
     return AxiomReport(w.bound, checks, roots)

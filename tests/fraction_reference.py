@@ -1,14 +1,16 @@
 """Fraction-based code kept as test oracles for the integer core.
 
-Rational Gaussian eliminations for the determinant, the unimodular inverse and
-simple-root coordinates, which the package computes with the integer routines
-of `ears.lattice` (Bareiss, and the Smith normal form).  Root arithmetic on
-realization coordinates (`FractionRoots`), which the package replaced with
-integer simple-root and lattice coordinates.  The rational construction of
-the finite root systems (`FractionFinite`), which the package replaced with
-integer models.  The coset lookup on ambient vectors (`coset_class`), which
-the package reads from class keys of lattice coordinates
-(`Semilattice.class_index`).  The tests compare the two.
+Rational Gaussian eliminations for the determinant and the unimodular
+inverse, which the package computes with the integer routines of
+`ears.lattice` (Bareiss, and the Smith normal form), and for simple-root
+coordinates, which the package reads off by walking up from the simple
+roots.  Root arithmetic on realization coordinates (`FractionRoots`), which
+the package replaced with integer simple-root and lattice coordinates.  The
+rational construction of the finite root systems (`FractionFinite`), which
+the package replaced with simple-root coordinates and a Gram matrix.  The
+coset lookup on ambient vectors (`coset_class`), which the package reads from
+class keys of lattice coordinates (`Semilattice.class_index`).  The tests
+compare the two.
 """
 
 import itertools
@@ -238,7 +240,7 @@ class FractionRoots:
     """Root arithmetic on realization coordinates, as the package once did it.
 
     A root here is a pair (finite part, isotropic part): the finite part is a
-    tuple of `Fraction`s in the standard realization of `e.finite` (None for
+    tuple of `Fraction`s in the model `FractionFinite(e.spec.type)` (None for
     an isotropic root), and the isotropic part is an ambient vector, whose
     lattice coordinates every classification solves for again.  The package
     now works on simple-root and lattice coordinates; `to_int` translates.
@@ -246,7 +248,9 @@ class FractionRoots:
 
     def __init__(self, e):
         self.e = e
-        self.short = frozenset(e.finite.short_roots)
+        self.finite = f = FractionFinite(e.spec.type)
+        self.short = frozenset(r for r in f.roots if f.norms[r] == 2)
+        self.model = dict(zip(f.coords(), f.roots))
 
     def classify(self, finite_part, iso):
         from ears.system import RootClass
@@ -259,7 +263,7 @@ class FractionRoots:
         if finite_part is None:
             return RootClass.ISOTROPIC if key in e.r0_keys else RootClass.NOT_A_ROOT
         fin = tuple(finite_part)
-        if fin not in e.finite.root_index:
+        if fin not in self.finite.norms:
             return RootClass.NOT_A_ROOT
         if fin in self.short:
             return RootClass.SHORT if key in e.S.class_keys else RootClass.NOT_A_ROOT
@@ -296,7 +300,7 @@ class FractionRoots:
             for x in itertools.product(rng, repeat=e.nullity)
         ]
         out = [(None, iso) for iso in iso_list if self.classify(None, iso).is_root]
-        for fin in e.finite.roots:
+        for fin in self.finite.roots:
             for iso in iso_list:
                 if fin in self.short:
                     if e.S.contains(iso):
@@ -317,13 +321,12 @@ class FractionRoots:
         """The package's integer root for a realization-coordinate root."""
         from ears.system import Root
 
-        fin = None if r[0] is None else simple_coords(self.e.finite, r[0])
+        fin = None if r[0] is None else simple_coords(self.finite, r[0])
         return Root(fin, self.e.ambient_lattice.coords(r[1]))
 
     def from_int(self, r):
         """Inverse of to_int."""
-        f = self.e.finite
-        fin = None if r.finite is None else f.roots[f.coord_index[r.finite]]
+        fin = None if r.finite is None else self.model[r.finite]
         return fin, self.e.ambient_lattice.from_coords(r.iso)
 
     def value(self, c, r):
@@ -333,7 +336,7 @@ class FractionRoots:
         e = self.e
         coords = e.ambient_lattice.coords(r[1])
         if isinstance(c.rule, LatticeHomRule):
-            fin = (0,) * e.rank if r[0] is None else simple_coords(e.finite, r[0])
+            fin = (0,) * e.rank if r[0] is None else simple_coords(self.finite, r[0])
             return sum(x * v for x, v in zip(fin + coords, c._std_values)) % c.modulus
         if isinstance(c.rule, A1CosetRule):
             i = coset_class(e.S, r[1])
@@ -345,7 +348,7 @@ class FractionRoots:
         return c.rule.lookup[self.to_int(r)] % c.modulus
 
     def root_json(self, r):
-        fin = None if r[0] is None else list(simple_coords(self.e.finite, r[0]))
+        fin = None if r[0] is None else list(simple_coords(self.finite, r[0]))
         return {"finite": fin, "iso": list(self.e.ambient_lattice.coords(r[1]))}
 
     def verify_character(self, c, bound, core_only=False):

@@ -225,7 +225,7 @@ def test_twisted_period_per_coordinate(monkeypatch, capsys):
         return classify(self, *args)
 
     monkeypatch.setattr(Ears, "classify", counted)
-    for window, want in ((1, 20_704), (2, 45_744)):
+    for window, want in ((1, 8_512), (2, 18_816)):
         calls.clear()
         assert main(["info", spec, "--window", str(window)]) == 0
         capsys.readouterr()

@@ -485,6 +485,23 @@ class TestSpecInput:
         spec["type"], spec["rank"] = "B", 2
         assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
 
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("affine_a1.json", {"twist": 1}),
+            ("affine_a1.json", {"lattice": {"basis": [[1]], "dim": 1}}),
+            ("a2_nu1.json", {"S1": _load_spec("b2_nu1_untwisted.json")["S1"],
+                             "S2": _load_spec("b2_nu1_untwisted.json")["S2"],
+                             "twist": 0}),
+        ],
+        ids=["a1_twist", "a1_lattice", "lattice_components"],
+    )
+    def test_ambiguous_forms_rejected(self, capsys, tmp_path, name, extra):
+        """A spec naming a second form, or a twist outside the twisted form, is
+        bad input rather than read by one form with the rest dropped."""
+        spec = {**_load_spec(name), **extra}
+        assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
+
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -30,11 +30,22 @@ DECOMPOSE = (
     "--base", '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]',
     "--target", '[{"finite":[1],"iso":[1]}]', "--window", "3",
 )
+# orbits that reach the B2 and G2 reflection tables directly
+ORBITS = (
+    ("weyl", "specs/g2_nu1.json", "orbit", "--window", "1", "--base",
+     '[{"finite":[-2,-3],"iso":[0]},{"finite":[-1,-2],"iso":[0]},'
+     '{"finite":[-2,-3],"iso":[-1]}]'),
+    ("weyl", "specs/b2_nu2_twist1.json", "orbit", "--window", "1", "--base",
+     '[{"finite":[-1,-2],"iso":[0,0]},{"finite":[-1,-1],"iso":[0,0]},'
+     '{"finite":[-1,-2],"iso":[0,-1]},{"finite":[-1,-1],"iso":[-1,-1]}]'),
+)
 COMMANDS = (
     [("info", f"specs/{s}.json", "--window", str(w)) for s in SPECS for w in (0, 1, 2)]
     + [("char-verify", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("char-extend", *CEX, "--window", "1")]
-    + [("weyl", "specs/affine_a1.json", "minsize", "--window", "3"), DECOMPOSE]
+    + [("info", f"specs/{s}.json", "--window", "1", "--refl-oracle")
+       for s in ("b2_nu1_untwisted", "b2_nu2_twist1", "g2_nu1")]
+    + [("weyl", "specs/affine_a1.json", "minsize", "--window", "3"), DECOMPOSE, *ORBITS]
     + [
         ("torus", "extract", "--ell", "2", "--nu", "1", "--modulus", "4",
          "--hom", "1,2,3", "--window", "2"),

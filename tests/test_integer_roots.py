@@ -14,7 +14,7 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraction_reference import FractionRoots, simple_coords
+from fraction_reference import FractionFinite, FractionRoots, simple_coords
 from ears.characters import (
     A1CosetRule,
     Character,
@@ -168,7 +168,7 @@ def test_character_reports_match_oracle(c):
 
 def test_torus_root_coordinates_match_realization():
     t = build_torus(3, 1, 2)
-    f = t.ears.finite
+    f = FractionFinite(t.ears.spec.type)
     for i in range(t.size):
         for j in range(t.size):
             if i != j:

@@ -1,6 +1,6 @@
 import pytest
 
-from fraction_reference import lattice_coords, simple_coords
+from fraction_reference import lattice_coords
 from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
 from ears.system import (
@@ -22,6 +22,10 @@ from ears.system import (
 )
 
 from conftest import SPEC_DIR, load_spec_file
+
+# simple roots of B2: s1 long, s2 short (see tests/test_finite.py)
+B2_HIGHEST_SHORT = (1, 1)
+B2_HIGHEST_LONG = (1, 2)
 
 
 def root_level_connected(e, noniso):
@@ -128,8 +132,7 @@ class TestBuild:
 
 class TestClassify:
     def test_short_at_representative(self, b2_affine):
-        theta_s = simple_coords(b2_affine.finite, b2_affine.finite.highest_short)
-        assert b2_affine.classify(theta_s, (1,)) is RootClass.SHORT
+        assert b2_affine.classify(B2_HIGHEST_SHORT, (1,)) is RootClass.SHORT
 
     def test_zero_is_isotropic(self, affine_a1):
         assert affine_a1.classify(None, (0,)) is RootClass.ISOTROPIC
@@ -140,11 +143,9 @@ class TestClassify:
 
     def test_long_needs_l_membership(self, b2_nu2_twisted):
         e = b2_nu2_twisted
-        theta_l = simple_coords(e.finite, e.finite.highest_long)
-        theta_s = simple_coords(e.finite, e.finite.highest_short)
-        assert e.classify(theta_l, (2, 1)) is RootClass.LONG
-        assert e.classify(theta_l, (1, 0)) is RootClass.NOT_A_ROOT
-        assert e.classify(theta_s, (1, 0)) is RootClass.SHORT
+        assert e.classify(B2_HIGHEST_LONG, (2, 1)) is RootClass.LONG
+        assert e.classify(B2_HIGHEST_LONG, (1, 0)) is RootClass.NOT_A_ROOT
+        assert e.classify(B2_HIGHEST_SHORT, (1, 0)) is RootClass.SHORT
 
     def test_outside_ambient_lattice_raises(self):
         s = Semilattice.full(IntLattice(((2,),)))
@@ -153,8 +154,7 @@ class TestClassify:
             e.classify(None, lattice_coords(e, (1,)))
 
     def test_non_root_finite_part(self, a2_nu1):
-        doubled = tuple(2 * x for x in a2_nu1.finite.roots[0])
-        doubled = simple_coords(a2_nu1.finite, doubled)
+        doubled = tuple(2 * x for x in a2_nu1.finite.coords[0])
         assert a2_nu1.classify(doubled, (0,)) is RootClass.NOT_A_ROOT
 
     def test_enumerated_roots_all_classify(self, b2_nu2_twisted):
