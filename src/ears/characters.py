@@ -297,10 +297,11 @@ class CharacterCheckReport:
         }
 
 
-def _verify(c: Character, w: Window) -> CharacterCheckReport:
-    """The pair loop, run once per pair of root classes (see `Classes`).
+def verify_character(c: Character, w: Window) -> CharacterCheckReport:
+    """Multiplicativity over all window pairs; `core` holds the core report.
 
-    The core report restricts the same tallies to non-isotropic first classes.
+    The pair loop runs once per pair of root classes (see `Classes`), and the
+    core report restricts the same tallies to non-isotropic first classes.
     """
     e = c.ears
     m = c.modulus
@@ -353,12 +354,7 @@ def verify_core_character(c: Character, w: Window) -> CharacterCheckReport:
 
     This is the `core` of the full report: both come from one pass.
     """
-    return _verify(c, w).core
-
-
-def verify_character(c: Character, w: Window) -> CharacterCheckReport:
-    """Multiplicativity over all window pairs; `core` holds the core report."""
-    return _verify(c, w)
+    return verify_character(c, w).core
 
 
 def verify_square_shift_identity(c: Character, w: Window) -> dict:

@@ -42,20 +42,16 @@ from .torus import (
 from .weyl import check_reflectable, decompose, minimal_reflectable_size, orbit_closure
 
 
-class InputError(ValueError):
-    """Bad input found by the front end itself (files, JSON, missing options)."""
-
-
 def _read_json(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path: str, obj) -> None:
@@ -64,7 +60,7 @@ def _write_json(path: str, obj) -> None:
             json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def non_negative_int(text: str) -> int:
@@ -80,7 +76,7 @@ def _load_spec(path: str):
         spec = EarsSpec.from_json(obj)
         return build_ears(spec), digest
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid system spec {path}: {exc}") from exc
+        raise ValueError(f"invalid system spec {path}: {exc}") from exc
 
 
 def _load_character(path: str, ears) -> tuple[Character, str]:
@@ -88,7 +84,7 @@ def _load_character(path: str, ears) -> tuple[Character, str]:
     try:
         return character_from_json(ears, obj), digest
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"invalid character file {path}: {exc}") from exc
+        raise ValueError(f"invalid character file {path}: {exc}") from exc
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -114,7 +110,7 @@ def _finish(report: dict, args, failed: bool) -> int:
 def cmd_info(args) -> int:
     e, digest = _load_spec(args.spec)
     w = Window(args.window)
-    inv = invariants(e).to_json()
+    inv = invariants(e)
     refl_matches = None
     if args.refl_oracle:
         search = minimal_reflectable_size(e, w, max_size=inv["refl_R"] + 1)
@@ -184,7 +180,7 @@ def cmd_counterexample(args) -> int:
         if not isinstance(obj, list) or not all(
             isinstance(t, list) and all(type(x) is int for x in t) for t in obj
         ):
-            raise InputError(f"{args.taus} must hold a JSON list of integer vectors")
+            raise ValueError(f"{args.taus} must hold a JSON list of integer vectors")
         taus = [tuple(t) for t in obj]
     c = build_a1_counterexample(args.nullity, taus)
     _write_json(args.out_spec, c.ears.spec.to_json())
@@ -204,14 +200,14 @@ def _parse_roots(e, text: str):
         data = json.loads(text)
         return [root_from_json(e, obj) for obj in data]
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"cannot parse roots {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse roots {text!r}: {exc}") from exc
 
 
 def cmd_weyl(args) -> int:
     e, digest = _load_spec(args.spec)
     w = Window(args.window)
     if args.action != "minsize" and not args.base:
-        raise InputError(f"{args.action} requires --base")
+        raise ValueError(f"{args.action} requires --base")
     base = _parse_roots(e, args.base) if args.base else []
     report = {
         "command": f"weyl-{args.action}",
@@ -240,10 +236,10 @@ def cmd_weyl(args) -> int:
         failed = res.size is None
     else:
         if not args.target:
-            raise InputError("decompose requires --target")
+            raise ValueError("decompose requires --target")
         target = _parse_roots(e, args.target)
         if len(target) != 1:
-            raise InputError("--target must hold exactly one root")
+            raise ValueError("--target must hold exactly one root")
         dec = decompose(e, target[0], base, w)
         ok = dec.verify(e, target[0])
         report["target"] = root_to_json(e, target[0])
@@ -267,11 +263,11 @@ def cmd_torus(args) -> int:
     hom = None
     if args.action in ("check-diagonal", "extract"):
         if not args.hom:
-            raise InputError(f"{args.action} requires --hom")
+            raise ValueError(f"{args.action} requires --hom")
         try:
             hom = [int(x) for x in args.hom.split(",")]
         except ValueError as exc:
-            raise InputError(f"cannot parse --hom {args.hom!r}") from exc
+            raise ValueError(f"cannot parse --hom {args.hom!r}") from exc
     if args.action == "check-chevalley":
         rep = verify_automorphism(t, chevalley(t), w)
         report["checks"] = rep.checks

@@ -28,6 +28,13 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_object(value, field: str) -> dict:
+    """A JSON object; a list, string or number is rejected."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def json_int_rows(rows: Iterable[Sequence[int]], field: str) -> IntMatrix:
     """Rows as a tuple of int tuples, each entry checked by `json_int`."""
     return tuple(tuple(json_int(x, field) for x in row) for row in rows)
@@ -324,24 +331,12 @@ class IntLattice:
             for i in range(self.dim)
         )
 
-    def index_of_sublattice(self, sub: "IntLattice") -> int:
-        """Group index [self : sub] for a full-rank sublattice."""
-        cols = []
-        for j in range(self.dim):
-            col = tuple(sub.basis[i][j] for i in range(self.dim))
-            c = self.coords(col)
-            if c is None:
-                raise ValueError("not a sublattice")
-            cols.append(c)
-        m = tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim))
-        return abs(det(m)) if self.dim else 1
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "basis": [list(row) for row in self.basis]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntLattice":
-        basis = obj.get("basis", obj.get("lattice_basis", []))
+        basis = json_object(obj, "lattice")["basis"]
         if len(basis) != json_int(obj["dim"], "dim"):
             raise ValueError("lattice dim does not match basis")
         return cls(basis)
@@ -409,10 +404,6 @@ class Semilattice:
     def coset_count(self) -> int:
         return len(self.reps)
 
-    @cached_property
-    def class_keys(self) -> frozenset[IntVector]:
-        return frozenset(self.class_index)
-
     def key(self, v: Sequence[int]) -> IntVector | None:
         """Parity pattern of v in basis coordinates; None when v is outside L."""
         c = self.lattice.coords(v)
@@ -443,26 +434,15 @@ class Semilattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Semilattice":
-        lat = IntLattice(obj["lattice_basis"])
+        lat = IntLattice(json_object(obj, "semilattice")["lattice_basis"])
         if lat.dim != json_int(obj["dim"], "dim"):
             raise ValueError("semilattice dim does not match basis")
         return cls(lat, obj["reps"])
 
 
 def sum_semilattices(s1: Semilattice, s2: Semilattice) -> frozenset[IntVector]:
-    """Coset classes (parity keys in the first ambient) of the pointwise sum.
-
-    The second semilattice may live over a sublattice of the first ambient
-    (each of its cosets then lands in a single class of the larger lattice).
-    """
-    amb = s1.lattice
-    for j in range(s2.dim):
-        col = tuple(s2.lattice.basis[i][j] for i in range(s2.dim))
-        if not amb.contains(col):
-            raise ValueError("second semilattice is not inside the first ambient lattice")
-    keys = set()
-    for kb in map(s1.key, s2.reps):
-        if kb is None:
-            raise ValueError("semilattices live over incompatible lattices")
-        keys.update(parity(vec_add(ka, kb)) for ka in s1.class_index)
-    return frozenset(keys)
+    """Coset classes (parity keys) of the pointwise sum of two semilattices
+    over one lattice."""
+    if s1.lattice != s2.lattice:
+        raise ValueError("semilattices live over different lattices")
+    return frozenset(parity(vec_add(a, b)) for a in s1.class_index for b in s2.class_index)

@@ -25,6 +25,7 @@ from .lattice import (
     Semilattice,
     det,
     json_int,
+    json_object,
     parity,
     sum_semilattices,
     vec_add,
@@ -79,13 +80,29 @@ class Window:
         return itertools.product(range(-self.bound, self.bound + 1), repeat=dim)
 
 
+# The fields each form of spec takes, with their JSON keys.
+_FORMS = {
+    "rank_one": {"s": "S"},
+    "lattice": {"lattice": "lattice"},
+    "twisted": {"s1": "S1", "s2": "S2"},
+}
+
+
+def _form(t: FiniteType) -> str:
+    """The form of spec a finite type takes: A1 takes one semilattice `s`, a
+    simply-laced type of rank >= 2 a `lattice`, and every other type the
+    semilattices `s1` (rank = twist) and `s2` (rank = nullity - twist)."""
+    if t.family == "A" and t.rank == 1:
+        return "rank_one"
+    return "lattice" if t.simply_laced else "twisted"
+
+
 @dataclass(frozen=True)
 class EarsSpec:
     """Construction data: finite type, nullity, twist, and semilattice components.
 
-    Three shapes are accepted.  Type A1 takes a single semilattice `s`.
-    Simply-laced types of rank >= 2 take a single `lattice`.  The remaining
-    types take semilattices `s1` (rank = twist) and `s2` (rank = nullity - twist).
+    The type decides which components are given (see `_form`); only the
+    twisted form takes a nonzero twist.
     """
 
     type: FiniteType
@@ -101,51 +118,27 @@ class EarsSpec:
             raise ValueError("nullity must be >= 0")
         if not 0 <= json_int(self.twist, "twist") <= self.nullity:
             raise ValueError("twist must satisfy 0 <= t <= nullity")
-        forms = [self.s is not None, self.lattice is not None,
-                 self.s1 is not None or self.s2 is not None]
-        if sum(forms) != 1:
-            raise ValueError("exactly one of s / lattice / (s1, s2) must be given")
-        fam, rank = self.type.family, self.type.rank
-        if self.s is not None:
-            if not (fam == "A" and rank == 1):
-                raise ValueError("single-semilattice form is reserved for type A1")
-            if self.twist:
-                raise ValueError("type A1 has no twist")
-            if self.s.dim != self.nullity:
-                raise ValueError("semilattice rank must equal the nullity")
-        elif self.lattice is not None:
-            if not (self.type.simply_laced and rank >= 2):
-                raise ValueError("lattice form is reserved for simply-laced rank >= 2")
-            if self.twist:
-                raise ValueError("simply-laced systems have no twist")
-            if self.lattice.dim != self.nullity:
-                raise ValueError("lattice rank must equal the nullity")
-        else:
-            if self.s1 is None or self.s2 is None:
-                raise ValueError("both s1 and s2 are required")
-            if self.type.simply_laced:
-                raise ValueError("component form is reserved for non-simply-laced types")
-            if self.s1.dim != self.twist:
-                raise ValueError("rank of s1 must equal the twist")
-            if self.s2.dim != self.nullity - self.twist:
-                raise ValueError("rank of s2 must equal nullity - twist")
-            if fam in ("F", "G"):
-                if self.s1.coset_count != 2 ** self.s1.dim:
-                    raise ValueError(f"type {fam}{rank} requires s1 to be a lattice")
-                if self.s2.coset_count != 2 ** self.s2.dim:
-                    raise ValueError(f"type {fam}{rank} requires s2 to be a lattice")
-            if fam == "B" and rank >= 3 and self.s2.coset_count != 2 ** self.s2.dim:
-                raise ValueError("type B of rank >= 3 requires s2 to be a lattice")
-            if fam == "C" and self.s1.coset_count != 2 ** self.s1.dim:
-                raise ValueError("type C requires s1 to be a lattice")
+        fields = _FORMS[self.kind]
+        given = [f for form in _FORMS.values() for f in form if getattr(self, f) is not None]
+        if given != list(fields):
+            raise ValueError(f"type {self.type} takes {' and '.join(fields)}, got {given}")
+        if self.twist and self.kind != "twisted":
+            raise ValueError(f"type {self.type} has no twist")
+        ranks = {"s": self.nullity, "lattice": self.nullity,
+                 "s1": self.twist, "s2": self.nullity - self.twist}
+        # the components that must be whole lattices
+        full = {"B": ("s2",) if self.type.rank >= 3 else (), "C": ("s1",),
+                "F": ("s1", "s2"), "G": ("s1", "s2")}.get(self.type.family, ())
+        for f in fields:
+            value = getattr(self, f)
+            if value.dim != ranks[f]:
+                raise ValueError(f"rank of {f} must be {ranks[f]}")
+            if f in full and value.coset_count != 2 ** value.dim:
+                raise ValueError(f"type {self.type} requires {f} to be a lattice")
 
     @property
     def kind(self) -> str:
-        if self.s is not None:
-            return "rank_one"
-        if self.lattice is not None:
-            return "lattice"
-        return "twisted"
+        return _form(self.type)
 
     @classmethod
     def rank_one(cls, nullity: int, s: Semilattice) -> "EarsSpec":
@@ -159,44 +152,32 @@ class EarsSpec:
             lattice = IntLattice.standard(nullity)
         return cls(type, nullity, lattice=lattice)
 
-    @classmethod
-    def twisted(
-        cls, type: FiniteType, nullity: int, twist: int, s1: Semilattice, s2: Semilattice
-    ) -> "EarsSpec":
-        return cls(type, nullity, twist, s1=s1, s2=s2)
-
     def to_json(self) -> dict:
         out: dict = {
             "type": self.type.family,
             "rank": self.type.rank,
             "nullity": self.nullity,
         }
-        if self.kind == "rank_one":
-            out["S"] = self.s.to_json()
-        elif self.kind == "lattice":
-            out["lattice"] = self.lattice.to_json()
-        else:
+        if self.kind == "twisted":
             out["twist"] = self.twist
-            out["S1"] = self.s1.to_json()
-            out["S2"] = self.s2.to_json()
+        for f, key in _FORMS[self.kind].items():
+            out[key] = getattr(self, f).to_json()
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "EarsSpec":
-        """Every form present, and the twist, go to one constructor call, so a
-        spec with two forms, or a twist outside the twisted form, is rejected."""
-        forms = {
-            field: parse(obj[key])
-            for field, key, parse in (
-                ("s", "S", Semilattice.from_json),
-                ("lattice", "lattice", IntLattice.from_json),
-                ("s1", "S1", Semilattice.from_json),
-                ("s2", "S2", Semilattice.from_json),
-            )
-            if key in obj
-        }
-        twist = obj["twist"] if "s1" in forms or "s2" in forms else obj.get("twist", 0)
-        return cls(FiniteType(obj["type"], obj["rank"]), obj["nullity"], twist, **forms)
+        """Read the keys of the type's form; any other key is rejected.  A
+        twist is read in every form, so the constructor rejects a nonzero one
+        outside the twisted form."""
+        t = FiniteType(json_object(obj, "system spec")["type"], obj["rank"])
+        kind = _form(t)
+        keys = _FORMS[kind]
+        unknown = set(obj) - {"type", "rank", "nullity", "twist", *keys.values()}
+        if unknown:
+            raise ValueError(f"type {t} does not take {sorted(unknown)}")
+        parse = IntLattice.from_json if kind == "lattice" else Semilattice.from_json
+        twist = obj["twist"] if kind == "twisted" else obj.get("twist", 0)
+        return cls(t, obj["nullity"], twist, **{f: parse(obj[key]) for f, key in keys.items()})
 
 
 def residue(iso: Sequence[int], q: Sequence[int]) -> IntVector:
@@ -212,10 +193,6 @@ def _block_lattice(b1: IntLattice, b2: IntLattice, scale1: int = 1) -> IntLattic
     for i in range(n2):
         rows.append((0,) * n1 + tuple(b2.basis[i][j] for j in range(n2)))
     return IntLattice(tuple(rows))
-
-
-def _concat(a: IntVector, b: IntVector) -> IntVector:
-    return tuple(a) + tuple(b)
 
 
 @dataclass(frozen=True)
@@ -249,12 +226,8 @@ class Ears:
         return sum_semilattices(self.S, self.S)
 
     @cached_property
-    def zero_iso(self) -> IntVector:
-        return (0,) * self.nullity
-
-    @cached_property
     def zero_root(self) -> Root:
-        return Root(None, self.zero_iso)
+        return Root(None, (0,) * self.nullity)
 
     # -- membership -----------------------------------------------------
 
@@ -278,7 +251,7 @@ class Ears:
         if short is None:
             return RootClass.NOT_A_ROOT
         if short:
-            return RootClass.SHORT if key in self.S.class_keys else RootClass.NOT_A_ROOT
+            return RootClass.SHORT if key in self.S.class_index else RootClass.NOT_A_ROOT
         return RootClass.LONG if self._in_l(iso) else RootClass.NOT_A_ROOT
 
     @cached_property
@@ -389,14 +362,14 @@ def _derive_semilattices(spec: EarsSpec) -> tuple[Semilattice, Semilattice | Non
     b1, b2 = spec.s1.lattice, spec.s2.lattice
     ambient = _block_lattice(b1, b2)
     s_reps = tuple(
-        _concat(r1, w2)
+        r1 + w2
         for r1 in spec.s1.reps
         for w2 in Semilattice.full(b2).reps
     )
     s = Semilattice(ambient, _reorder_zero_first(s_reps))
     l_lattice = _block_lattice(b1, b2, scale1=k)
     l_reps = tuple(
-        _concat(vec_scale(k, w1), r2)
+        vec_scale(k, w1) + r2
         for w1 in Semilattice.full(b1).reps
         for r2 in spec.s2.reps
     )
@@ -458,7 +431,7 @@ def enumerate_roots(e: Ears, w: Window) -> list[Root]:
     iso_list = list(w.points(e.nullity))
     keys = [parity(iso) for iso in iso_list]
     out = [Root(None, iso) for iso, key in zip(iso_list, keys) if key in e.r0_keys]
-    in_s = [iso for iso, key in zip(iso_list, keys) if key in e.S.class_keys]
+    in_s = [iso for iso, key in zip(iso_list, keys) if key in e.S.class_index]
     in_l = [iso for iso in iso_list if e._in_l(iso)]
     short = e.finite.short_coords
     for fin in e.finite.coords:
@@ -515,41 +488,15 @@ class Classes:
                 yield i, j, row[self.keys[j]]
 
 
-@dataclass(frozen=True)
-class SystemInvariants:
-    """Isomorphism invariants together with the index bookkeeping that feeds them."""
-
-    rank: int
-    nullity: int
-    twist: int
-    twist_order: int
-    lattice_rank: int
-    ind_R: int
-    refl_R: int
-    convention: str
-    ind_S: dict = field(default_factory=dict)
-    coset_counts: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "nullity": self.nullity,
-            "twist": self.twist,
-            "twist_order": self.twist_order,
-            "lattice_rank": self.lattice_rank,
-            "ind_R": self.ind_R,
-            "refl_R": self.refl_R,
-            "convention": self.convention,
-            "ind_S": dict(self.ind_S),
-            "coset_counts": dict(self.coset_counts),
-        }
-
-
 def twist_order(e: Ears) -> int:
-    """Order of the quotient of the span of S by the span of L (1 when L is absent)."""
+    """Order of the quotient of the span of S by the span of L (1 when L is absent).
+
+    `check_compatibility` puts span L inside span S when the system is built,
+    so the order is the ratio of their covolumes, |det B_L| / |det B_S|.
+    """
     if e.L is None:
         return 1
-    return e.ambient_lattice.index_of_sublattice(e.L.lattice)
+    return abs(det(e.L.lattice.basis)) // abs(det(e.ambient_lattice.basis))
 
 
 def index_formula(e: Ears) -> tuple[int, str]:
@@ -574,11 +521,10 @@ def index_formula(e: Ears) -> tuple[int, str]:
     raise AssertionError(f"no index row for type {fam}{rank}")
 
 
-def invariants(e: Ears) -> SystemInvariants:
-    """Compute the invariant record from the index formula and the twist order."""
+def invariants(e: Ears) -> dict:
+    """The invariant record `info` prints, from the index formula and the twist order."""
     ind_r, convention = index_formula(e)
     lattice_rank = e.rank + e.nullity
-    refl = ind_r + lattice_rank
     kt = twist_order(e)
     if kt != e.lacing ** e.spec.twist:
         raise AssertionError("twist order disagrees with lacing ** twist")
@@ -587,18 +533,18 @@ def invariants(e: Ears) -> SystemInvariants:
     if e.spec.kind == "twisted":
         ind_s.update({"S1": e.spec.s1.index, "S2": e.spec.s2.index})
         counts.update({"S1": e.spec.s1.coset_count, "S2": e.spec.s2.coset_count})
-    return SystemInvariants(
-        rank=e.rank,
-        nullity=e.nullity,
-        twist=e.spec.twist,
-        twist_order=kt,
-        lattice_rank=lattice_rank,
-        ind_R=ind_r,
-        refl_R=refl,
-        convention=convention,
-        ind_S=ind_s,
-        coset_counts=counts,
-    )
+    return {
+        "rank": e.rank,
+        "nullity": e.nullity,
+        "twist": e.spec.twist,
+        "twist_order": kt,
+        "lattice_rank": lattice_rank,
+        "ind_R": ind_r,
+        "refl_R": ind_r + lattice_rank,
+        "convention": convention,
+        "ind_S": ind_s,
+        "coset_counts": counts,
+    }
 
 
 @dataclass(frozen=True)
@@ -660,7 +606,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     bad: dict = {}
     for k, iso, _ in points.reps:
         direct = parity(iso) in e.r0_keys
-        brute = any(parity(vec_sub(iso, rep)) in e.S.class_keys for rep in rep_coords)
+        brute = any(parity(vec_sub(iso, rep)) in e.S.class_index for rep in rep_coords)
         if direct != brute:
             bad[k] = {"class_based": direct, "pairwise": brute}
     failures = [

@@ -44,14 +44,14 @@ def a2_nu2():
 @pytest.fixture(scope="session")
 def b2_affine():
     return build_ears(
-        EarsSpec.twisted(FiniteType("B", 2), 1, 0, Semilattice.standard(0), Semilattice.standard(1))
+        EarsSpec(FiniteType("B", 2), 1, 0, s1=Semilattice.standard(0), s2=Semilattice.standard(1))
     )
 
 
 @pytest.fixture(scope="session")
 def b2_nu2_twisted():
     return build_ears(
-        EarsSpec.twisted(FiniteType("B", 2), 2, 1, Semilattice.standard(1), Semilattice.standard(1))
+        EarsSpec(FiniteType("B", 2), 2, 1, s1=Semilattice.standard(1), s2=Semilattice.standard(1))
     )
 
 

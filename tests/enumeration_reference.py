@@ -8,12 +8,16 @@ window pair and every window point, and read the exponent with
 
 `minimal_reflectable_size_by_subsets` is the minimal-base search before it
 pruned its pool: it walks every subset of the whole candidate pool.
+
+`index_of_sublattice` is the twist order before it became a ratio of
+covolumes: the coordinates of each sublattice basis vector in the lattice
+basis, then the absolute determinant of that coordinate matrix.
 """
 
 import itertools
 
 from ears.characters import CharacterCheckReport, TableRule
-from ears.lattice import generates, parity, vec_sub
+from ears.lattice import det, generates, parity, vec_sub
 from ears.system import enumerate_roots, root_to_json
 from ears.weyl import MinimalBaseSearch, _candidate_pool, orbit_closure
 
@@ -110,7 +114,7 @@ def axiom_window_checks(e, w):
     rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
     for iso in w.points(e.nullity):
         direct = parity(iso) in e.r0_keys
-        brute = any(parity(vec_sub(iso, rep)) in e.S.class_keys for rep in rep_coords)
+        brute = any(parity(vec_sub(iso, rep)) in e.S.class_index for rep in rep_coords)
         if direct != brute:
             failures.append({
                 "iso": list(e.ambient_lattice.from_coords(iso)),
@@ -178,3 +182,14 @@ def minimal_reflectable_size_by_subsets(e, w, max_size):
         None, None, max_size, w.bound, len(pool), tested,
         "coset representatives plus shifts of sup-norm <= 1",
     )
+
+
+def index_of_sublattice(lat, sub):
+    """Group index [lat : sub] for a full-rank sublattice."""
+    cols = []
+    for j in range(lat.dim):
+        c = lat.coords(tuple(sub.basis[i][j] for i in range(lat.dim)))
+        if c is None:
+            raise ValueError("not a sublattice")
+        cols.append(c)
+    return abs(det(tuple(zip(*cols)))) if lat.dim else 1

@@ -266,7 +266,7 @@ class FractionRoots:
         if fin not in self.finite.norms:
             return RootClass.NOT_A_ROOT
         if fin in self.short:
-            return RootClass.SHORT if key in e.S.class_keys else RootClass.NOT_A_ROOT
+            return RootClass.SHORT if key in e.S.class_index else RootClass.NOT_A_ROOT
         if e.L is not None and e.L.contains(iso):
             return RootClass.LONG
         return RootClass.NOT_A_ROOT

@@ -181,7 +181,7 @@ def test_criterion_3_reflectable_search_matches_index_formula():
         case_elapsed = time.monotonic() - case_start
         inv = invariants(e)
         assert search.size == expected, name
-        assert inv.refl_R == inv.lattice_rank + inv.ind_R == expected, name
+        assert inv["refl_R"] == inv["lattice_rank"] + inv["ind_R"] == expected, name
         assert case_elapsed < 300, name
         results.append(f"{name}={search.size}")
     elapsed = time.monotonic() - start

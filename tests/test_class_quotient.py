@@ -74,7 +74,7 @@ def systems(draw):
     full = family == "G"
     s1 = draw(semilattices(twist, full=full))
     s2 = draw(semilattices(nullity - twist, full=full))
-    return build_ears(EarsSpec.twisted(FiniteType(family, 2), nullity, twist, s1, s2))
+    return build_ears(EarsSpec(FiniteType(family, 2), nullity, twist, s1=s1, s2=s2))
 
 
 def windows_for(e):

@@ -493,13 +493,23 @@ class TestSpecInput:
             ("a2_nu1.json", {"S1": _load_spec("b2_nu1_untwisted.json")["S1"],
                              "S2": _load_spec("b2_nu1_untwisted.json")["S2"],
                              "twist": 0}),
+            ("affine_a1.json", {"Lattice": {"dim": 1, "basis": [[2]]}}),
         ],
-        ids=["a1_twist", "a1_lattice", "lattice_components"],
+        ids=["a1_twist", "a1_lattice", "lattice_components", "a1_misspelt_form"],
     )
     def test_ambiguous_forms_rejected(self, capsys, tmp_path, name, extra):
-        """A spec naming a second form, or a twist outside the twisted form, is
-        bad input rather than read by one form with the rest dropped."""
+        """A spec naming a second form, a key outside its type's form, or a twist
+        outside the twisted form, is bad input rather than read by one form with
+        the rest dropped."""
         spec = {**_load_spec(name), **extra}
+        assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [[1, 2], {"type": "A", "rank": 2, "nullity": 1, "lattice": [1]}],
+        ids=["top_level_list", "lattice_list"],
+    )
+    def test_non_object_rejected(self, capsys, tmp_path, spec):
         assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
 
 
@@ -648,8 +658,17 @@ def fuzz_files(tmp_path_factory):
 
     table = json.loads(_affine_table())
     table["rule"]["entries"][0]["exponent"] += 1
-    spec = _load_spec("affine_a1.json")
-    spec["nullity"] = 1.5
+    affine = _load_spec("affine_a1.json")
+    no_twist = _load_spec("b2_nu1_untwisted.json")
+    del no_twist["twist"]
+    specs = {
+        "float_spec.json": {**affine, "nullity": 1.5},
+        "list_spec.json": [1, 2],
+        "lattice_list.json": {"type": "A", "rank": 2, "nullity": 1, "lattice": [1]},
+        "string_form.json": {**affine, "S": "S"},
+        "unknown_key.json": {**affine, "Lattice": {"dim": 1, "basis": [[2]]}},
+        "no_twist.json": no_twist,
+    }
     return {
         "chars": [
             CEX_CHAR,
@@ -660,7 +679,8 @@ def fuzz_files(tmp_path_factory):
             put("garbage.json", "{not json"),
             str(d / "missing.json"),
         ],
-        "specs": [put("float_spec.json", json.dumps(spec)), str(d / "missing.json")],
+        "specs": [put(name, json.dumps(spec)) for name, spec in specs.items()]
+        + [str(d / "missing.json")],
         "taus": [
             put("taus.json", "[[1, 0], [0, 1]]"),
             put("taus_sum.json", "[[1, 0], [0, 1], [1, 1]]"),

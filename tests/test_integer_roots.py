@@ -6,7 +6,8 @@ arithmetic it replaced: realization coordinates in `Fraction`s and ambient
 vectors.  On random specs (rank one, simply laced over non-standard unimodular
 lattices, B2, C3 and G2 with or without twist) both must enumerate the same window roots, find
 the same root-string members for every pair, and give the same character
-verification reports.
+verification reports.  On random twisted specs the twist order, a ratio of
+covolumes, must equal the sublattice index it replaced.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumeration_reference import index_of_sublattice
 from fraction_reference import FractionFinite, FractionRoots, simple_coords
 from ears.characters import (
     A1CosetRule,
@@ -26,7 +28,7 @@ from ears.characters import (
 )
 from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
-from ears.system import EarsSpec, Window, build_ears, enumerate_roots
+from ears.system import EarsSpec, Window, build_ears, enumerate_roots, invariants, twist_order
 from ears.torus import build_torus
 
 WINDOW = 1
@@ -96,7 +98,7 @@ def twisted_specs(draw):
     twist = draw(st.integers(0, n))
     s1 = draw(semilattices(twist, full=t.family in "CG"))
     s2 = draw(semilattices(n - twist, full=t.family == "G"))
-    return EarsSpec.twisted(t, n, twist, s1, s2)
+    return EarsSpec(t, n, twist, s1=s1, s2=s2)
 
 
 SPECS = st.one_of(rank_one_specs(), simply_laced_specs(), twisted_specs())
@@ -123,13 +125,13 @@ def characters(draw, e):
     return hom
 
 
-G2_TWISTED = EarsSpec.twisted(
-    FiniteType("G", 2), 1, 1, Semilattice.standard(1), Semilattice.standard(0)
+G2_TWISTED = EarsSpec(
+    FiniteType("G", 2), 1, 1, s1=Semilattice.standard(1), s2=Semilattice.standard(0)
 )
-B2_SKEWED = EarsSpec.twisted(
+B2_SKEWED = EarsSpec(
     FiniteType("B", 2), 2, 1,
-    Semilattice(IntLattice(((2,),)), ((0,), (-2,))),
-    Semilattice(IntLattice(((1,),)), ((0,), (3,))),
+    s1=Semilattice(IntLattice(((2,),)), ((0,), (-2,))),
+    s2=Semilattice(IntLattice(((1,),)), ((0,), (3,))),
 )
 
 
@@ -164,6 +166,16 @@ def test_character_reports_match_oracle(c):
     assert verify_core_character(c, w).to_json() == ref.verify_character(
         c, WINDOW, core_only=True
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(twisted_specs())
+@example(G2_TWISTED)
+@example(B2_SKEWED)
+def test_twist_order_matches_sublattice_index(spec):
+    e = build_ears(spec)
+    assert twist_order(e) == index_of_sublattice(e.ambient_lattice, e.L.lattice)
+    assert invariants(e)["twist_order"] == e.lacing ** spec.twist
 
 
 def test_torus_root_coordinates_match_realization():

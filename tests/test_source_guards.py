@@ -5,8 +5,11 @@ under `python -O`, so the package has no `assert` statement.  The package
 computes over the integers only, so no module imports `fractions`.  A window
 is defined once, by `system.Window`, so the sup-norm box and the sup-norm test
 are spelled nowhere else.  Every import sits at module top, so the layering
-between modules is visible in their headers.  The traced benchmark run wraps
-`ears` functions and methods by name, so every name it lists must still exist.
+between modules is visible in their headers.  A function whose body only
+passes its own parameters on to another callable is a second name for it, so
+no such alias is defined unless something outside the package names it.  The
+traced benchmark run wraps `ears` functions and methods by name, so every name
+it lists must still exist.
 """
 
 import ast
@@ -54,6 +57,46 @@ def function_import_lines(source: str) -> list[int]:
     return sorted(set(lines))
 
 
+def bare_aliases(source: str) -> list[str]:
+    """Functions (as `Class.name` for methods) whose body, after a docstring,
+    is one `return g(...)` passing the function's own parameters in order, by
+    position or as `p=p`.  A leading `self` or `cls` may be the callee."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and is_alias(node):
+                found.append(prefix + node.name)
+
+    def is_alias(fn) -> bool:
+        body = fn.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            return False
+        call = body[0].value
+        if not isinstance(call, ast.Call):
+            return False
+        passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+        passed += [
+            k.arg if isinstance(k.value, ast.Name) and k.value.id == k.arg else None
+            for k in call.keywords
+        ]
+        params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+        return passed == params or (params[:1] in (["self"], ["cls"]) and passed == params[1:])
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+# aliases that something outside the package names, with the reason
+ALIAS_ALLOWED = {
+    "build_torus": "bench/trace_calls.py and bench/setup_probe.py name it",
+}
+
+
 def test_guards_see_what_they_look_for():
     assert assert_lines("x = 1\nassert x, 'msg'\n") == [2]
     assert assert_lines("raise AssertionError('explicit')\n") == []
@@ -66,6 +109,16 @@ def test_guards_see_what_they_look_for():
     assert function_import_lines("import os\ndef f():\n    from .x import y\n") == [3]
     assert function_import_lines("class A:\n    def f(self):\n        import os\n") == [3]
     assert function_import_lines("from .x import y\ndef f():\n    return y\n") == []
+    assert bare_aliases("def f(a, b):\n    '''Doc.'''\n    return g(a, b)\n") == ["f"]
+    assert bare_aliases("def f(a, b):\n    return g(a, b=b)\n") == ["f"]
+    assert bare_aliases(
+        "class A:\n    @classmethod\n    def f(cls, a, b):\n        return cls(a, b=b)\n"
+    ) == ["A.f"]
+    assert bare_aliases("def f(a, b):\n    return g(b, a)\n") == []
+    assert bare_aliases("def f(a, b):\n    return g(a, b).core\n") == []
+    assert bare_aliases("def f(a, b):\n    return g(a, 1, b)\n") == []
+    assert bare_aliases("def f(self):\n    return g(self.x)\n") == []
+    assert bare_aliases("def f(a):\n    x = a\n    return g(a)\n") == []
 
 
 def test_package_modules_found():
@@ -97,6 +150,12 @@ def test_window_spelled_only_in_system(path):
 def test_no_function_level_imports(path):
     lines = function_import_lines(path.read_text())
     assert not lines, f"{path.name} imports inside a function at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_aliases(path):
+    aliases = [name for name in bare_aliases(path.read_text()) if name not in ALIAS_ALLOWED]
+    assert not aliases, f"{path.name} defines aliases that only pass their parameters on: {aliases}"
 
 
 def load_trace_calls():

@@ -55,8 +55,8 @@ class TestSpecValidation:
 
     def test_component_ranks_must_match_twist(self):
         with pytest.raises(ValueError):
-            EarsSpec.twisted(
-                FiniteType("B", 2), 2, 1, Semilattice.standard(0), Semilattice.standard(2)
+            EarsSpec(
+                FiniteType("B", 2), 2, 1, s1=Semilattice.standard(0), s2=Semilattice.standard(2)
             )
 
     def test_c_type_needs_lattice_s1(self):
@@ -64,17 +64,17 @@ class TestSpecValidation:
             IntLattice.standard(2), ((0, 0), (1, 0), (0, 1))
         )  # three cosets: not a lattice
         with pytest.raises(ValueError):
-            EarsSpec.twisted(FiniteType("C", 3), 3, 2, s1, Semilattice.standard(1))
+            EarsSpec(FiniteType("C", 3), 3, 2, s1=s1, s2=Semilattice.standard(1))
 
     def test_b3_needs_lattice_s2(self):
         s2 = Semilattice(IntLattice.standard(2), ((0, 0), (1, 0), (0, 1)))
         with pytest.raises(ValueError):
-            EarsSpec.twisted(FiniteType("B", 3), 3, 1, Semilattice.standard(1), s2)
+            EarsSpec(FiniteType("B", 3), 3, 1, s1=Semilattice.standard(1), s2=s2)
 
     def test_twist_bounds(self):
         with pytest.raises(ValueError):
-            EarsSpec.twisted(
-                FiniteType("B", 2), 1, 2, Semilattice.standard(2), Semilattice.standard(-1)
+            EarsSpec(
+                FiniteType("B", 2), 1, 2, s1=Semilattice.standard(2), s2=Semilattice.standard(-1)
             )
 
     def test_json_roundtrip(self, b2_nu2_twisted, affine_a1, a2_nu2):
@@ -120,8 +120,8 @@ class TestBuild:
 
     def test_incompatible_raw_build_rejected(self):
         # L = 4Z under S = Z violates kS + L = L for the doubled lacing
-        spec = EarsSpec.twisted(
-            FiniteType("B", 2), 1, 0, Semilattice.standard(0), Semilattice.standard(1)
+        spec = EarsSpec(
+            FiniteType("B", 2), 1, 0, s1=Semilattice.standard(0), s2=Semilattice.standard(1)
         )
         good = build_ears(spec)
         bad_l = Semilattice.full(IntLattice(((4,),)))
@@ -166,65 +166,65 @@ class TestClassify:
 class TestInvariants:
     def test_affine_a1(self, affine_a1):
         inv = invariants(affine_a1)
-        assert (inv.ind_R, inv.refl_R) == (0, 2)
-        assert inv.convention == "coset_count"
+        assert (inv["ind_R"], inv["refl_R"]) == (0, 2)
+        assert inv["convention"] == "coset_count"
 
     def test_a1_nu2_full(self, a1_nu2_full):
         inv = invariants(a1_nu2_full)
-        assert (inv.ind_R, inv.refl_R) == (1, 4)
+        assert (inv["ind_R"], inv["refl_R"]) == (1, 4)
 
     def test_a1_nu2_three_coset(self, a1_nu2_three_coset):
         inv = invariants(a1_nu2_three_coset)
-        assert (inv.ind_R, inv.refl_R) == (0, 3)
+        assert (inv["ind_R"], inv["refl_R"]) == (0, 3)
 
     def test_simply_laced_zero(self, a2_nu2):
         inv = invariants(a2_nu2)
-        assert inv.ind_R == 0
-        assert inv.refl_R == inv.lattice_rank == 4
+        assert inv["ind_R"] == 0
+        assert inv["refl_R"] == inv["lattice_rank"] == 4
 
     def test_b2_rows(self, b2_affine, b2_nu2_twisted):
-        assert invariants(b2_affine).ind_R == 0
+        assert invariants(b2_affine)["ind_R"] == 0
         inv = invariants(b2_nu2_twisted)
-        assert inv.ind_R == 0
-        assert inv.twist_order == 2
+        assert inv["ind_R"] == 0
+        assert inv["twist_order"] == 2
 
     def test_b2_with_full_s1_has_positive_index(self):
         e = build_ears(
-            EarsSpec.twisted(
-                FiniteType("B", 2), 2, 2, Semilattice.standard(2), Semilattice.standard(0)
+            EarsSpec(
+                FiniteType("B", 2), 2, 2, s1=Semilattice.standard(2), s2=Semilattice.standard(0)
             )
         )
-        assert invariants(e).ind_R == 1  # ind(S1) + ind(S2) - nullity = 3 + 0 - 2
+        assert invariants(e)["ind_R"] == 1  # ind(S1) + ind(S2) - nullity = 3 + 0 - 2
 
     def test_c3_affine_both_twists(self):
         untwisted = build_ears(
-            EarsSpec.twisted(
-                FiniteType("C", 3), 1, 0, Semilattice.standard(0), Semilattice.standard(1)
+            EarsSpec(
+                FiniteType("C", 3), 1, 0, s1=Semilattice.standard(0), s2=Semilattice.standard(1)
             )
         )
         twisted = build_ears(
-            EarsSpec.twisted(
-                FiniteType("C", 3), 1, 1, Semilattice.standard(1), Semilattice.standard(0)
+            EarsSpec(
+                FiniteType("C", 3), 1, 1, s1=Semilattice.standard(1), s2=Semilattice.standard(0)
             )
         )
-        assert invariants(untwisted).ind_R == 0
-        assert invariants(twisted).ind_R == 0
+        assert invariants(untwisted)["ind_R"] == 0
+        assert invariants(twisted)["ind_R"] == 0
         assert twist_order(twisted) == 2
 
     def test_g2_twist_order_is_lacing_power(self):
         e = build_ears(
-            EarsSpec.twisted(
-                FiniteType("G", 2), 1, 1, Semilattice.standard(1), Semilattice.standard(0)
+            EarsSpec(
+                FiniteType("G", 2), 1, 1, s1=Semilattice.standard(1), s2=Semilattice.standard(0)
             )
         )
         inv = invariants(e)
-        assert inv.twist_order == 3
-        assert inv.ind_R == 0
+        assert inv["twist_order"] == 3
+        assert inv["ind_R"] == 0
 
     def test_finite_case_nullity_zero(self):
         e = build_ears(EarsSpec.rank_one(0, Semilattice.standard(0)))
         inv = invariants(e)
-        assert (inv.ind_R, inv.refl_R) == (0, 1)
+        assert (inv["ind_R"], inv["refl_R"]) == (0, 1)
         assert len(enumerate_roots(e, Window(0))) == 3
 
     def test_index_formula_conventions(self, affine_a1, b2_affine):
