@@ -28,6 +28,7 @@ from .lattice import (
     inverse_unimodular,
     json_int,
     json_int_rows,
+    json_object,
     parity,
     solve_mod,
 )
@@ -230,22 +231,27 @@ class Character:
 
 
 def character_from_json(e: Ears, obj: dict) -> Character:
-    m = json_int(obj["modulus"], "modulus")
+    """Read a character file; a key its object does not take is rejected."""
+    m = json_int(json_object(obj, "character", ("modulus", "rule"))["modulus"], "modulus")
     rule_obj = obj["rule"]
-    kind = rule_obj["kind"]
+    kind = json_object(rule_obj, "rule")["kind"]
     if kind == "hom":
+        json_object(rule_obj, "hom rule", ("kind", "basis", "values"))
         rule: LatticeHomRule | A1CosetRule | TableRule = LatticeHomRule(
             json_int_rows(rule_obj["basis"], "basis entry"),
             tuple(json_int(x, "value") for x in rule_obj["values"]),
         )
     elif kind == "a1coset":
+        json_object(rule_obj, "a1coset rule", ("kind",))
         rule = A1CosetRule()
     elif kind == "table":
+        json_object(rule_obj, "table rule", ("kind", "window", "entries"))
+        entries = [json_object(x, "table entry", ("root", "exponent")) for x in rule_obj["entries"]]
         rule = TableRule(
             json_int(rule_obj["window"], "table window"),
             tuple(
                 (root_from_json(e, ent["root"]), json_int(ent["exponent"], "exponent"))
-                for ent in rule_obj["entries"]
+                for ent in entries
             ),
         )
     else:

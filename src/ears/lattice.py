@@ -28,10 +28,13 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def json_object(value, field: str) -> dict:
-    """A JSON object; a list, string or number is rejected."""
+def json_object(value, field: str, keys: Iterable[str] | None = None) -> dict:
+    """A JSON object; a list, string or number is rejected, and so is any key
+    outside `keys` when they are given."""
     if not isinstance(value, dict):
         raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    if keys is not None and not set(value) <= set(keys):
+        raise ValueError(f"{field} does not take {sorted(set(value) - set(keys))}")
     return value
 
 
@@ -336,7 +339,7 @@ class IntLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntLattice":
-        basis = json_object(obj, "lattice")["basis"]
+        basis = json_object(obj, "lattice", ("dim", "basis"))["basis"]
         if len(basis) != json_int(obj["dim"], "dim"):
             raise ValueError("lattice dim does not match basis")
         return cls(basis)
@@ -434,7 +437,8 @@ class Semilattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Semilattice":
-        lat = IntLattice(json_object(obj, "semilattice")["lattice_basis"])
+        keys = ("dim", "lattice_basis", "reps")
+        lat = IntLattice(json_object(obj, "semilattice", keys)["lattice_basis"])
         if lat.dim != json_int(obj["dim"], "dim"):
             raise ValueError("semilattice dim does not match basis")
         return cls(lat, obj["reps"])

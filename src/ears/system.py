@@ -4,8 +4,10 @@ A system is the disjoint union of an isotropic part S + S and translated
 copies of the finite short/long roots, with translation sets S and L coupled
 by S + L = S and kS + L = L (k the lacing number).  Roots are pairs of integer
 vectors: the finite part in simple-root coordinates and the isotropic part in
-coordinates of the ambient lattice basis.  Membership is decided intensionally
-from coset classes (coordinates mod 2 for S), never by point enumeration.
+coordinates of a basis of the span of S.  `build_ears` alone reads a spec's
+lattice bases and writes S and L in those coordinates; nothing after it
+converts between ambient vectors and coordinates.  Membership is decided
+intensionally from coset classes (mod 2 for S), never by point enumeration.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class RootClass(Enum):
 
 class Root(NamedTuple):
     """A root: finite part in simple-root coordinates (None when isotropic) plus
-    isotropic part in ambient-lattice coordinates."""
+    isotropic part in coordinates of a basis of the span of S."""
 
     finite: IntVector | None
     iso: IntVector
@@ -172,9 +174,7 @@ class EarsSpec:
         t = FiniteType(json_object(obj, "system spec")["type"], obj["rank"])
         kind = _form(t)
         keys = _FORMS[kind]
-        unknown = set(obj) - {"type", "rank", "nullity", "twist", *keys.values()}
-        if unknown:
-            raise ValueError(f"type {t} does not take {sorted(unknown)}")
+        json_object(obj, f"type {t}", ("type", "rank", "nullity", "twist", *keys.values()))
         parse = IntLattice.from_json if kind == "lattice" else Semilattice.from_json
         twist = obj["twist"] if kind == "twisted" else obj.get("twist", 0)
         return cls(t, obj["nullity"], twist, **{f: parse(obj[key]) for f, key in keys.items()})
@@ -185,19 +185,10 @@ def residue(iso: Sequence[int], q: Sequence[int]) -> IntVector:
     return tuple(map(mod, iso, q))
 
 
-def _block_lattice(b1: IntLattice, b2: IntLattice, scale1: int = 1) -> IntLattice:
-    n1, n2 = b1.dim, b2.dim
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(scale1 * b1.basis[i][j] for j in range(n1)) + (0,) * n2)
-    for i in range(n2):
-        rows.append((0,) * n1 + tuple(b2.basis[i][j] for j in range(n2)))
-    return IntLattice(tuple(rows))
-
-
 @dataclass(frozen=True)
 class Ears:
-    """An extended affine root system with exact membership tests."""
+    """An extended affine root system with exact membership tests; S and L are
+    semilattices in the coordinates of `Root.iso`, so `S.lattice` is Z^nullity."""
 
     spec: EarsSpec
     finite: FiniteRootSystem
@@ -216,10 +207,6 @@ class Ears:
     def lacing(self) -> int:
         return self.finite.lacing
 
-    @property
-    def ambient_lattice(self) -> IntLattice:
-        return self.S.lattice
-
     @cached_property
     def r0_keys(self) -> frozenset[IntVector]:
         """Coset classes of the isotropic support S + S."""
@@ -236,7 +223,7 @@ class Ears:
 
         The finite part is None (isotropic candidate) or a tuple of
         simple-root coordinates; the isotropic part is a tuple of coordinates
-        in the ambient lattice basis.  Coordinates are ints: a non-integral
+        in a basis of the span of S.  Coordinates are ints: a non-integral
         one names a point outside the root lattice and raises ValueError.
         """
         if len(iso) != self.nullity:
@@ -267,10 +254,10 @@ class Ears:
 
         S and S + S read the coordinates mod 2.  L is a union of cosets of
         twice its span, so q_j = 2e_j for the least e_j that puts e_j times
-        the j-th ambient basis vector in the span; e_j divides |det B_L|, as
-        the span contains |det B_L| Z^n.  A built twisted system gets e_j = k
-        on its twisted coordinates and 1 elsewhere; L = 4Z under an ambient
-        Z, which no system builds, gets e = 4.
+        the j-th unit vector in the span; e_j divides |det B_L|, as the span
+        contains |det B_L| Z^n.  A built twisted system gets e_j = k on its
+        twisted coordinates and 1 elsewhere; L = 4Z under S = Z, which no
+        system builds, gets e = 4.
         """
         if self.L is None:
             return (2,) * self.nullity
@@ -278,7 +265,7 @@ class Ears:
         d = abs(det(span.basis))
         return tuple(
             2 * next(e for e in range(1, d + 1) if d % e == 0 and span.contains(vec_scale(e, x)))
-            for x in zip(*self.ambient_lattice.basis)
+            for x in IntLattice.standard(self.nullity).basis
         )
 
     @cached_property
@@ -291,7 +278,7 @@ class Ears:
         key = residue(iso, self.period)
         hit = self._l_residues.get(key)
         if hit is None:
-            hit = self.L.contains(self.ambient_lattice.from_coords(iso))
+            hit = self.L.contains(iso)
             self._l_residues[key] = hit
         return hit
 
@@ -331,7 +318,7 @@ class Ears:
         return (self.finite_index(r), r.iso)
 
     def root_coords(self, r: Root) -> IntVector:
-        """Integer coordinates in the root-lattice basis (simple roots, then lattice basis)."""
+        """Integer coordinates in the root-lattice basis (simple roots, then a basis of span S)."""
         fin = (0,) * self.rank if r.finite is None else r.finite
         return fin + r.iso
 
@@ -354,33 +341,30 @@ class Ears:
 
 
 def _derive_semilattices(spec: EarsSpec) -> tuple[Semilattice, Semilattice | None]:
-    if spec.kind == "rank_one":
-        return spec.s, None
+    """S and L in root coordinates, over Z^nullity: the one reader of a spec's bases.
+
+    A twisted spec takes coordinates in the basis of S1, then that of S2, so
+    S = S1 + Z^(nullity - t) and L = kZ^t + S2, t the twist; both list their
+    representatives in product order, 0 first.
+    """
+    nu, t = spec.nullity, spec.twist
     if spec.kind == "lattice":
-        return Semilattice.full(spec.lattice), None
+        return Semilattice.standard(nu), None
+    if spec.kind == "rank_one":
+        return Semilattice(IntLattice.standard(nu), _rep_coords(spec.s)), None
     k = spec.type.lacing
-    b1, b2 = spec.s1.lattice, spec.s2.lattice
-    ambient = _block_lattice(b1, b2)
-    s_reps = tuple(
-        r1 + w2
-        for r1 in spec.s1.reps
-        for w2 in Semilattice.full(b2).reps
-    )
-    s = Semilattice(ambient, _reorder_zero_first(s_reps))
-    l_lattice = _block_lattice(b1, b2, scale1=k)
-    l_reps = tuple(
-        vec_scale(k, w1) + r2
-        for w1 in Semilattice.full(b1).reps
-        for r2 in spec.s2.reps
-    )
-    l = Semilattice(l_lattice, _reorder_zero_first(l_reps))
+    s1, s2 = _rep_coords(spec.s1), _rep_coords(spec.s2)
+    cube1, cube2 = Semilattice.standard(t).reps, Semilattice.standard(nu - t).reps
+    span_l = IntLattice(tuple(vec_scale(k if i < t else 1, u)
+                              for i, u in enumerate(IntLattice.standard(nu).basis)))
+    s = Semilattice(IntLattice.standard(nu), tuple(r1 + w2 for r1 in s1 for w2 in cube2))
+    l = Semilattice(span_l, tuple(vec_scale(k, w1) + r2 for w1 in cube1 for r2 in s2))
     return s, l
 
 
-def _reorder_zero_first(reps: tuple[IntVector, ...]) -> tuple[IntVector, ...]:
-    zero = tuple(0 for _ in reps[0]) if reps else ()
-    rest = sorted(r for r in reps if r != zero)
-    return (zero,) + tuple(rest)
+def _rep_coords(s: Semilattice) -> tuple[IntVector, ...]:
+    """The representatives of s in coordinates of its lattice basis."""
+    return tuple(s.lattice.coords(r) for r in s.reps)
 
 
 def check_compatibility(e: Ears) -> list[str]:
@@ -389,16 +373,9 @@ def check_compatibility(e: Ears) -> list[str]:
     if e.L is None:
         return problems
     k = e.lacing
-    amb = e.ambient_lattice
-    for j in range(e.L.dim):
-        col = tuple(e.L.lattice.basis[i][j] for i in range(e.L.dim))
-        if not amb.contains(col):
-            problems.append(f"span of L is not inside the ambient lattice: column {col}")
-    kl = IntLattice(tuple(tuple(k * x for x in row) for row in amb.basis))
-    for j in range(amb.dim):
-        col = tuple(kl.basis[i][j] for i in range(amb.dim))
-        if e.L.lattice.coords(col) is None:
-            problems.append(f"k * ambient lattice is not inside span of L: column {col}")
+    for j, unit in enumerate(IntLattice.standard(e.nullity).basis):
+        if not e.L.lattice.contains(vec_scale(k, unit)):
+            problems.append(f"k * e_{j} is not inside span of L")
     for l_rep in e.L.reps:
         if not e.S.contains(l_rep):
             problems.append(f"L representative {l_rep} is outside S")
@@ -489,14 +466,11 @@ class Classes:
 
 
 def twist_order(e: Ears) -> int:
-    """Order of the quotient of the span of S by the span of L (1 when L is absent).
-
-    `check_compatibility` puts span L inside span S when the system is built,
-    so the order is the ratio of their covolumes, |det B_L| / |det B_S|.
-    """
+    """Order of the quotient of Z^nullity, the span of S in root coordinates,
+    by the span of L: |det B_L| (1 when L is absent)."""
     if e.L is None:
         return 1
-    return abs(det(e.L.lattice.basis)) // abs(det(e.ambient_lattice.basis))
+    return abs(det(e.L.lattice.basis))
 
 
 def index_formula(e: Ears) -> tuple[int, str]:
@@ -602,15 +576,14 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
 
     isos = list(w.points(e.nullity))
     points = Classes(isos, [residue(iso, q) for iso in isos])
-    rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
     bad: dict = {}
     for k, iso, _ in points.reps:
         direct = parity(iso) in e.r0_keys
-        brute = any(parity(vec_sub(iso, rep)) in e.S.class_index for rep in rep_coords)
+        brute = any(parity(vec_sub(iso, rep)) in e.S.class_index for rep in e.S.reps)
         if direct != brute:
             bad[k] = {"class_based": direct, "pairwise": brute}
     failures = [
-        {"iso": list(e.ambient_lattice.from_coords(points.items[i])), **bad[points.keys[i]]}
+        {"iso": list(points.items[i]), **bad[points.keys[i]]}
         for i in itertools.islice(points.positions(bad), 5)
     ]
     checks["isotropic_support"] = {"passed": not bad, "failures": failures}
@@ -661,7 +634,7 @@ def root_from_json(e: Ears, obj: dict) -> Root:
 
     Coordinates must be JSON integers: floats, strings and booleans are rejected.
     """
-    fin = obj["finite"]
+    fin = json_object(obj, "root", ("finite", "iso"))["finite"]
     if fin is None:
         fin = (0,) * e.rank
     elif len(fin) != e.rank:

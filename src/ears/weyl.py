@@ -111,9 +111,8 @@ def _candidate_pool(e: Ears, w: Window) -> list[Root]:
     iso_pool: set[IntVector] = set()
     for semi in filter(None, (e.S, e.L)):
         for rep in semi.reps:
-            rep_coords = e.ambient_lattice.coords(rep)
             for shift in shifts:
-                iso_pool.add(vec_add(rep_coords, shift))
+                iso_pool.add(vec_add(rep, shift))
     out: list[Root] = []
     for fin in e.finite.coords:
         for iso in iso_pool:
@@ -133,8 +132,9 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     lattice (reflections stay inside the span), so it has rank + nullity
     elements or more; for type A1 the base must meet every coset class of S
     (A1 pairings are even, so reflections preserve the class of the isotropic
-    part mod 2L), so it is drawn from the pool members in those classes.  A
-    pool that does not span the lattice has no subset to test.
+    part mod 2L), so it is drawn from the pool members in those classes and
+    has one element per class or more.  A pool that does not span the lattice
+    has no subset to test.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -147,9 +147,10 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     pool = [r for r in full_pool if parity(r.iso) in needed_classes] if a1 else full_pool
     found = None
     tested = 0
+    sizes = range(max(n, len(needed_classes) if a1 else 0), max_size + 1)
     if generates([e.root_coords(r) for r in pool], n):
         for combo in itertools.chain.from_iterable(
-            itertools.combinations(pool, size) for size in range(n, max_size + 1)
+            itertools.combinations(pool, size) for size in sizes
         ):
             if a1 and {parity(r.iso) for r in combo} != needed_classes:
                 continue

@@ -111,13 +111,12 @@ def axiom_window_checks(e, w):
     noniso = [r for r in roots if r.finite is not None]
 
     failures = []
-    rep_coords = [e.ambient_lattice.coords(rep) for rep in e.S.reps]
     for iso in w.points(e.nullity):
         direct = parity(iso) in e.r0_keys
-        brute = any(parity(vec_sub(iso, rep)) in e.S.class_index for rep in rep_coords)
+        brute = any(parity(vec_sub(iso, rep)) in e.S.class_index for rep in e.S.reps)
         if direct != brute:
             failures.append({
-                "iso": list(e.ambient_lattice.from_coords(iso)),
+                "iso": list(iso),
                 "class_based": direct,
                 "pairwise": brute,
             })

@@ -9,8 +9,9 @@ the package replaced with integer simple-root and lattice coordinates.  The
 rational construction of the finite root systems (`FractionFinite`), which
 the package replaced with simple-root coordinates and a Gram matrix.  The
 coset lookup on ambient vectors (`coset_class`), which the package reads from
-class keys of lattice coordinates (`Semilattice.class_index`).  The tests
-compare the two.
+class keys of lattice coordinates (`Semilattice.class_index`).  The ambient
+lattice, S and L of a spec in ambient vectors (`ambient_model`), which the
+package replaced with S and L in root coordinates.  The tests compare the two.
 """
 
 import itertools
@@ -236,14 +237,50 @@ class FractionFinite:
         )
 
 
+def _block_lattice(b1, b2, scale1=1):
+    from ears.lattice import IntLattice
+
+    n1, n2 = b1.dim, b2.dim
+    rows = [tuple(scale1 * x for x in row) + (0,) * n2 for row in b1.basis]
+    rows += [(0,) * n1 + row for row in b2.basis]
+    return IntLattice(tuple(rows))
+
+
+def ambient_model(spec):
+    """(ambient lattice, S, L) of a spec, S and L in ambient vectors, L None
+    when the spec has none.
+
+    A twisted spec lives in the block lattice of the bases of S1 and S2, with
+    S = S1 + span S2 and L = k span S1 + S2; a rank-one spec is its S, and a
+    lattice spec the whole lattice.
+    """
+    from ears.lattice import Semilattice, vec_scale
+
+    if spec.kind == "rank_one":
+        return spec.s.lattice, spec.s, None
+    if spec.kind == "lattice":
+        return spec.lattice, Semilattice.full(spec.lattice), None
+    k = spec.type.lacing
+    b1, b2 = spec.s1.lattice, spec.s2.lattice
+    ambient = _block_lattice(b1, b2)
+    s_reps = [r1 + w2 for r1 in spec.s1.reps for w2 in Semilattice.full(b2).reps]
+    l_reps = [vec_scale(k, w1) + r2 for w1 in Semilattice.full(b1).reps for r2 in spec.s2.reps]
+    return (
+        ambient,
+        Semilattice(ambient, s_reps),
+        Semilattice(_block_lattice(b1, b2, scale1=k), l_reps),
+    )
+
+
 class FractionRoots:
     """Root arithmetic on realization coordinates, as the package once did it.
 
     A root here is a pair (finite part, isotropic part): the finite part is a
     tuple of `Fraction`s in the model `FractionFinite(e.spec.type)` (None for
-    an isotropic root), and the isotropic part is an ambient vector, whose
-    lattice coordinates every classification solves for again.  The package
-    now works on simple-root and lattice coordinates; `to_int` translates.
+    an isotropic root), and the isotropic part is an ambient vector of
+    `ambient_model(e.spec)`, whose lattice coordinates every classification
+    solves for again.  The package now works on simple-root and root
+    coordinates; `to_int` translates.
     """
 
     def __init__(self, e):
@@ -251,23 +288,25 @@ class FractionRoots:
         self.finite = f = FractionFinite(e.spec.type)
         self.short = frozenset(r for r in f.roots if f.norms[r] == 2)
         self.model = dict(zip(f.coords(), f.roots))
+        self.ambient, self.S, self.L = ambient_model(e.spec)
 
     def classify(self, finite_part, iso):
         from ears.system import RootClass
 
-        e = self.e
         iso = tuple(int(x) for x in iso)
-        key = e.S.key(iso)
-        if key is None:
+        if not self.ambient.contains(iso):
             raise ValueError(f"isotropic part {iso} lies outside the ambient lattice")
         if finite_part is None:
-            return RootClass.ISOTROPIC if key in e.r0_keys else RootClass.NOT_A_ROOT
+            in_support = any(
+                self.S.contains(tuple(x - y for x, y in zip(iso, rep))) for rep in self.S.reps
+            )
+            return RootClass.ISOTROPIC if in_support else RootClass.NOT_A_ROOT
         fin = tuple(finite_part)
         if fin not in self.finite.norms:
             return RootClass.NOT_A_ROOT
         if fin in self.short:
-            return RootClass.SHORT if key in e.S.class_index else RootClass.NOT_A_ROOT
-        if e.L is not None and e.L.contains(iso):
+            return RootClass.SHORT if self.S.contains(iso) else RootClass.NOT_A_ROOT
+        if self.L is not None and self.L.contains(iso):
             return RootClass.LONG
         return RootClass.NOT_A_ROOT
 
@@ -293,24 +332,24 @@ class FractionRoots:
 
     def enumerate_roots(self, bound):
         """Window roots in the package's order: isotropic block, then one per finite root."""
-        e = self.e
         rng = range(-bound, bound + 1)
         iso_list = [
-            e.ambient_lattice.from_coords(x)
-            for x in itertools.product(rng, repeat=e.nullity)
+            self.ambient.from_coords(x)
+            for x in itertools.product(rng, repeat=self.e.nullity)
         ]
         out = [(None, iso) for iso in iso_list if self.classify(None, iso).is_root]
         for fin in self.finite.roots:
             for iso in iso_list:
                 if fin in self.short:
-                    if e.S.contains(iso):
+                    if self.S.contains(iso):
                         out.append((fin, iso))
-                elif e.L is not None and e.L.contains(iso):
+                elif self.L is not None and self.L.contains(iso):
                     out.append((fin, iso))
         return out
 
     def string_members(self, alpha, beta):
-        """The n in [-8, 8] with beta + n * alpha a root, as `verify_axioms` scans them."""
+        """The n in [-8, 8] with beta + n * alpha a root; `verify_axioms` scans
+        only [-3, 3], where every member of a finite string lies."""
         return {
             n
             for n in range(-8, 9)
@@ -322,24 +361,24 @@ class FractionRoots:
         from ears.system import Root
 
         fin = None if r[0] is None else simple_coords(self.finite, r[0])
-        return Root(fin, self.e.ambient_lattice.coords(r[1]))
+        return Root(fin, self.ambient.coords(r[1]))
 
     def from_int(self, r):
         """Inverse of to_int."""
         fin = None if r.finite is None else self.model[r.finite]
-        return fin, self.e.ambient_lattice.from_coords(r.iso)
+        return fin, self.ambient.from_coords(r.iso)
 
     def value(self, c, r):
         """Exponent of character `c` on a realization root, without the integer root path."""
         from ears.characters import A1CosetRule, LatticeHomRule
 
         e = self.e
-        coords = e.ambient_lattice.coords(r[1])
+        coords = self.ambient.coords(r[1])
         if isinstance(c.rule, LatticeHomRule):
             fin = (0,) * e.rank if r[0] is None else simple_coords(self.finite, r[0])
             return sum(x * v for x, v in zip(fin + coords, c._std_values)) % c.modulus
         if isinstance(c.rule, A1CosetRule):
-            i = coset_class(e.S, r[1])
+            i = coset_class(self.S, r[1])
             if r[0] is not None:
                 return 0 if i == 0 else 1
             return 1 if (i is not None and i > 0) else 0
@@ -349,7 +388,7 @@ class FractionRoots:
 
     def root_json(self, r):
         fin = None if r[0] is None else list(simple_coords(self.finite, r[0]))
-        return {"finite": fin, "iso": list(self.e.ambient_lattice.coords(r[1]))}
+        return {"finite": fin, "iso": list(self.ambient.coords(r[1]))}
 
     def verify_character(self, c, bound, core_only=False):
         """The report JSON of `ears.characters` character verification, on Fractions."""
@@ -407,12 +446,13 @@ def coset_class(s, v):
 
 
 def lattice_coords(e, vector):
-    """Rational coordinates of an ambient vector in the lattice basis of `e`.
+    """Rational coordinates of an ambient vector in the ambient lattice basis
+    of `ambient_model(e.spec)`.
 
     They are integers exactly when the vector is an ambient lattice point.
     """
     n = e.nullity
-    basis = e.ambient_lattice.basis
+    basis = ambient_model(e.spec)[0].basis
     a = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(vector[i])] for i in range(n)]
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col])

@@ -210,9 +210,10 @@ class TestVerify:
     def test_forced_coset_table_on_full_lattice_fails(self, a1_nu2_full):
         # the coset values are not a character when a dependent class is present
         e = a1_nu2_full
+        ambient, s, _ = fraction_reference.ambient_model(e.spec)
         entries = []
         for r in enumerate_roots(e, Window(2)):
-            i = fraction_reference.coset_class(e.S, r.iso)
+            i = fraction_reference.coset_class(s, ambient.from_coords(r.iso))
             if r.finite is not None:
                 entries.append((r, 0 if i == 0 else 1))
             else:

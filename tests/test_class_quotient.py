@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import enumeration_reference as ref
 from conftest import SPEC_DIR, load_spec_file
+from fraction_reference import ambient_model
 from ears.cli import main
 from ears.characters import (
     A1CosetRule,
@@ -170,12 +171,20 @@ def test_axiom_checks_match_window_loops(e, data):
 
 @settings(max_examples=40, deadline=None)
 @given(systems())
+def test_semilattices_lie_in_root_coordinates(e):
+    """S is written over Z^nullity, the coordinates every root's iso uses."""
+    assert e.S.lattice == IntLattice.standard(e.nullity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
 def test_period_memo_agrees_with_l(e):
     """`_in_l` caches by iso mod `period`: it must agree with L itself."""
     if e.L is None:
         return
+    ambient, _, l = ambient_model(e.spec)
     for iso in itertools.product(range(-6, 7), repeat=e.nullity):
-        assert e._in_l(iso) == e.L.contains(e.ambient_lattice.from_coords(iso))
+        assert e._in_l(iso) == l.contains(ambient.from_coords(iso))
 
 
 def _l_is_4z(b2_affine):
@@ -189,7 +198,7 @@ def test_period_without_compatibility(b2_affine):
     assert bad.period == (8,)
     for x in range(-20, 21):
         iso = (x,)
-        assert bad._in_l(iso) == bad.L.contains(bad.ambient_lattice.from_coords(iso))
+        assert bad._in_l(iso) == bad.L.contains(iso)
 
 
 def assert_shift_invariant(e):

@@ -379,6 +379,28 @@ class TestCharVerifyInput:
         path.write_text(json.dumps(char))
         assert_input_error(capsys, ["char-verify", AFFINE, str(path), "--window", "1"])
 
+    @pytest.mark.parametrize(
+        "kind, where, key, value",
+        [
+            ("a1coset", (), "Modulus", 3),
+            ("a1coset", ("rule",), "values", [1]),
+            ("hom", ("rule",), "window", 3),
+            ("table", ("rule", "entries", 0), "weight", 1),
+            ("table", ("rule", "entries", 0, "root"), "Iso", [0]),
+        ],
+        ids=["character", "a1coset_rule", "hom_rule", "table_entry", "root"],
+    )
+    def test_unknown_key_rejected(self, capsys, tmp_path, kind, where, key, value):
+        """A misspelt or misplaced key is bad input, not dropped."""
+        char = _affine_character(kind)
+        obj = char
+        for step in where:
+            obj = obj[step]
+        obj[key] = value
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(char))
+        assert_input_error(capsys, ["char-verify", AFFINE, str(path), "--window", "1"])
+
 
 @cache
 def _affine_table() -> str:
@@ -503,6 +525,18 @@ class TestSpecInput:
         the rest dropped."""
         spec = {**_load_spec(name), **extra}
         assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "1"])
+
+    @pytest.mark.parametrize(
+        "name, form, key, value",
+        [("affine_a1.json", "S", "Reps", [[0], [3]]),
+         ("a2_nu1.json", "lattice", "lattice_basis", [[2]])],
+        ids=["semilattice", "lattice"],
+    )
+    def test_unknown_key_in_form_rejected(self, capsys, tmp_path, name, form, key, value):
+        """A key a form object does not take is bad input, not dropped."""
+        spec = _load_spec(name)
+        spec[form][key] = value
+        assert_input_error(capsys, ["info", _spec_file(tmp_path, spec), "--window", "0"])
 
     @pytest.mark.parametrize(
         "spec",

@@ -7,16 +7,23 @@ vectors.  On random specs (rank one, simply laced over non-standard unimodular
 lattices, B2, C3 and G2 with or without twist) both must enumerate the same window roots, find
 the same root-string members for every pair, and give the same character
 verification reports.  On random twisted specs the twist order, a ratio of
-covolumes, must equal the sublattice index it replaced.
+covolumes, must equal the sublattice index it replaced.  Roots and reports
+use coordinates only, so moving a spec's bases and representatives by one
+invertible matrix per ambient space changes no report.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumeration_reference import index_of_sublattice
-from fraction_reference import FractionFinite, FractionRoots, simple_coords
+from fraction_reference import FractionFinite, FractionRoots, ambient_model, simple_coords
 from ears.characters import (
     A1CosetRule,
     Character,
@@ -27,7 +34,8 @@ from ears.characters import (
     verify_core_character,
 )
 from ears.finite import FiniteType
-from ears.lattice import IntLattice, Semilattice
+from ears.cli import main
+from ears.lattice import IntLattice, Semilattice, matmul, matvec
 from ears.system import EarsSpec, Window, build_ears, enumerate_roots, invariants, twist_order
 from ears.torus import build_torus
 
@@ -174,8 +182,59 @@ def test_character_reports_match_oracle(c):
 @example(B2_SKEWED)
 def test_twist_order_matches_sublattice_index(spec):
     e = build_ears(spec)
-    assert twist_order(e) == index_of_sublattice(e.ambient_lattice, e.L.lattice)
+    ambient, _, l = ambient_model(spec)
+    assert twist_order(e) == index_of_sublattice(ambient, l.lattice)
     assert invariants(e)["twist_order"] == e.lacing ** spec.twist
+
+
+@st.composite
+def moved(draw, form):
+    """A form object with its basis B and representatives r replaced by A B
+    and A r, for a drawn A that is unimodular or of determinant +-2."""
+    a = draw(lattices(form.dim)).basis
+    if isinstance(form, IntLattice):
+        return IntLattice(matmul(a, form.basis))
+    return Semilattice(IntLattice(matmul(a, form.lattice.basis)),
+                       tuple(matvec(a, r) for r in form.reps))
+
+
+@st.composite
+def moved_specs(draw):
+    """(spec, the same spec over moved ambient spaces)."""
+    spec = draw(SPECS)
+    forms = {f: getattr(spec, f) for f in ("s", "lattice", "s1", "s2")}
+    return spec, EarsSpec(spec.type, spec.nullity, spec.twist, **{
+        f: None if form is None else draw(moved(form)) for f, form in forms.items()
+    })
+
+
+def report(spec, argv):
+    """Exit code and JSON report of in-process `main` on the spec, without its digest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec.to_json()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([argv[0], str(path), *argv[1:]])
+    obj = json.loads(out.getvalue())
+    del obj["inputs"]["spec_sha256"]
+    return code, obj
+
+
+@settings(max_examples=15, deadline=None)
+@given(moved_specs())
+def test_reports_do_not_depend_on_the_ambient_basis(specs):
+    """`--refl-oracle` and `minsize` search bases of up to refl_R elements, and
+    a search that finds none tries every subset of its pool: for B2 over Z^2
+    with four cosets in S2 that is C(232, 4) subsets.  So both run only where
+    refl_R <= 4, the size `minsize` gets here."""
+    spec, moved_spec = specs
+    commands = [["info", "--window", "1"]]
+    if invariants(build_ears(spec))["refl_R"] <= 4:
+        commands = [["info", "--window", "1", "--refl-oracle"],
+                    ["weyl", "minsize", "--window", "1", "--max-size", "4"]]
+    for argv in commands:
+        assert report(moved_spec, argv) == report(spec, argv)
 
 
 def test_torus_root_coordinates_match_realization():

@@ -9,7 +9,10 @@ between modules is visible in their headers.  A function whose body only
 passes its own parameters on to another callable is a second name for it, so
 no such alias is defined unless something outside the package names it.  The
 traced benchmark run wraps `ears` functions and methods by name, so every name
-it lists must still exist.
+it lists must still exist.  Roots and the semilattices of a built system share
+one coordinate system, which `system.build_ears` reads off a spec's bases, so
+no module but `lattice` maps coordinates to ambient vectors (`from_coords`),
+and none but `lattice` and `system` solves for coordinates (`coords`).
 """
 
 import ast
@@ -91,6 +94,14 @@ def bare_aliases(source: str) -> list[str]:
     return found
 
 
+def method_calls(source: str, method: str) -> list[int]:
+    """Lines of calls `X.method(...)`; an attribute read or a bare call is not one."""
+    return [
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == method
+    ]
+
+
 # aliases that something outside the package names, with the reason
 ALIAS_ALLOWED = {
     "build_torus": "bench/trace_calls.py and bench/setup_probe.py name it",
@@ -119,6 +130,11 @@ def test_guards_see_what_they_look_for():
     assert bare_aliases("def f(a, b):\n    return g(a, 1, b)\n") == []
     assert bare_aliases("def f(self):\n    return g(self.x)\n") == []
     assert bare_aliases("def f(a):\n    x = a\n    return g(a)\n") == []
+    assert method_calls("v = lat.from_coords(x)\n", "from_coords") == [1]
+    assert method_calls("a\nc = e.S.lattice.coords(v)\n", "coords") == [2]
+    assert method_calls("c = e.finite.coords\n", "coords") == []
+    assert method_calls("c = coords(v)\n", "coords") == []
+    assert method_calls("v = lat.from_coords(x)\n", "coords") == []
 
 
 def test_package_modules_found():
@@ -156,6 +172,23 @@ def test_no_function_level_imports(path):
 def test_no_bare_aliases(path):
     aliases = [name for name in bare_aliases(path.read_text()) if name not in ALIAS_ALLOWED]
     assert not aliases, f"{path.name} defines aliases that only pass their parameters on: {aliases}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_from_coords_only_in_lattice(path):
+    lines = method_calls(path.read_text(), "from_coords")
+    assert not lines, f"{path.name} maps coordinates to ambient vectors at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("lattice.py", "system.py")],
+    ids=lambda p: p.name,
+)
+def test_coords_only_in_lattice_and_system(path):
+    lines = method_calls(path.read_text(), "coords")
+    assert not lines, f"{path.name} solves for lattice coordinates at lines {lines}"
 
 
 def load_trace_calls():
