@@ -6,12 +6,20 @@ ring of Z/m (cyclic convolution, so zeta ** m = 1 holds by construction and
 all equality checks are exact).  This realizes the simply-laced type A
 system over the full lattice: root spaces are matrix positions graded by
 Laurent degree, the degree-zero Cartan part plays the role of H.
+
+Inside the module an element is a flat tuple of terms (key id, degree,
+coefficients): the basis keys of one shape are small ints numbered in their
+sort order, and coefficients are int tuples of length m.  The public key
+tuples and `CycScalar` appear only at the edge: in `TorusElement.terms`, in
+the constructors that take them, which check them against the shape, and in
+the value of `trace_form`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .characters import Character, TableRule, verify_core_character
@@ -20,11 +28,17 @@ from .lattice import IntVector, json_int
 from .system import AxiomReport, Ears, EarsSpec, Root, Window, build_ears
 
 TermKey = tuple  # ("e", i, j) or ("h", r)
+Coeffs = tuple[int, ...]  # one integer per power of zeta
+Term = tuple[int, IntVector, Coeffs]  # (key id, Laurent degree, coefficients)
 
 
 @dataclass(frozen=True)
 class CycScalar:
-    """Element of Z[Z/m]: integer coefficient vector for (1, zeta, ..., zeta**(m-1))."""
+    """Element of Z[Z/m]: integer coefficient vector for (1, zeta, ..., zeta**(m-1)).
+
+    The constructor checks its input; the results of arithmetic are built
+    from checked operands and are not checked again.
+    """
 
     modulus: int
     coeffs: tuple[int, ...]
@@ -57,38 +71,80 @@ class CycScalar:
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
-        return CycScalar(
-            self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return _cyc(self.modulus, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.modulus, tuple(-a for a in self.coeffs))
+        return _cyc(self.modulus, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
-        m = self.modulus
-        out = [0] * m
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[(i + j) % m] += a * b
-        return CycScalar(m, tuple(out))
+        return _cyc(self.modulus, _product(_units(self.modulus), self.coeffs, other.coeffs))
 
     def rotate(self, k: int) -> "CycScalar":
         """Product with zeta**k: the coefficients move k places cyclically."""
-        k %= self.modulus
-        if not k:
-            return self
-        return CycScalar(self.modulus, self.coeffs[-k:] + self.coeffs[:-k])
+        return _cyc(self.modulus, _rotate(self.coeffs, k % self.modulus))
 
     def scale(self, q: int) -> "CycScalar":
-        return CycScalar(self.modulus, tuple(q * a for a in self.coeffs))
+        return _cyc(self.modulus, _scaled(self.coeffs, json_int(q, "scalar")))
 
     def _check(self, other: "CycScalar") -> None:
         if self.modulus != other.modulus:
             raise ValueError("scalar modulus mismatch")
+
+
+def _cyc(m: int, coeffs: Coeffs) -> CycScalar:
+    """A `CycScalar` from kernel coefficients, skipping the constructor's checks."""
+    c = object.__new__(CycScalar)
+    object.__setattr__(c, "modulus", m)
+    object.__setattr__(c, "coeffs", coeffs)
+    return c
+
+
+# Group-ring arithmetic on coefficient tuples.
+
+
+@cache
+def _units(m: int) -> dict[Coeffs, tuple[int, int]]:
+    """Each signed monomial +-zeta**k of Z[Z/m], mapped to (sign, k)."""
+    out = {}
+    for k in range(m):
+        for sign in (1, -1):
+            coeffs = [0] * m
+            coeffs[k] = sign
+            out[tuple(coeffs)] = (sign, k)
+    return out
+
+
+def _rotate(c: Coeffs, k: int) -> Coeffs:
+    """zeta**k * c for 0 <= k < m."""
+    return c[-k:] + c[:-k] if k else c
+
+
+def _scaled(c: Coeffs, q: int) -> Coeffs:
+    return tuple([q * a for a in c])
+
+
+def _product(units: dict[Coeffs, tuple[int, int]], a: Coeffs, b: Coeffs) -> Coeffs:
+    """a * b in Z[Z/m].  When either factor is a signed monomial +-zeta**k
+    the other is only rotated and signed; otherwise cyclic convolution."""
+    unit, other = units.get(a), b
+    if unit is None:
+        unit, other = units.get(b), a
+        if unit is None:
+            m = len(a)
+            out = [0] * m
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            out[(i + j) % m] += x * y
+            return tuple(out)
+    sign, k = unit
+    other = _rotate(other, k)
+    return other if sign == 1 else tuple(map(neg, other))
+
+
+# The basis of one shape and its structure constants.
 
 
 @cache
@@ -103,57 +159,184 @@ def _unit_root(i: int, j: int) -> tuple[tuple[int, int], ...]:
     return tuple((r, -1) for r in range(j, i))
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Canonical finite sum of graded basis terms with group-ring coefficients."""
+def _basis_bracket(k1: TermKey, k2: TermKey) -> tuple[tuple[TermKey, int], ...]:
+    if k1[0] == "h" and k2[0] == "h":
+        return ()
+    if k1[0] == "h":
+        _, i, j = k2
+        r = k1[1]
+        c = (r == i) - (r == j) - (r + 1 == i) + (r + 1 == j)
+        return ((k2, c),) if c else ()
+    if k2[0] == "h":
+        return tuple((key, -sign) for key, sign in _basis_bracket(k2, k1))
+    _, i, j = k1
+    _, k, l = k2
+    if j == k and i == l:
+        return tuple((("h", r), sign) for r, sign in _unit_root(i, j))
+    if j == k:
+        return ((("e", i, l), 1),)
+    if l == i:
+        return ((("e", k, j), -1),)
+    return ()
 
-    ell: int
-    nu: int
-    modulus: int
-    terms: tuple[tuple[TermKey, IntVector, CycScalar], ...]
+
+def _basis_trace(k1: TermKey, k2: TermKey) -> int:
+    if k1[0] == "e" and k2[0] == "e":
+        return int(k1[1] == k2[2] and k1[2] == k2[1])
+    if k1[0] == "h" and k2[0] == "h":
+        r, s = k1[1], k2[1]
+        return 2 * (r == s) - (r == s + 1) - (s == r + 1)
+    return 0
+
+
+class _Shape:
+    """The tables of one shape (ell, nu, m), shared by all of its elements.
+
+    Key ids follow the sort order of the keys, so sorting terms by (id,
+    degree) sorts them by (key, degree).  `brackets` and `traces` are
+    indexed by id1 * size + id2.
+    """
+
+    def __init__(self, ell: int, nu: int, modulus: int):
+        self.ell, self.nu, self.modulus = ell, nu, modulus
+        n = ell + 1
+        self.keys: tuple[TermKey, ...] = tuple(sorted(
+            [("e", i, j) for i in range(n) for j in range(n) if i != j]
+            + [("h", r) for r in range(ell)]
+        ))
+        self.ids = {key: k for k, key in enumerate(self.keys)}
+        self.size = len(self.keys)
+        self.brackets = tuple(
+            tuple(sorted((self.ids[key], sign) for key, sign in _basis_bracket(k1, k2)))
+            for k1 in self.keys for k2 in self.keys
+        )
+        self.traces = tuple(_basis_trace(k1, k2) for k1 in self.keys for k2 in self.keys)
+        self.units = _units(modulus)
+        self.one: Coeffs = (1,) + (0,) * (modulus - 1)
+
+    def degree(self, lam: Sequence[int]) -> IntVector:
+        lam = tuple(json_int(x, "Laurent degree") for x in lam)
+        if len(lam) != self.nu:
+            raise ValueError("Laurent degree has wrong length")
+        return lam
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True reach the checks
+def _shape(ell: int, nu: int, modulus: int) -> _Shape:
+    if json_int(ell, "ell") < 2:
+        raise ValueError("matrix realization needs rank >= 2")
+    if json_int(nu, "nu") < 0:
+        raise ValueError("nullity must be >= 0")
+    if json_int(modulus, "modulus") < 1:
+        raise ValueError("scalar modulus must be >= 1")
+    return _Shape(ell, nu, modulus)
+
+
+def _merge(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The sum of the given terms: equal (key, degree) merged, zeros dropped, sorted."""
+    if len(terms) == 1:
+        return tuple(terms) if any(terms[0][2]) else ()
+    acc: dict[tuple[int, IntVector], Coeffs] = {}
+    for k, lam, c in terms:
+        prev = acc.get((k, lam))
+        acc[(k, lam)] = c if prev is None else tuple(map(add, prev, c))
+    return tuple((k, lam, c) for (k, lam), c in sorted(acc.items()) if any(c))
+
+
+class TorusElement:
+    """Canonical finite sum of graded basis terms with group-ring coefficients.
+
+    `TorusElement(ell, nu, modulus, terms)` takes (key, degree, CycScalar)
+    triples and raises `ValueError` on a key, degree or coefficient that does
+    not belong to the shape; equal (key, degree) are merged.  `terms` gives
+    the sum back with zeros dropped, sorted by (key, degree).
+    """
+
+    __slots__ = ("_shape", "_flat", "_terms")
+
+    def __init__(
+        self, ell: int, nu: int, modulus: int,
+        terms: Iterable[tuple[TermKey, Sequence[int], CycScalar]],
+    ):
+        shape = _shape(ell, nu, modulus)
+        flat = []
+        for key, lam, c in terms:
+            k = shape.ids.get(key)
+            if k is None:
+                raise ValueError(f"{key!r} is not a basis key of sl_{ell + 1}")
+            lam = shape.degree(lam)
+            if not isinstance(c, CycScalar) or c.modulus != modulus:
+                raise ValueError(f"coefficient {c!r} is not in Z[Z/{modulus}]")
+            flat.append((k, lam, c.coeffs))
+        self._shape, self._flat, self._terms = shape, _merge(flat), None
+
+    @property
+    def ell(self) -> int:
+        return self._shape.ell
+
+    @property
+    def nu(self) -> int:
+        return self._shape.nu
+
+    @property
+    def modulus(self) -> int:
+        return self._shape.modulus
+
+    @property
+    def terms(self) -> tuple[tuple[TermKey, IntVector, CycScalar], ...]:
+        if self._terms is None:
+            keys, m = self._shape.keys, self._shape.modulus
+            self._terms = tuple((keys[k], lam, _cyc(m, c)) for k, lam, c in self._flat)
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._flat
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TorusElement):
+            return NotImplemented
+        return self._shape is other._shape and self._flat == other._flat
+
+    def __hash__(self) -> int:
+        return hash(self._flat)
+
+    def __repr__(self) -> str:
+        return (f"TorusElement(ell={self.ell}, nu={self.nu}, modulus={self.modulus}, "
+                f"terms={self.terms!r})")
 
     def _check(self, other: "TorusElement") -> None:
-        if (self.ell, self.nu, self.modulus) != (other.ell, other.nu, other.modulus):
+        if self._shape is not other._shape:
             raise ValueError("torus parameter mismatch")
 
     def __add__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
-        return _canonical(self.ell, self.nu, self.modulus, self.terms + other.terms)
+        return _element(self._shape, _merge(self._flat + other._flat))
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(
-            self.ell, self.nu, self.modulus,
-            tuple((key, lam, -c) for key, lam, c in self.terms),
-        )
+        return self.scale(-1)
 
     def scale(self, c: CycScalar | int) -> "TorusElement":
-        if isinstance(c, int):
-            c = CycScalar.one(self.modulus).scale(c)
-        return _canonical(
-            self.ell, self.nu, self.modulus,
-            ((key, lam, coeff * c) for key, lam, coeff in self.terms),
-        )
+        s = self._shape
+        if isinstance(c, CycScalar):
+            if c.modulus != s.modulus:
+                raise ValueError("scalar modulus mismatch")
+            coeffs = c.coeffs
+        else:
+            coeffs = _scaled(s.one, json_int(c, "scalar"))
+        return _element(s, _merge(
+            [(k, lam, _product(s.units, v, coeffs)) for k, lam, v in self._flat]
+        ))
 
 
-def _canonical(
-    ell: int, nu: int, modulus: int, terms: Iterable[tuple[TermKey, IntVector, CycScalar]]
-) -> TorusElement:
-    """The sum of the given terms: equal (key, degree) merged, zeros dropped, sorted."""
-    acc: dict[tuple[TermKey, IntVector], CycScalar] = {}
-    for key, lam, c in terms:
-        prev = acc.get((key, lam))
-        acc[(key, lam)] = c if prev is None else prev + c
-    return TorusElement(
-        ell, nu, modulus,
-        tuple((key, lam, c) for (key, lam), c in sorted(acc.items()) if not c.is_zero),
-    )
+def _element(shape: _Shape, flat: tuple[Term, ...]) -> TorusElement:
+    """An element from canonical kernel terms, which need no checks."""
+    x = object.__new__(TorusElement)
+    x._shape, x._flat, x._terms = shape, flat, None
+    return x
 
 
 @dataclass(frozen=True)
@@ -165,45 +348,35 @@ class LieTorus:
     modulus: int
 
     def __post_init__(self) -> None:
-        if json_int(self.ell, "ell") < 2:
-            raise ValueError("matrix realization needs rank >= 2")
-        if json_int(self.nu, "nu") < 0:
-            raise ValueError("nullity must be >= 0")
-        if json_int(self.modulus, "modulus") < 1:
-            raise ValueError("scalar modulus must be >= 1")
+        _shape(self.ell, self.nu, self.modulus)
 
     @property
     def size(self) -> int:
         return self.ell + 1
 
-    def zero(self) -> TorusElement:
-        return TorusElement(self.ell, self.nu, self.modulus, ())
+    @property
+    def _shape(self) -> _Shape:
+        return _shape(self.ell, self.nu, self.modulus)
 
-    def _lam(self, lam: Sequence[int] | None) -> IntVector:
-        if lam is None:
-            return (0,) * self.nu
-        lam = tuple(json_int(x, "Laurent degree") for x in lam)
-        if len(lam) != self.nu:
-            raise ValueError("Laurent degree has wrong length")
-        return lam
+    def zero(self) -> TorusElement:
+        return _element(self._shape, ())
+
+    def _unit(self, key: TermKey, lam: Sequence[int] | None) -> TorusElement:
+        s = self._shape
+        lam = (0,) * self.nu if lam is None else s.degree(lam)
+        return _element(s, ((s.ids[key], lam, s.one),))
 
     def e(self, i: int, j: int, lam: Sequence[int] | None = None) -> TorusElement:
         """Matrix unit e_ij tensor a Laurent monomial."""
         if not (0 <= i <= self.ell and 0 <= j <= self.ell) or i == j:
             raise ValueError("matrix unit indices must be distinct and in range")
-        return TorusElement(
-            self.ell, self.nu, self.modulus,
-            ((("e", i, j), self._lam(lam), CycScalar.one(self.modulus)),),
-        )
+        return self._unit(("e", i, j), lam)
 
     def h(self, r: int, lam: Sequence[int] | None = None) -> TorusElement:
         """Cartan difference e_rr - e_(r+1)(r+1) tensor a Laurent monomial."""
         if not 0 <= r < self.ell:
             raise ValueError("Cartan index out of range")
-        return TorusElement(
-            self.ell, self.nu, self.modulus,
-            ((("h", r), self._lam(lam), CycScalar.one(self.modulus)),),
-        )
+        return self._unit(("h", r), lam)
 
     def graded_basis(self, w: Window) -> list[TorusElement]:
         """All graded basis elements with Laurent degree sup-norm <= bound."""
@@ -240,59 +413,39 @@ def build_torus(ell: int, nu: int, modulus: int) -> LieTorus:
 def bracket(x: TorusElement, y: TorusElement) -> TorusElement:
     """Lie bracket: matrix commutator with Laurent degrees adding."""
     x._check(y)
-    terms = []
-    for key1, lam1, c1 in x.terms:
-        for key2, lam2, c2 in y.terms:
-            lam = tuple(a + b for a, b in zip(lam1, lam2))
-            c = c1 * c2
-            for key, sign in _basis_bracket(key1, key2):
-                terms.append((key, lam, c if sign == 1 else c.scale(sign)))
-    return _canonical(x.ell, x.nu, x.modulus, terms)
+    out: list[Term] = []
+    _bracket_into(out, x._shape, x._flat, y._flat)
+    return _element(x._shape, _merge(out))
 
 
-@cache
-def _basis_bracket(k1: TermKey, k2: TermKey) -> tuple[tuple[TermKey, int], ...]:
-    if k1[0] == "h" and k2[0] == "h":
-        return ()
-    if k1[0] == "h":
-        _, i, j = k2
-        r = k1[1]
-        c = (r == i) - (r == j) - (r + 1 == i) + (r + 1 == j)
-        return ((k2, c),) if c else ()
-    if k2[0] == "h":
-        return tuple((key, -sign) for key, sign in _basis_bracket(k2, k1))
-    _, i, j = k1
-    _, k, l = k2
-    if j == k and i == l:
-        return tuple((("h", r), sign) for r, sign in _unit_root(i, j))
-    if j == k:
-        return ((("e", i, l), 1),)
-    if l == i:
-        return ((("e", k, j), -1),)
-    return ()
+def _bracket_into(
+    out: list[Term], s: _Shape, xs: tuple[Term, ...], ys: tuple[Term, ...]
+) -> None:
+    """Append the terms of [x, y] to `out`, not yet merged."""
+    table, n, units = s.brackets, s.size, s.units
+    for k1, lam1, c1 in xs:
+        row = k1 * n
+        for k2, lam2, c2 in ys:
+            pieces = table[row + k2]
+            if pieces:
+                lam = tuple(map(add, lam1, lam2))
+                c = _product(units, c1, c2)
+                for k, sign in pieces:
+                    out.append((k, lam, c if sign == 1 else _scaled(c, sign)))
 
 
 def trace_form(x: TorusElement, y: TorusElement) -> CycScalar:
     """Invariant form: trace of the matrix product, kept at Laurent degree zero."""
     x._check(y)
-    total = CycScalar.zero(x.modulus)
-    for key1, lam1, c1 in x.terms:
-        for key2, lam2, c2 in y.terms:
-            if any(a + b for a, b in zip(lam1, lam2)):
-                continue
-            t = _basis_trace(key1, key2)
-            if t:
-                total = total + (c1 * c2).scale(t)
-    return total
-
-
-def _basis_trace(k1: TermKey, k2: TermKey) -> int:
-    if k1[0] == "e" and k2[0] == "e":
-        return int(k1[1] == k2[2] and k1[2] == k2[1])
-    if k1[0] == "h" and k2[0] == "h":
-        r, s = k1[1], k2[1]
-        return 2 * (r == s) - (r == s + 1) - (s == r + 1)
-    return 0
+    s = x._shape
+    table, n = s.traces, s.size
+    total = (0,) * s.modulus
+    for k1, lam1, c1 in x._flat:
+        for k2, lam2, c2 in y._flat:
+            t = table[k1 * n + k2]
+            if t and not any(map(add, lam1, lam2)):
+                total = tuple(map(add, total, _scaled(_product(s.units, c1, c2), t)))
+    return _cyc(s.modulus, total)
 
 
 @dataclass(frozen=True)
@@ -319,17 +472,23 @@ class TorusAutomorphism:
         return (("e", key[2], key[1]) if key[0] == "e" else key), tuple(-t for t in lam)
 
     def apply(self, x: TorusElement) -> TorusElement:
-        if (x.ell, x.nu, x.modulus) != (self.ell, self.nu, self.modulus):
+        s = x._shape
+        if (s.ell, s.nu, s.modulus) != (self.ell, self.nu, self.modulus):
             raise ValueError("automorphism / element parameter mismatch")
         terms = []
-        for key, lam, c in x.terms:
-            c = c.rotate(self._degree_exponent(key, lam))
-            terms.append((*self.target(key, lam), -c if self.flip else c))
-        return _canonical(x.ell, x.nu, x.modulus, terms)
+        for k, lam, c in x._flat:
+            key = s.keys[k]
+            c = _rotate(c, self._degree_exponent(key, lam))
+            if self.flip:
+                key, lam = self.target(key, lam)
+                k, c = s.ids[key], tuple(map(neg, c))
+            terms.append((k, lam, c))
+        # without the flip, keys and degrees stay in place and in order
+        return _element(s, _merge(terms) if self.flip else tuple(terms))
 
     def _degree_exponent(self, key: TermKey, lam: IntVector) -> int:
         """hom . (coords(key), lam) mod m: the power of zeta put on x_(key, lam)."""
-        exp = sum(h * t for h, t in zip(self.hom[self.ell :], lam))
+        exp = sum(map(mul, self.hom[self.ell :], lam))
         if key[0] == "e":
             exp += sum(self.hom[r] * s for r, s in _unit_root(key[1], key[2]))
         return exp % self.modulus
@@ -372,19 +531,37 @@ def _term_label(x: TorusElement) -> tuple[TermKey, IntVector] | None:
     return key, lam
 
 
+def _image(t: LieTorus, a: TorusAutomorphism, x: TorusElement) -> TorusElement:
+    """a(x), which must be an element of t: a subclass's `apply` may return anything."""
+    y = a.apply(x)
+    if not isinstance(y, TorusElement) or y._shape is not t._shape:
+        raise ValueError(f"automorphism image {y!r} is not an element of {t}")
+    return y
+
+
 def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomReport:
-    """Exhaustive window checks: bracket compatibility, grading behavior, order, form."""
+    """Exhaustive window checks: bracket compatibility, grading behavior, order, form.
+
+    Bracket compatibility compares a([x, y]) with [a x, a y] on every pair of
+    the window's basis.  `a.apply` is a function of the element, so it runs
+    once per distinct element: at (2,2,2) window 2, once for each of the
+    2,107 distinct values of [x, y], not once for each of the 40,000 pairs.
+    """
     basis = t.graded_basis(w)
     checks: dict = {}
+    memo: dict[tuple[Term, ...], TorusElement] = {}
+
+    def image(x: TorusElement) -> TorusElement:
+        y = memo.get(x._flat)
+        if y is None:
+            y = memo[x._flat] = _image(t, a, x)
+        return y
 
     failures = []
-    images = {id(x): a.apply(x) for x in basis}
-    for x in basis:
-        ax = images[id(x)]
-        for y in basis:
-            lhs = a.apply(bracket(x, y))
-            rhs = bracket(ax, images[id(y)])
-            if lhs != rhs:
+    images = [image(x) for x in basis]
+    for x, ax in zip(basis, images):
+        for y, ay in zip(basis, images):
+            if image(bracket(x, y))._flat != bracket(ax, ay)._flat:
                 failures.append({"x": repr(x.terms[0][:2]), "y": repr(y.terms[0][:2])})
     checks["bracket_compatibility"] = {
         "passed": not failures,
@@ -393,9 +570,9 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomRe
     }
 
     map_failures = []
-    for x in basis:
+    for x, ax in zip(basis, images):
         key, lam = _term_label(x)
-        label = _term_label(images[id(x)])
+        label = _term_label(ax)
         if label is None:
             map_failures.append({"x": repr((key, lam)), "reason": "image not graded"})
         elif label != a.target(key, lam):
@@ -407,7 +584,7 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomRe
     for x in basis:
         y = x
         for _ in range(power):
-            y = a.apply(y)
+            y = image(y)
         if y != x:
             order_failures.append({"x": repr(_term_label(x))})
     checks["finite_order"] = {
@@ -417,14 +594,14 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomRe
     }
 
     form_failures = []
-    by_degree: dict[IntVector, list[TorusElement]] = {}
-    for x in basis:
+    by_degree: dict[IntVector, list[tuple[TorusElement, TorusElement]]] = {}
+    for x, ax in zip(basis, images):
         _, lam = _term_label(x)
-        by_degree.setdefault(lam, []).append(x)
-    for x in basis:
+        by_degree.setdefault(lam, []).append((x, ax))
+    for x, ax in zip(basis, images):
         _, lam = _term_label(x)
-        for y in by_degree.get(tuple(-v for v in lam), []):
-            if trace_form(images[id(x)], images[id(y)]) != trace_form(x, y):
+        for y, ay in by_degree.get(tuple(-v for v in lam), []):
+            if trace_form(ax, ay) != trace_form(x, y):
                 form_failures.append({"x": repr(_term_label(x)), "y": repr(_term_label(y))})
     checks["form_preservation"] = {"passed": not form_failures, "failures": form_failures[:5]}
 
@@ -432,21 +609,33 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomRe
 
 
 def jacobi_identity_report(t: LieTorus, w: Window) -> dict:
-    """Check the Jacobi identity on all graded basis triples inside the window."""
+    """Check the Jacobi identity on all graded basis triples inside the window.
+
+    The basis-pair brackets are computed once; each triple then sums
+    [x, [y, z]] + [y, [z, x]] + [z, [x, y]] in one accumulator.
+    """
     basis = t.graded_basis(w)
+    s = t._shape
+    flats = [x._flat for x in basis]
+    pairs = [[bracket(x, y)._flat for y in basis] for x in basis]
     failures = []
     count = 0
-    for x in basis:
-        for y in basis:
-            xy = bracket(x, y)
-            for z in basis:
+    for i, x in enumerate(flats):
+        for j, y in enumerate(flats):
+            yz_row, xy = pairs[j], pairs[i][j]
+            for k, z in enumerate(flats):
                 count += 1
-                total = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(
-                    z, xy
-                )
-                if not total.is_zero:
+                yz, zx = yz_row[k], pairs[k][i]
+                total: list[Term] = []
+                if yz:
+                    _bracket_into(total, s, x, yz)
+                if zx:
+                    _bracket_into(total, s, y, zx)
+                if xy:
+                    _bracket_into(total, s, z, xy)
+                if total and _merge(total):
                     failures.append(
-                        (repr(_term_label(x)), repr(_term_label(y)), repr(_term_label(z)))
+                        tuple(repr(_term_label(basis[n])) for n in (i, j, k))
                     )
     return {"triples": count, "failures": failures[:5], "ok": not failures}
 
@@ -468,7 +657,7 @@ def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):
     table: dict[Root, int] = {}
     for x in t.graded_basis(w):
         key, lam = _term_label(x)
-        exp = _scalar_action_exponent(x, a.apply(x), m)
+        exp = _scalar_action_exponent(x, _image(t, a, x), m)
         if exp is None:
             raise ValueError(
                 f"automorphism is not a unity scalar on {key} at degree {lam}"
@@ -512,15 +701,16 @@ def _scalar_action_exponent(x: TorusElement, y: TorusElement, m: int) -> int | N
     Multiplying by zeta**k rotates every coefficient by k places and keeps
     the terms, so k is read off the first coefficient and checked on the rest.
     """
-    if [t[:2] for t in x.terms] != [t[:2] for t in y.terms]:
+    xs, ys = x._flat, y._flat
+    if x._shape is not y._shape or [t[:2] for t in xs] != [t[:2] for t in ys]:
         return None
-    if not x.terms:
+    if not xs:
         return 0
-    lead, image = x.terms[0][2].coeffs, y.terms[0][2].coeffs
+    lead, image = xs[0][2], ys[0][2]
     i = next(i for i, a in enumerate(lead) if a)
     for k in range(m):
         if image[(i + k) % m] == lead[i] and all(
-            cx.rotate(k) == cy for (_, _, cx), (_, _, cy) in zip(x.terms, y.terms)
+            _rotate(cx, k) == cy for (_, _, cx), (_, _, cy) in zip(xs, ys)
         ):
             return k
     return None

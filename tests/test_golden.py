@@ -55,6 +55,11 @@ COMMANDS = (
          "--window", "1"),
         ("torus", "check-diagonal", "--ell", "2", "--nu", "1", "--modulus", "4",
          "--hom", "1,2,3", "--window", "1"),
+        # the largest torus checks of the benchmark
+        ("torus", "check-chevalley", "--ell", "2", "--nu", "2", "--modulus", "2",
+         "--window", "2"),
+        ("torus", "check-diagonal", "--ell", "2", "--nu", "2", "--modulus", "2",
+         "--hom", "1,0,1,1", "--window", "2"),
     ]
 )
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ears.torus as torus_module
+import torus_reference as ref
 from ears.characters import (
     Character,
     TableRule,
@@ -16,7 +18,6 @@ from ears.torus import (
     CycScalar,
     TorusAutomorphism,
     TorusElement,
-    _canonical,
     _scalar_action_exponent,
     bracket,
     build_torus,
@@ -297,6 +298,187 @@ def _corrupted_diagonal(t):
     return _CorruptedDiagonal(t.ell, t.nu, t.modulus, False, (0,) * (t.ell + t.nu))
 
 
+@dataclass(frozen=True)
+class _CorruptedIsotropic(TorusAutomorphism):
+    """Scales h_r tensor t^sigma by zeta at sigma != 0 and fixes everything else.
+
+    Among the brackets of basis pairs, such a piece comes only out of
+    [e_ij tensor t^lam, e_ji tensor t^mu] with lam + mu = sigma, which has one
+    term per h_r between i and j.  The window check must still see every pair
+    whose image goes wrong when `apply` runs once per distinct bracket."""
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        zeta = CycScalar.zeta(self.modulus, 1)
+        return TorusElement(x.ell, x.nu, x.modulus, tuple(
+            (key, lam, c * zeta if key[0] == "h" and any(lam) else c)
+            for key, lam, c in x.terms
+        ))
+
+
+_CORRUPTIONS = {
+    "diagonal": _corrupted_diagonal,
+    "composite": lambda t: _CorruptedComposite(
+        t.ell, t.nu, t.modulus, True, (1,) + (0,) * (t.ell + t.nu - 1)
+    ),
+    "isotropic": lambda t: _CorruptedIsotropic(
+        t.ell, t.nu, t.modulus, False, (0,) * (t.ell + t.nu)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 4)], ids=str)
+def test_negative_controls_match_the_unmemoised_loop(shape, name):
+    """Every check, with the same first five witnesses in the same order."""
+    t, w = build_torus(*shape), Window(2)
+    a = _CORRUPTIONS[name](t)
+    checks = verify_automorphism(t, a, w).checks
+    assert checks == ref.verify_automorphism(t, a, w).checks
+    assert not all(c["passed"] for c in checks.values())
+    if name == "isotropic":
+        assert len(checks["bracket_compatibility"]["failures"]) == 5
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 4), (2, 2, 2), (3, 1, 3)], ids=str)
+def test_window_checks_match_the_first_version(shape):
+    t, w = build_torus(*shape), Window(1)
+
+    @settings(max_examples=6, deadline=None)
+    @given(_random_map(t))
+    def check(a):
+        first = ref.ReferenceMap(a.ell, a.nu, a.modulus, a.flip, a.hom)
+        assert verify_automorphism(t, a, w).checks == ref.verify_automorphism(t, first, w).checks
+
+    check()
+
+
+@st.composite
+def _scalars(draw, m):
+    """Group-ring scalars: mostly not monomials, so products convolve."""
+    if draw(st.booleans()):
+        return CycScalar(m, tuple(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))))
+    return CycScalar.zeta(m, draw(st.integers(0, m - 1))).scale(draw(st.sampled_from((1, -1))))
+
+
+@st.composite
+def _elements(draw, t):
+    """Multi-term elements; some sums cancel in part or to zero."""
+    keys = [x.terms[0][0] for x in t.graded_basis(Window(0))]
+    lam = st.tuples(*[st.integers(-2, 2)] * t.nu)
+    terms = draw(st.lists(st.tuples(st.sampled_from(keys), lam, _scalars(t.modulus)), max_size=4))
+    if terms:
+        cancel = draw(st.lists(st.sampled_from(terms), max_size=len(terms)))
+        terms += [(key, deg, ref.scaled(c, -1)) for key, deg, c in cancel]
+    return TorusElement(t.ell, t.nu, t.modulus, terms)
+
+
+def _assert_canonical(x):
+    labels = [term[:2] for term in x.terms]
+    assert labels == sorted(set(labels))
+    assert not any(c.is_zero for _, _, c in x.terms)
+
+
+@pytest.mark.parametrize("ell,nu", [(2, 0), (2, 1), (3, 1), (2, 2)])
+def test_kernel_matches_the_first_version(ell, nu):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def check(m, data):
+        t = build_torus(ell, nu, m)
+        x, y = data.draw(_elements(t)), data.draw(_elements(t))
+        c, d = data.draw(_scalars(m)), data.draw(_scalars(m))
+        a = data.draw(_random_map(t))
+        xy = bracket(x, y)
+        _assert_canonical(xy)
+        assert xy == ref.bracket(x, y)
+        assert trace_form(x, y) == ref.trace_form(x, y)
+        assert a.apply(x) == ref.apply(a, x)
+        _assert_canonical(a.apply(x))
+        assert x + y == ref.canonical(ell, nu, m, x.terms + y.terms)
+        assert x.scale(c) == ref.canonical(
+            ell, nu, m, [(key, lam, ref.times(v, c)) for key, lam, v in x.terms]
+        )
+        assert c * d == ref.times(c, d)
+
+    check()
+
+
+def test_zero_divisors_cancel():
+    t = build_torus(2, 1, 2)
+    plus, minus = CycScalar(2, (1, 1)), CycScalar(2, (1, -1))
+    assert (plus * minus).is_zero
+    assert bracket(t.e(0, 1).scale(plus), t.e(1, 2).scale(minus)).is_zero
+    assert bracket(t.e(0, 1).scale(plus), t.e(1, 2).scale(plus)) == t.e(0, 2).scale(
+        CycScalar(2, (2, 2))
+    )
+
+
+def test_checks_call_the_module_bracket(monkeypatch):
+    """The traced benchmark counts brackets by replacing `ears.torus.bracket`.
+
+    The window checks make two calls per basis pair whatever the map, and the
+    Jacobi check one per basis pair, for its table of pair brackets."""
+    calls = []
+    inner = torus_module.bracket
+
+    def counted(x, y):
+        calls.append(1)
+        return inner(x, y)
+
+    monkeypatch.setattr(torus_module, "bracket", counted)
+    t, w = build_torus(2, 1, 2), Window(1)
+    n = len(t.graded_basis(w))
+    for a in (diagonal_from_hom(t, (0, 0, 0)), diagonal_from_hom(t, (1, 1, 1)), chevalley(t)):
+        calls.clear()
+        verify_automorphism(t, a, w)
+        assert len(calls) == 2 * n * n
+    calls.clear()
+    jacobi_identity_report(t, w)
+    assert len(calls) == n * n
+
+
+@dataclass(frozen=True)
+class _Elsewhere(TorusAutomorphism):
+    """Maps into the torus of modulus 3: the same keys and degrees, other scalars."""
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        return TorusElement(
+            x.ell, x.nu, 3, tuple((key, lam, CycScalar.one(3)) for key, lam, _ in x.terms)
+        )
+
+
+class TestShapeChecks:
+    def test_coefficient_of_another_modulus_rejected(self):
+        with pytest.raises(ValueError):
+            TorusElement(2, 1, 2, ((("e", 0, 1), (0,), CycScalar(3, (0, 1, 0))),))
+
+    def test_scale_by_another_modulus_rejected(self, torus):
+        with pytest.raises(ValueError):
+            torus.e(0, 1).scale(CycScalar.zeta(3))
+
+    def test_unknown_key_and_bad_degree_rejected(self):
+        one = CycScalar.one(2)
+        for terms in (
+            ((("e", 0, 0), (0,), one),),
+            ((("h", 2), (0,), one),),
+            ((("e", 0, 1), (0, 0), one),),
+            ((("e", 0, 1), (0.5,), one),),
+            ((("e", 0, 1), (0,), 1),),
+        ):
+            with pytest.raises(ValueError):
+                TorusElement(2, 1, 2, terms)
+
+    def test_image_in_another_torus_rejected(self, torus):
+        bad = _Elsewhere(torus.ell, torus.nu, torus.modulus, False, (0, 0, 0))
+        with pytest.raises(ValueError):
+            verify_automorphism(torus, bad, Window(1))
+        with pytest.raises(ValueError):
+            extract_core_character(torus, bad, Window(1))
+
+    def test_map_of_another_torus_rejected(self, torus):
+        with pytest.raises(ValueError):
+            diagonal_from_hom(build_torus(2, 1, 3), (1, 0, 0)).apply(torus.e(0, 1))
+
+
 class TestNegativeControls:
     def test_corrupted_diagonal_fails_with_witness(self, torus):
         bad = _corrupted_diagonal(torus)
@@ -453,7 +635,7 @@ class _PieceScaling(TorusAutomorphism):
             terms.append((key, lam, c.rotate(k)))
             if (key, lam) == self.garbled:
                 terms.append((("h", 0) if key[0] == "e" else ("e", 0, 1), lam, c))
-        return _canonical(x.ell, x.nu, x.modulus, terms)
+        return TorusElement(x.ell, x.nu, x.modulus, terms)
 
 
 @st.composite
