@@ -126,10 +126,12 @@ class Character:
     rule: LatticeHomRule | A1CosetRule | TableRule
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
+        if json_int(self.modulus, "modulus") < 1:
             raise ValueError("modulus must be >= 1")
         n = self.ears.rank + self.ears.nullity
         if isinstance(self.rule, LatticeHomRule):
+            for v in self.rule.values:
+                json_int(v, "value")
             if len(self.rule.basis) != n or any(len(v) != n for v in self.rule.basis):
                 raise ValueError("homomorphism basis must be square of rank + nullity")
             if len(self.rule.values) != n:
@@ -149,10 +151,13 @@ class Character:
                     f"coset rule is not a character: representatives {violation} "
                     "sum into 2L"
                 )
-        elif len(self.rule.lookup) != len(self.rule.entries):
-            raise ValueError("table lists a root more than once")
-        elif non_roots := [r for r in self.rule.lookup if not self.ears.is_root(r)]:
-            raise ValueError(f"table entry {non_roots[0]} is not a root")
+        else:
+            for _, x in self.rule.entries:
+                json_int(x, "exponent")
+            if len(self.rule.lookup) != len(self.rule.entries):
+                raise ValueError("table lists a root more than once")
+            if non_roots := [r for r in self.rule.lookup if not self.ears.is_root(r)]:
+                raise ValueError(f"table entry {non_roots[0]} is not a root")
 
     @cached_property
     def _std_values(self) -> IntVector:
@@ -264,6 +269,8 @@ def standard_hom_character(e: Ears, values: Sequence[int], modulus: int) -> Char
     n = e.rank + e.nullity
     if len(values) != n:
         raise ValueError("need one exponent per standard basis vector")
+    if json_int(modulus, "modulus") < 1:  # checked before the values are reduced by it
+        raise ValueError("modulus must be >= 1")
     basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return Character(e, modulus, LatticeHomRule(basis, tuple(v % modulus for v in values)))
 

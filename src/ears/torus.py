@@ -7,12 +7,12 @@ all equality checks are exact).  This realizes the simply-laced type A
 system over the full lattice: root spaces are matrix positions graded by
 Laurent degree, the degree-zero Cartan part plays the role of H.
 
-Inside the module an element is a flat tuple of terms (key id, degree,
-coefficients): the basis keys of one shape are small ints numbered in their
-sort order, and coefficients are int tuples of length m.  The public key
-tuples and `CycScalar` appear only at the edge: in `TorusElement.terms`, in
-the constructors that take them, which check them against the shape, and in
-the value of `trace_form`.
+Inside the module an element is its `LieTorus` and a flat tuple of terms
+(key id, degree, coefficients): key ids index the tables the torus holds,
+and coefficients are int tuples of length m.  The public key tuples and
+`CycScalar` appear only at the edge: in `TorusElement.terms`, in the
+constructors that take them, which check them against the torus, and in the
+value of `trace_form`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ Term = tuple[int, IntVector, Coeffs]  # (key id, Laurent degree, coefficients)
 class CycScalar:
     """Element of Z[Z/m]: integer coefficient vector for (1, zeta, ..., zeta**(m-1)).
 
-    The constructor checks its input; the results of arithmetic are built
-    from checked operands and are not checked again.
+    This is the value type of the edge: coefficients go in and come out of
+    `TorusElement` and `trace_form` as `CycScalar`s, and the constructor
+    checks them.  The group-ring arithmetic runs on coefficient tuples inside
+    the module; `*` stays because the traced benchmark counts its calls.
     """
 
     modulus: int
@@ -51,45 +53,10 @@ class CycScalar:
         if not all(type(c) is int for c in self.coeffs):
             raise ValueError(f"group-ring coefficients {self.coeffs} are not integers")
 
-    @classmethod
-    def zero(cls, m: int) -> "CycScalar":
-        return cls(m, (0,) * m)
-
-    @classmethod
-    def one(cls, m: int) -> "CycScalar":
-        return cls.zeta(m, 0)
-
-    @classmethod
-    def zeta(cls, m: int, power: int = 1) -> "CycScalar":
-        coeffs = [0] * m
-        coeffs[power % m] = 1
-        return cls(m, tuple(coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "CycScalar") -> "CycScalar":
-        self._check(other)
-        return _cyc(self.modulus, tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycScalar":
-        return _cyc(self.modulus, tuple(map(neg, self.coeffs)))
-
     def __mul__(self, other: "CycScalar") -> "CycScalar":
-        self._check(other)
-        return _cyc(self.modulus, _product(_units(self.modulus), self.coeffs, other.coeffs))
-
-    def rotate(self, k: int) -> "CycScalar":
-        """Product with zeta**k: the coefficients move k places cyclically."""
-        return _cyc(self.modulus, _rotate(self.coeffs, k % self.modulus))
-
-    def scale(self, q: int) -> "CycScalar":
-        return _cyc(self.modulus, _scaled(self.coeffs, json_int(q, "scalar")))
-
-    def _check(self, other: "CycScalar") -> None:
         if self.modulus != other.modulus:
             raise ValueError("scalar modulus mismatch")
+        return _cyc(self.modulus, _convolve(self.coeffs, other.coeffs))
 
 
 def _cyc(m: int, coeffs: Coeffs) -> CycScalar:
@@ -103,18 +70,6 @@ def _cyc(m: int, coeffs: Coeffs) -> CycScalar:
 # Group-ring arithmetic on coefficient tuples.
 
 
-@cache
-def _units(m: int) -> dict[Coeffs, tuple[int, int]]:
-    """Each signed monomial +-zeta**k of Z[Z/m], mapped to (sign, k)."""
-    out = {}
-    for k in range(m):
-        for sign in (1, -1):
-            coeffs = [0] * m
-            coeffs[k] = sign
-            out[tuple(coeffs)] = (sign, k)
-    return out
-
-
 def _rotate(c: Coeffs, k: int) -> Coeffs:
     """zeta**k * c for 0 <= k < m."""
     return c[-k:] + c[:-k] if k else c
@@ -124,21 +79,26 @@ def _scaled(c: Coeffs, q: int) -> Coeffs:
     return tuple([q * a for a in c])
 
 
+def _convolve(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a * b in Z[Z/m] by cyclic convolution."""
+    m = len(a)
+    out = [0] * m
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % m] += x * y
+    return tuple(out)
+
+
 def _product(units: dict[Coeffs, tuple[int, int]], a: Coeffs, b: Coeffs) -> Coeffs:
     """a * b in Z[Z/m].  When either factor is a signed monomial +-zeta**k
-    the other is only rotated and signed; otherwise cyclic convolution."""
+    (a key of `LieTorus.units`) the other is only rotated and signed."""
     unit, other = units.get(a), b
     if unit is None:
         unit, other = units.get(b), a
         if unit is None:
-            m = len(a)
-            out = [0] * m
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            out[(i + j) % m] += x * y
-            return tuple(out)
+            return _convolve(a, b)
     sign, k = unit
     other = _rotate(other, k)
     return other if sign == 1 else tuple(map(neg, other))
@@ -189,182 +149,78 @@ def _basis_trace(k1: TermKey, k2: TermKey) -> int:
     return 0
 
 
-class _Shape:
-    """The tables of one shape (ell, nu, m), shared by all of its elements.
-
-    Key ids follow the sort order of the keys, so sorting terms by (id,
-    degree) sorts them by (key, degree).  `brackets` and `traces` are
-    indexed by id1 * size + id2.
-    """
-
-    def __init__(self, ell: int, nu: int, modulus: int):
-        self.ell, self.nu, self.modulus = ell, nu, modulus
-        n = ell + 1
-        self.keys: tuple[TermKey, ...] = tuple(sorted(
-            [("e", i, j) for i in range(n) for j in range(n) if i != j]
-            + [("h", r) for r in range(ell)]
-        ))
-        self.ids = {key: k for k, key in enumerate(self.keys)}
-        self.size = len(self.keys)
-        self.brackets = tuple(
-            tuple(sorted((self.ids[key], sign) for key, sign in _basis_bracket(k1, k2)))
-            for k1 in self.keys for k2 in self.keys
-        )
-        self.traces = tuple(_basis_trace(k1, k2) for k1 in self.keys for k2 in self.keys)
-        self.units = _units(modulus)
-        self.one: Coeffs = (1,) + (0,) * (modulus - 1)
-
-    def degree(self, lam: Sequence[int]) -> IntVector:
-        lam = tuple(json_int(x, "Laurent degree") for x in lam)
-        if len(lam) != self.nu:
-            raise ValueError("Laurent degree has wrong length")
-        return lam
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True reach the checks
-def _shape(ell: int, nu: int, modulus: int) -> _Shape:
-    if json_int(ell, "ell") < 2:
-        raise ValueError("matrix realization needs rank >= 2")
-    if json_int(nu, "nu") < 0:
-        raise ValueError("nullity must be >= 0")
-    if json_int(modulus, "modulus") < 1:
-        raise ValueError("scalar modulus must be >= 1")
-    return _Shape(ell, nu, modulus)
-
-
-def _merge(terms: Sequence[Term]) -> tuple[Term, ...]:
-    """The sum of the given terms: equal (key, degree) merged, zeros dropped, sorted."""
-    if len(terms) == 1:
-        return tuple(terms) if any(terms[0][2]) else ()
-    acc: dict[tuple[int, IntVector], Coeffs] = {}
-    for k, lam, c in terms:
-        prev = acc.get((k, lam))
-        acc[(k, lam)] = c if prev is None else tuple(map(add, prev, c))
-    return tuple((k, lam, c) for (k, lam), c in sorted(acc.items()) if any(c))
-
-
-class TorusElement:
-    """Canonical finite sum of graded basis terms with group-ring coefficients.
-
-    `TorusElement(ell, nu, modulus, terms)` takes (key, degree, CycScalar)
-    triples and raises `ValueError` on a key, degree or coefficient that does
-    not belong to the shape; equal (key, degree) are merged.  `terms` gives
-    the sum back with zeros dropped, sorted by (key, degree).
-    """
-
-    __slots__ = ("_shape", "_flat", "_terms")
-
-    def __init__(
-        self, ell: int, nu: int, modulus: int,
-        terms: Iterable[tuple[TermKey, Sequence[int], CycScalar]],
-    ):
-        shape = _shape(ell, nu, modulus)
-        flat = []
-        for key, lam, c in terms:
-            k = shape.ids.get(key)
-            if k is None:
-                raise ValueError(f"{key!r} is not a basis key of sl_{ell + 1}")
-            lam = shape.degree(lam)
-            if not isinstance(c, CycScalar) or c.modulus != modulus:
-                raise ValueError(f"coefficient {c!r} is not in Z[Z/{modulus}]")
-            flat.append((k, lam, c.coeffs))
-        self._shape, self._flat, self._terms = shape, _merge(flat), None
-
-    @property
-    def ell(self) -> int:
-        return self._shape.ell
-
-    @property
-    def nu(self) -> int:
-        return self._shape.nu
-
-    @property
-    def modulus(self) -> int:
-        return self._shape.modulus
-
-    @property
-    def terms(self) -> tuple[tuple[TermKey, IntVector, CycScalar], ...]:
-        if self._terms is None:
-            keys, m = self._shape.keys, self._shape.modulus
-            self._terms = tuple((keys[k], lam, _cyc(m, c)) for k, lam, c in self._flat)
-        return self._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._flat
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self._shape is other._shape and self._flat == other._flat
-
-    def __hash__(self) -> int:
-        return hash(self._flat)
-
-    def __repr__(self) -> str:
-        return (f"TorusElement(ell={self.ell}, nu={self.nu}, modulus={self.modulus}, "
-                f"terms={self.terms!r})")
-
-    def _check(self, other: "TorusElement") -> None:
-        if self._shape is not other._shape:
-            raise ValueError("torus parameter mismatch")
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        self._check(other)
-        return _element(self._shape, _merge(self._flat + other._flat))
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TorusElement":
-        return self.scale(-1)
-
-    def scale(self, c: CycScalar | int) -> "TorusElement":
-        s = self._shape
-        if isinstance(c, CycScalar):
-            if c.modulus != s.modulus:
-                raise ValueError("scalar modulus mismatch")
-            coeffs = c.coeffs
-        else:
-            coeffs = _scaled(s.one, json_int(c, "scalar"))
-        return _element(s, _merge(
-            [(k, lam, _product(s.units, v, coeffs)) for k, lam, v in self._flat]
-        ))
-
-
-def _element(shape: _Shape, flat: tuple[Term, ...]) -> TorusElement:
-    """An element from canonical kernel terms, which need no checks."""
-    x = object.__new__(TorusElement)
-    x._shape, x._flat, x._terms = shape, flat, None
-    return x
-
-
 @dataclass(frozen=True)
 class LieTorus:
-    """Traceless (ell+1) x (ell+1) matrices over nu-variable Laurent polynomials."""
+    """Traceless (ell+1) x (ell+1) matrices over nu-variable Laurent polynomials.
+
+    The torus holds the tables its elements share.  Key ids follow the sort
+    order of the keys, so sorting terms by (id, degree) sorts them by (key,
+    degree); `brackets` and `traces` are indexed by id1 * len(keys) + id2.
+    """
 
     ell: int
     nu: int
     modulus: int
 
     def __post_init__(self) -> None:
-        _shape(self.ell, self.nu, self.modulus)
+        if json_int(self.ell, "ell") < 2:
+            raise ValueError("matrix realization needs rank >= 2")
+        if json_int(self.nu, "nu") < 0:
+            raise ValueError("nullity must be >= 0")
+        if json_int(self.modulus, "modulus") < 1:
+            raise ValueError("scalar modulus must be >= 1")
 
     @property
     def size(self) -> int:
         return self.ell + 1
 
-    @property
-    def _shape(self) -> _Shape:
-        return _shape(self.ell, self.nu, self.modulus)
+    @cached_property
+    def keys(self) -> tuple[TermKey, ...]:
+        n = self.size
+        return tuple(sorted(
+            [("e", i, j) for i in range(n) for j in range(n) if i != j]
+            + [("h", r) for r in range(self.ell)]
+        ))
+
+    @cached_property
+    def ids(self) -> dict[TermKey, int]:
+        return {key: k for k, key in enumerate(self.keys)}
+
+    @cached_property
+    def brackets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(
+            tuple(sorted((self.ids[key], sign) for key, sign in _basis_bracket(k1, k2)))
+            for k1 in self.keys for k2 in self.keys
+        )
+
+    @cached_property
+    def traces(self) -> tuple[int, ...]:
+        return tuple(_basis_trace(k1, k2) for k1 in self.keys for k2 in self.keys)
+
+    @cached_property
+    def units(self) -> dict[Coeffs, tuple[int, int]]:
+        """Each signed monomial +-zeta**k of Z[Z/m], mapped to (sign, k)."""
+        return {
+            _rotate(_scaled(self.one, sign), k): (sign, k)
+            for k in range(self.modulus) for sign in (1, -1)
+        }
+
+    @cached_property
+    def one(self) -> Coeffs:
+        return (1,) + (0,) * (self.modulus - 1)
+
+    def _degree(self, lam: Sequence[int]) -> IntVector:
+        lam = tuple(json_int(x, "Laurent degree") for x in lam)
+        if len(lam) != self.nu:
+            raise ValueError("Laurent degree has wrong length")
+        return lam
 
     def zero(self) -> TorusElement:
-        return _element(self._shape, ())
+        return _element(self, ())
 
     def _unit(self, key: TermKey, lam: Sequence[int] | None) -> TorusElement:
-        s = self._shape
-        lam = (0,) * self.nu if lam is None else s.degree(lam)
-        return _element(s, ((s.ids[key], lam, s.one),))
+        lam = (0,) * self.nu if lam is None else self._degree(lam)
+        return _element(self, ((self.ids[key], lam, self.one),))
 
     def e(self, i: int, j: int, lam: Sequence[int] | None = None) -> TorusElement:
         """Matrix unit e_ij tensor a Laurent monomial."""
@@ -406,23 +262,131 @@ class LieTorus:
         return tuple(coords.get(r, 0) for r in range(self.ell))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True reach the checks
 def build_torus(ell: int, nu: int, modulus: int) -> LieTorus:
+    """The torus of one shape, built once, so its elements share its tables."""
     return LieTorus(ell, nu, modulus)
+
+
+def _merge(terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The sum of the given terms: equal (key, degree) merged, zeros dropped, sorted."""
+    if len(terms) == 1:
+        return tuple(terms) if any(terms[0][2]) else ()
+    acc: dict[tuple[int, IntVector], Coeffs] = {}
+    for k, lam, c in terms:
+        prev = acc.get((k, lam))
+        acc[(k, lam)] = c if prev is None else tuple(map(add, prev, c))
+    return tuple((k, lam, c) for (k, lam), c in sorted(acc.items()) if any(c))
+
+
+class TorusElement:
+    """Canonical finite sum of graded basis terms with group-ring coefficients.
+
+    `TorusElement(ell, nu, modulus, terms)` takes (key, degree, CycScalar)
+    triples and raises `ValueError` on a key, degree or coefficient that does
+    not belong to the torus; equal (key, degree) are merged.  `terms` gives
+    the sum back with zeros dropped, sorted by (key, degree).
+    """
+
+    __slots__ = ("_torus", "_flat")
+
+    def __init__(
+        self, ell: int, nu: int, modulus: int,
+        terms: Iterable[tuple[TermKey, Sequence[int], CycScalar]],
+    ):
+        t = build_torus(ell, nu, modulus)
+        flat = []
+        for key, lam, c in terms:
+            k = t.ids.get(key)
+            if k is None:
+                raise ValueError(f"{key!r} is not a basis key of sl_{ell + 1}")
+            lam = t._degree(lam)
+            if not isinstance(c, CycScalar) or c.modulus != modulus:
+                raise ValueError(f"coefficient {c!r} is not in Z[Z/{modulus}]")
+            flat.append((k, lam, c.coeffs))
+        self._torus, self._flat = t, _merge(flat)
+
+    @property
+    def ell(self) -> int:
+        return self._torus.ell
+
+    @property
+    def nu(self) -> int:
+        return self._torus.nu
+
+    @property
+    def modulus(self) -> int:
+        return self._torus.modulus
+
+    @property
+    def terms(self) -> tuple[tuple[TermKey, IntVector, CycScalar], ...]:
+        keys, m = self._torus.keys, self._torus.modulus
+        return tuple((keys[k], lam, _cyc(m, c)) for k, lam, c in self._flat)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._flat
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TorusElement):
+            return NotImplemented
+        s, t = self._torus, other._torus
+        return self._flat == other._flat and (s is t or s == t)
+
+    def __hash__(self) -> int:
+        return hash(self._flat)
+
+    def __repr__(self) -> str:
+        return (f"TorusElement(ell={self.ell}, nu={self.nu}, modulus={self.modulus}, "
+                f"terms={self.terms!r})")
+
+    def _check(self, other: "TorusElement") -> None:
+        if not (self._torus is other._torus or self._torus == other._torus):
+            raise ValueError("torus parameter mismatch")
+
+    def __add__(self, other: "TorusElement") -> "TorusElement":
+        self._check(other)
+        return _element(self._torus, _merge(self._flat + other._flat))
+
+    def __sub__(self, other: "TorusElement") -> "TorusElement":
+        return self + (-other)
+
+    def __neg__(self) -> "TorusElement":
+        return self.scale(-1)
+
+    def scale(self, c: CycScalar | int) -> "TorusElement":
+        t = self._torus
+        if isinstance(c, CycScalar):
+            if c.modulus != t.modulus:
+                raise ValueError("scalar modulus mismatch")
+            coeffs = c.coeffs
+        else:
+            coeffs = _scaled(t.one, json_int(c, "scalar"))
+        return _element(t, _merge(
+            [(k, lam, _product(t.units, v, coeffs)) for k, lam, v in self._flat]
+        ))
+
+
+def _element(t: LieTorus, flat: tuple[Term, ...]) -> TorusElement:
+    """An element from canonical kernel terms, which need no checks."""
+    x = object.__new__(TorusElement)
+    x._torus, x._flat = t, flat
+    return x
 
 
 def bracket(x: TorusElement, y: TorusElement) -> TorusElement:
     """Lie bracket: matrix commutator with Laurent degrees adding."""
     x._check(y)
     out: list[Term] = []
-    _bracket_into(out, x._shape, x._flat, y._flat)
-    return _element(x._shape, _merge(out))
+    _bracket_into(out, x._torus, x._flat, y._flat)
+    return _element(x._torus, _merge(out))
 
 
 def _bracket_into(
-    out: list[Term], s: _Shape, xs: tuple[Term, ...], ys: tuple[Term, ...]
+    out: list[Term], t: LieTorus, xs: tuple[Term, ...], ys: tuple[Term, ...]
 ) -> None:
     """Append the terms of [x, y] to `out`, not yet merged."""
-    table, n, units = s.brackets, s.size, s.units
+    table, n, units = t.brackets, len(t.keys), t.units
     for k1, lam1, c1 in xs:
         row = k1 * n
         for k2, lam2, c2 in ys:
@@ -437,15 +401,15 @@ def _bracket_into(
 def trace_form(x: TorusElement, y: TorusElement) -> CycScalar:
     """Invariant form: trace of the matrix product, kept at Laurent degree zero."""
     x._check(y)
-    s = x._shape
-    table, n = s.traces, s.size
-    total = (0,) * s.modulus
+    t = x._torus
+    table, n = t.traces, len(t.keys)
+    total = (0,) * t.modulus
     for k1, lam1, c1 in x._flat:
         for k2, lam2, c2 in y._flat:
-            t = table[k1 * n + k2]
-            if t and not any(map(add, lam1, lam2)):
-                total = tuple(map(add, total, _scaled(_product(s.units, c1, c2), t)))
-    return _cyc(s.modulus, total)
+            q = table[k1 * n + k2]
+            if q and not any(map(add, lam1, lam2)):
+                total = tuple(map(add, total, _scaled(_product(t.units, c1, c2), q)))
+    return _cyc(t.modulus, total)
 
 
 @dataclass(frozen=True)
@@ -458,6 +422,7 @@ class TorusAutomorphism:
     target transposes e_ij to e_ji, keeps h_r and negates lam; otherwise it is
     the identity.  The sign is (-1)**flip because transposition reverses the
     matrix commutator, and only -1 turns it back into a bracket homomorphism.
+    The constructor reduces hom mod m.
     """
 
     ell: int
@@ -466,25 +431,35 @@ class TorusAutomorphism:
     flip: bool
     hom: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        if type(self.flip) is not bool:
+            raise ValueError(f"flip must be a bool, got {self.flip!r}")
+        if json_int(self.modulus, "modulus") < 1:
+            raise ValueError("scalar modulus must be >= 1")
+        hom = tuple(json_int(x, "homomorphism exponent") % self.modulus for x in self.hom)
+        if len(hom) != json_int(self.ell, "ell") + json_int(self.nu, "nu"):
+            raise ValueError("homomorphism needs rank + nullity exponents")
+        object.__setattr__(self, "hom", hom)
+
     def target(self, key: TermKey, lam: IntVector) -> tuple[TermKey, IntVector]:
         if not self.flip:
             return key, lam
         return (("e", key[2], key[1]) if key[0] == "e" else key), tuple(-t for t in lam)
 
     def apply(self, x: TorusElement) -> TorusElement:
-        s = x._shape
-        if (s.ell, s.nu, s.modulus) != (self.ell, self.nu, self.modulus):
+        t = x._torus
+        if (t.ell, t.nu, t.modulus) != (self.ell, self.nu, self.modulus):
             raise ValueError("automorphism / element parameter mismatch")
         terms = []
         for k, lam, c in x._flat:
-            key = s.keys[k]
+            key = t.keys[k]
             c = _rotate(c, self._degree_exponent(key, lam))
             if self.flip:
                 key, lam = self.target(key, lam)
-                k, c = s.ids[key], tuple(map(neg, c))
+                k, c = t.ids[key], tuple(map(neg, c))
             terms.append((k, lam, c))
         # without the flip, keys and degrees stay in place and in order
-        return _element(s, _merge(terms) if self.flip else tuple(terms))
+        return _element(t, _merge(terms) if self.flip else tuple(terms))
 
     def _degree_exponent(self, key: TermKey, lam: IntVector) -> int:
         """hom . (coords(key), lam) mod m: the power of zeta put on x_(key, lam)."""
@@ -505,9 +480,6 @@ def diagonal_from_hom(t: LieTorus, hom: Sequence[int]) -> TorusAutomorphism:
     The exponent vector is indexed by the simple roots (adjacent differences
     e_r - e_(r+1)) followed by the nu lattice generators.
     """
-    hom = tuple(json_int(x, "homomorphism exponent") % t.modulus for x in hom)
-    if len(hom) != t.ell + t.nu:
-        raise ValueError("homomorphism needs rank + nullity exponents")
     return TorusAutomorphism(t.ell, t.nu, t.modulus, False, hom)
 
 
@@ -519,22 +491,23 @@ def compose(left: TorusAutomorphism, right: TorusAutomorphism) -> TorusAutomorph
     """
     if (left.ell, left.nu, left.modulus) != (right.ell, right.nu, right.modulus):
         raise ValueError("cannot compose automorphisms of different tori")
-    m, sign = left.modulus, -1 if right.flip else 1
-    hom = tuple((r + sign * l) % m for l, r in zip(left.hom, right.hom))
-    return TorusAutomorphism(left.ell, left.nu, m, left.flip != right.flip, hom)
+    sign = -1 if right.flip else 1
+    hom = tuple(r + sign * l for l, r in zip(left.hom, right.hom))
+    return TorusAutomorphism(left.ell, left.nu, left.modulus, left.flip != right.flip, hom)
 
 
 def _term_label(x: TorusElement) -> tuple[TermKey, IntVector] | None:
-    if len(x.terms) != 1:
+    """(key, degree) of a one-term element, or None."""
+    if len(x._flat) != 1:
         return None
-    key, lam, _ = x.terms[0]
-    return key, lam
+    k, lam, _ = x._flat[0]
+    return x._torus.keys[k], lam
 
 
 def _image(t: LieTorus, a: TorusAutomorphism, x: TorusElement) -> TorusElement:
     """a(x), which must be an element of t: a subclass's `apply` may return anything."""
     y = a.apply(x)
-    if not isinstance(y, TorusElement) or y._shape is not t._shape:
+    if not isinstance(y, TorusElement) or not (y._torus is t or y._torus == t):
         raise ValueError(f"automorphism image {y!r} is not an element of {t}")
     return y
 
@@ -562,7 +535,7 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomRe
     for x, ax in zip(basis, images):
         for y, ay in zip(basis, images):
             if image(bracket(x, y))._flat != bracket(ax, ay)._flat:
-                failures.append({"x": repr(x.terms[0][:2]), "y": repr(y.terms[0][:2])})
+                failures.append({"x": repr(_term_label(x)), "y": repr(_term_label(y))})
     checks["bracket_compatibility"] = {
         "passed": not failures,
         "pairs": len(basis) ** 2,
@@ -615,7 +588,6 @@ def jacobi_identity_report(t: LieTorus, w: Window) -> dict:
     [x, [y, z]] + [y, [z, x]] + [z, [x, y]] in one accumulator.
     """
     basis = t.graded_basis(w)
-    s = t._shape
     flats = [x._flat for x in basis]
     pairs = [[bracket(x, y)._flat for y in basis] for x in basis]
     failures = []
@@ -628,11 +600,11 @@ def jacobi_identity_report(t: LieTorus, w: Window) -> dict:
                 yz, zx = yz_row[k], pairs[k][i]
                 total: list[Term] = []
                 if yz:
-                    _bracket_into(total, s, x, yz)
+                    _bracket_into(total, t, x, yz)
                 if zx:
-                    _bracket_into(total, s, y, zx)
+                    _bracket_into(total, t, y, zx)
                 if xy:
-                    _bracket_into(total, s, z, xy)
+                    _bracket_into(total, t, z, xy)
                 if total and _merge(total):
                     failures.append(
                         tuple(repr(_term_label(basis[n])) for n in (i, j, k))
@@ -702,7 +674,8 @@ def _scalar_action_exponent(x: TorusElement, y: TorusElement, m: int) -> int | N
     the terms, so k is read off the first coefficient and checked on the rest.
     """
     xs, ys = x._flat, y._flat
-    if x._shape is not y._shape or [t[:2] for t in xs] != [t[:2] for t in ys]:
+    same = x._torus is y._torus or x._torus == y._torus
+    if not same or [t[:2] for t in xs] != [t[:2] for t in ys]:
         return None
     if not xs:
         return 0

@@ -356,7 +356,7 @@ def test_criterion_6_negative_controls():
             terms = []
             for key, lam, c in x.terms:
                 if key == ("e", 0, 1) and not any(lam):
-                    c = c * CycScalar.zeta(2, 1)
+                    c = c * CycScalar(2, (0, 1))
                 terms.append((key, lam, c))
             return TorusElement(x.ell, x.nu, x.modulus, tuple(terms))
 

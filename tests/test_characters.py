@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -385,3 +386,20 @@ class TestJson:
         table = table_restriction(hom, 1)
         back = character_from_json(a2_nu1, table.to_json())
         assert back.rule.entries == table.rule.entries
+
+    def test_constructors_take_only_what_json_reads_back(self, a2_nu1, counterexample_char):
+        hom = standard_hom_character(a2_nu1, (1, 0, 1), 2)
+        table = table_restriction(hom, 1)
+        (root, exp), *rest = table.rule.entries
+        for build in (
+            lambda: standard_hom_character(a2_nu1, (1, 0, 1), 2.5),
+            lambda: standard_hom_character(a2_nu1, (1.0, 0, 1), 2),
+            lambda: Character(a2_nu1, 2, LatticeHomRule(hom.rule.basis, (1, 0, True))),
+            lambda: Character(a2_nu1, 2, TableRule(1, ((root, float(exp)), *rest))),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build()
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            standard_hom_character(a2_nu1, (1, 0, 1), 0)
+        for c in (counterexample_char, hom, table):
+            assert character_from_json(c.ears, json.loads(json.dumps(c.to_json()))) == c

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fraction_reference
 from enumeration_reference import index_of_sublattice
+from ears.characters import A1CosetRule, Character
 from ears.finite import FiniteType
 from ears.lattice import (
     IntLattice,
@@ -23,7 +24,7 @@ from ears.lattice import (
     sum_semilattices,
 )
 from ears.system import EarsSpec, Window, build_ears
-from ears.torus import LieTorus, diagonal_from_hom
+from ears.torus import LieTorus, TorusAutomorphism, diagonal_from_hom
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -437,11 +438,16 @@ class TestSumSemilattices:
         lambda: LieTorus(2.5, 1, 2),
         lambda: LieTorus(2, 1, 2).e(0, 1, (1.5,)),
         lambda: diagonal_from_hom(LieTorus(2, 1, 2), (1.5, 0, 1)),
+        lambda: TorusAutomorphism(2, 1, 2, False, (0.5, 0, 0)),
+        lambda: Character(
+            build_ears(EarsSpec.rank_one(1, Semilattice.standard(1))), 2.0, A1CosetRule()
+        ),
     ],
     ids=[
         "IntLattice", "IntLattice.coords", "Semilattice", "snf", "det", "solve_mod", "solve_mod rhs", "Window",
         "FiniteType",
         "EarsSpec", "root_from_coords", "LieTorus", "LieTorus.e", "diagonal_from_hom",
+        "TorusAutomorphism", "Character",
     ],
 )
 def test_library_constructors_take_ints_only(build):

@@ -41,6 +41,10 @@ def scaled(a: CycScalar, q: int) -> CycScalar:
     return CycScalar(a.modulus, tuple(q * x for x in a.coeffs))
 
 
+def zeta(m: int, k: int = 1) -> CycScalar:
+    return rotated(CycScalar(m, (1,) + (0,) * (m - 1)), k)
+
+
 def rotated(a: CycScalar, k: int) -> CycScalar:
     k %= a.modulus
     if not k:
@@ -56,7 +60,7 @@ def canonical(ell, nu, modulus, terms) -> TorusElement:
         acc[(key, lam)] = c if prev is None else plus(prev, c)
     return TorusElement(
         ell, nu, modulus,
-        tuple((key, lam, c) for (key, lam), c in sorted(acc.items()) if not c.is_zero),
+        tuple((key, lam, c) for (key, lam), c in sorted(acc.items()) if any(c.coeffs)),
     )
 
 
@@ -105,7 +109,7 @@ def basis_bracket(k1, k2):
 def trace_form(x: TorusElement, y: TorusElement) -> CycScalar:
     if (x.ell, x.nu, x.modulus) != (y.ell, y.nu, y.modulus):
         raise ValueError("torus parameter mismatch")
-    total = CycScalar.zero(x.modulus)
+    total = CycScalar(x.modulus, (0,) * x.modulus)
     for key1, lam1, c1 in x.terms:
         for key2, lam2, c2 in y.terms:
             if any(a + b for a, b in zip(lam1, lam2)):
