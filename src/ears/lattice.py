@@ -48,10 +48,6 @@ def parity(v: Iterable[int]) -> IntVector:
     return tuple([x & 1 for x in v])
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def matvec(m: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
     if m and len(m[0]) != len(v):
         raise ValueError("matrix/vector dimension mismatch")
@@ -101,30 +97,46 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form of an arbitrary rectangular integer matrix.
+Smith = tuple[list[dict[int, int]], IntVector, list[dict[int, int]]]
 
-    Returns (u, d, v) with u * mat * v = d, u and v unimodular, and d diagonal
-    with non-negative entries forming a divisibility chain d1 | d2 | ...
-    Total: works for empty and all-zero matrices.
+
+def _sub(x: dict[int, int], y: dict[int, int], q: int) -> None:
+    """x -= q * y on sparse vectors, in place; entries that cancel are dropped."""
+    for k, c in y.items():
+        s = x.get(k, 0) - q * c
+        if s:
+            x[k] = s
+        else:
+            x.pop(k, None)
+
+
+def _smith(mat: Sequence[Sequence[int]]) -> Smith:
+    """The one elimination: Smith normal form with sparse transforms.
+
+    Returns (u, diag, v) with u * mat * v = D, where u[i] is row i of the
+    left transform as {input row: coefficient}, v[j] is column j of the right
+    transform as {input column: coefficient}, and diag lists the first
+    min(rows, cols) diagonal entries of D.  A row operation costs the size of
+    the combination it touches, not the number of rows, so tall systems
+    carry no rows x rows matrix.  The pivots are the entries of least
+    absolute value, first in row-major order.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if any(len(row) != cols for row in mat):
         raise ValueError("ragged matrix")
     a = [list(row) for row in json_int_rows(mat, "matrix entry")]
-    u = _identity(rows)
-    v = _identity(cols)
+    u = [{i: 1} for i in range(rows)]
+    v = [{j: 1} for j in range(cols)]
 
     def row_sub(i: int, k: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        _sub(u[i], u[k], q)
 
     def col_sub(j: int, k: int, q: int) -> None:
         for row in a:
             row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
+        _sub(v[j], v[k], q)
 
     def row_swap(i: int, k: int) -> None:
         a[i], a[k] = a[k], a[i]
@@ -133,16 +145,22 @@ def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def col_swap(j: int, k: int) -> None:
         for row in a:
             row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
+        v[j], v[k] = v[k], v[j]
 
     t = 0
     while t < min(rows, cols):
-        piv = None
+        piv, least = None, 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    piv, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                # nothing is smaller, so no later entry replaces this pivot
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -168,24 +186,38 @@ def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide the trailing block for the divisibility chain
-            fix = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
+            # pivot must divide the trailing block for the divisibility chain;
+            # a unit pivot always does
+            p = a[t][t]
+            fix = None if abs(p) == 1 else next(
+                (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1:])), None
+            )
             if fix is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[fix])]
-            u[t] = [x + y for x, y in zip(u[t], u[fix])]
+            _sub(u[t], u[fix], -1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            u[t] = {k: -c for k, c in u[t].items()}
         t += 1
-    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
+    return u, tuple(a[i][i] for i in range(min(rows, cols))), v
+
+
+def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form of an arbitrary rectangular integer matrix.
+
+    Returns (u, d, v) with u * mat * v = d, u and v unimodular, and d diagonal
+    with non-negative entries forming a divisibility chain d1 | d2 | ...
+    Total: works for empty and all-zero matrices.  This is a dense view of
+    `_smith`, for square work such as `inverse_unimodular`.
+    """
+    u, diag, v = _smith(mat)
+    rows, cols = len(u), len(v)
+    return (
+        tuple(tuple(ui.get(k, 0) for k in range(rows)) for ui in u),
+        tuple(tuple(diag[i] if i == j else 0 for j in range(cols)) for i in range(rows)),
+        tuple(tuple(vj.get(i, 0) for vj in v) for i in range(cols)),
+    )
 
 
 @dataclass(frozen=True)
@@ -207,9 +239,9 @@ class ModSolveResult:
 
 
 def _solve_snf(
-    usv: tuple[IntMatrix, IntMatrix, IntMatrix], b: Sequence[int], m: int
+    smith: Smith, b: Sequence[int], m: int
 ) -> tuple[IntVector | None, IntVector | None]:
-    """Back-substitution through a Smith form u A v = d: solve A x = b over Z/m.
+    """Back-substitution through a Smith form u A v = D: solve A x = b over Z/m.
 
     m == 0 means over Z.  Returns (x, None) with x = v y, not reduced mod m, or
     (None, r) where r is a multiple of a row of u.  For m >= 1, r.A = 0 and
@@ -218,26 +250,30 @@ def _solve_snf(
     Row i of u times A is d_i times a row of v^-1, so a failing row with
     d_i = 0 gives an exact certificate (r.A = 0 over Z).  The first failing
     row is returned when it is exact; otherwise the first exact one after it,
-    and the first failing row only when none is exact.
+    and the first failing row only when none is exact.  Only the returned
+    row is written out densely.
     """
-    u, d, v = usv
-    c = matvec(u, b)
+    u, diag, v = smith
+
+    def cert(i: int, scale: int) -> IntVector:
+        return tuple(scale * u[i].get(k, 0) for k in range(len(u)))
+
     y = [0] * len(v)
     first = None
-    for i, ci in enumerate(c):
-        di = d[i][i] if i < len(y) else 0
+    for i, ui in enumerate(u):
+        ci = sum(c * b[k] for k, c in ui.items())
+        di = diag[i] if i < len(y) else 0
         g = gcd(di, m)
         if g == 0:
             if ci:
-                return None, u[i]
+                return None, cert(i, 1)
             continue
         if ci % g:
             # (m//g) * row_i(u) kills A mod m but not b
-            cert = vec_scale(m // g, u[i])
             if di == 0 or m == 0:
-                return None, cert
+                return None, cert(i, m // g)
             if first is None:
-                first = cert
+                first = (i, m // g)
         elif first is not None:
             continue
         elif m == 0:
@@ -246,8 +282,13 @@ def _solve_snf(
             mm = m // g
             y[i] = ((ci // g) * pow(di // g, -1, mm)) % mm
     if first is not None:
-        return None, first
-    return matvec(v, y), None
+        return None, cert(*first)
+    x = [0] * len(v)
+    for yj, vj in zip(y, v):
+        if yj:
+            for k, c in vj.items():
+                x[k] += c * yj
+    return tuple(x), None
 
 
 def solve_mod(
@@ -259,7 +300,7 @@ def solve_mod(
     b = tuple(json_int(x, "right-hand side entry") for x in b)
     if len(b) != len(a):
         raise ValueError("right-hand side length does not match row count")
-    x, cert = _solve_snf(snf(a), b, m)
+    x, cert = _solve_snf(_smith(a), b, m)
     if x is None:
         return ModSolveResult(m, certificate=cert)
     x = tuple(val % m for val in x)
@@ -286,8 +327,8 @@ def generates(vectors: Sequence[Sequence[int]], n: int) -> bool:
     """Do these integer vectors of length n generate Z^n?"""
     if len(vectors) < n:
         return False
-    _, d, _ = snf(tuple(zip(*vectors)))
-    return all(d[i][i] == 1 for i in range(n))
+    diag = _smith(tuple(zip(*vectors)))[1]
+    return all(diag[i] == 1 for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -313,14 +354,14 @@ class IntLattice:
         return len(self.basis)
 
     @cached_property
-    def _snf(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        return snf(self.basis)
+    def _smith(self) -> Smith:
+        return _smith(self.basis)
 
     def coords(self, v: Sequence[int]) -> IntVector | None:
         """Coordinates of v in this basis, or None when v is not a lattice point."""
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        return _solve_snf(self._snf, [json_int(x, "vector entry") for x in v], 0)[0]
+        return _solve_snf(self._smith, [json_int(x, "vector entry") for x in v], 0)[0]
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None

@@ -417,3 +417,31 @@ def test_criterion_7_counterexample_at_windows_2_and_3():
         all(budgets),
         elapsed,
     )
+
+
+def test_criterion_8_counterexample_char_extend_at_windows_2_and_3():
+    """The counterexample's UNSAT witness past window 1, inside the budgets: the
+    constraint systems have 16,563 and 69,843 rows of 7 columns."""
+    start = time.monotonic()
+    spec = SPEC_DIR / "counterexample_nu6.json"
+    char = SPEC_DIR / "counterexample_nu6_char.json"
+    budgets = []
+    for window, budget in ((2, 2), (3, 6)):
+        code, report, elapsed = _timed_cli("char-extend", spec, char, "--window", window)
+        assert code == 1
+        assert report["extendable"] is False
+        assert report["witness"]
+        recheck = report["witness_recheck"]
+        assert recheck["passed"] is True
+        assert recheck["coord_sum"] == [0] * 7
+        assert recheck["exponent_sum"] % 2 == 1
+        budgets.append(elapsed < budget)
+
+    elapsed = time.monotonic() - start
+    report_line(
+        8,
+        "counterexample char-extend at window 2 (< 2 s) and window 3 (< 6 s), "
+        "each with a re-checked witness",
+        all(budgets),
+        elapsed,
+    )

@@ -42,7 +42,7 @@ ORBITS = (
 COMMANDS = (
     [("info", f"specs/{s}.json", "--window", str(w)) for s in SPECS for w in (0, 1, 2)]
     + [("char-verify", *CEX, "--window", str(w)) for w in (1, 2)]
-    + [("char-extend", *CEX, "--window", "1")]
+    + [("char-extend", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("info", f"specs/{s}.json", "--window", "1", "--refl-oracle")
        for s in ("b2_nu1_untwisted", "b2_nu2_twist1", "g2_nu1")]
     + [("weyl", "specs/affine_a1.json", "minsize", "--window", "3"), DECOMPOSE, *ORBITS]

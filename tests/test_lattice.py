@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference
+import lattice_reference
 from enumeration_reference import index_of_sublattice
 from ears.characters import A1CosetRule, Character
 from ears.finite import FiniteType
 from ears.lattice import (
     IntLattice,
     Semilattice,
+    _smith,
     _solve_snf,
     det,
     inverse_unimodular,
@@ -103,6 +105,67 @@ class TestSnf:
             [data.draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)
         ]
         check_snf_contract(mat)
+
+
+@st.composite
+def oracle_systems(draw):
+    """A matrix and a right-hand side: tall-thin up to 300 x 7, wide up to
+    7 x 300 (the shape `generates` sees), small ones with larger entries,
+    all-zero and empty ones, some rows and columns zeroed.  Large matrices
+    are filled from a drawn seed."""
+    kind = draw(st.sampled_from(("tall", "wide", "small", "zero", "empty")))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "empty":
+        return [], []
+    if kind == "tall":
+        rows, cols, bound = draw(st.integers(1, 300)), draw(st.integers(1, 7)), 3
+    elif kind == "wide":
+        rows, cols, bound = draw(st.integers(1, 7)), draw(st.integers(1, 300)), 3
+    else:
+        rows, cols, bound = draw(st.integers(1, 5)), draw(st.integers(0, 5)), 9
+    density = 0.0 if kind == "zero" else draw(st.sampled_from((0.2, 0.5, 1.0)))
+    mat = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        mat[i] = [0] * cols
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)) if cols else ():
+        for row in mat:
+            row[j] = 0
+    if draw(st.booleans()):
+        # a consistent system over Z, so SAT verdicts are drawn as well
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        b = [sum(r * y for r, y in zip(row, x)) for row in mat]
+    else:
+        b = [rng.randint(-6, 6) for _ in range(rows)]
+    return mat, b
+
+
+class TestSparseCoreOracle:
+    """The sparse-transform core against the dense SNF it replaced
+    (tests/lattice_reference.py): the same (u, d, v), solutions and
+    certificates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_systems())
+    def test_same_smith_form(self, system):
+        mat, _ = system
+        assert snf(mat) == lattice_reference.snf(mat)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_systems())
+    def test_same_solution_or_certificate(self, system):
+        mat, b = system
+        dense = lattice_reference.snf(mat)
+        assert _solve_snf(_smith(mat), b, 0) == lattice_reference._solve_snf(dense, b, 0)
+        for m in (1, 2, 3, 4, 6):
+            x, cert = lattice_reference._solve_snf(dense, b, m)
+            res = solve_mod(mat, b, m)
+            if x is None:
+                assert not res.sat and res.certificate == cert
+            else:
+                assert res.solution == tuple(val % m for val in x)
 
 
 class TestDet:
@@ -219,7 +282,7 @@ class TestSolveMod:
         _, d, _ = snf(a)
         assert any(d[i][i] > 1 for i in range(cols))
         transposed = [[a[i][j] for i in range(rows)] for j in range(cols)]
-        assert _solve_snf(snf(transposed), [x // m for x in ra], 0)[0] is None
+        assert _solve_snf(_smith(transposed), [x // m for x in ra], 0)[0] is None
 
     def test_exact_certificate_preferred(self):
         # the first failing SNF row (d = 2) only cancels mod 2; the second
@@ -253,13 +316,14 @@ class TestSolveMod:
 
             if __debug__:
                 raise SystemExit("interpreter is not running with -O")
-            real_snf = lattice.snf
+            real_smith = lattice._smith
 
-            def corrupted_snf(a):
-                u, d, v = real_snf(a)
-                return u, d, tuple(tuple(x + 1 for x in row) for row in v)
+            def corrupted_smith(a):
+                # every entry of v plus one; v is stored as sparse columns
+                u, diag, v = real_smith(a)
+                return u, diag, [{i: vj.get(i, 0) + 1 for i in range(len(v))} for vj in v]
 
-            lattice.snf = corrupted_snf
+            lattice._smith = corrupted_smith
             try:
                 res = lattice.solve_mod([[1, 0], [0, 1]], [1, 1], 5)
             except AssertionError:
