@@ -30,6 +30,7 @@ from .lattice import (
     json_int_rows,
     json_object,
     parity,
+    size_int,
     solve_mod,
 )
 from .system import (
@@ -415,6 +416,7 @@ def build_a1_counterexample(
     the sum of the first six, which forces any lattice extension to assign the
     last representative the value +1 while the rule assigns -1.
     """
+    size_int(nullity, "nullity")
     if taus is None:
         if nullity < 6:
             raise ValueError("default representatives need nullity >= 6")

@@ -9,6 +9,7 @@ point anywhere.  Vectors are tuples of ints, matrices are tuples of row tuples.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -25,6 +26,14 @@ def json_int(value, field: str) -> int:
     """
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def size_int(value, field: str) -> int:
+    """A `json_int` of at most `sys.maxsize`, for a value that becomes a
+    range bound, a repeat count or a tuple length, which Python caps there."""
+    if json_int(value, field) > sys.maxsize:
+        raise ValueError(f"{field} must be at most {sys.maxsize}, got {value}")
     return value
 
 

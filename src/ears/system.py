@@ -29,6 +29,7 @@ from .lattice import (
     json_int,
     json_object,
     parity,
+    size_int,
     sum_semilattices,
     vec_add,
     vec_scale,
@@ -66,7 +67,7 @@ class Window:
     bound: int
 
     def __post_init__(self) -> None:
-        if json_int(self.bound, "window bound") < 0:
+        if size_int(self.bound, "window bound") < 0:
             raise ValueError("window bound must be >= 0")
 
     @staticmethod

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -301,6 +302,43 @@ class TestExitContract:
             ],
         }[case]
         assert_input_error(capsys, argv)
+
+
+TOO_LARGE = "99999999999999999999"  # above sys.maxsize
+_TORUS = {"--ell": "2", "--nu": "1", "--modulus": "2", "--window": "1"}
+
+
+def _limit_address_space():
+    """Run in the child only: 1 GiB of address space, so a path that tries to
+    enumerate a huge range fails fast instead of growing."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["info", AFFINE, "--window", TOO_LARGE], id="info-window"),
+    pytest.param(["char-verify", CEX_SPEC, CEX_CHAR, "--window", TOO_LARGE],
+                 id="char-verify-window"),
+    *[pytest.param(["torus", "check-chevalley", *(x for k, v in _TORUS.items()
+                                                  for x in (k, TOO_LARGE if k == flag else v))],
+                   id=f"torus{flag}")
+      for flag in _TORUS],
+    pytest.param(["counterexample", "--nullity", TOO_LARGE], id="counterexample-nullity"),
+])
+def test_integer_above_maxsize_exits_2(tmp_path, argv):
+    """No OverflowError traceback and no unbounded loop: exit 2 with an error line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ears.cli import main; sys.exit(main())", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not list(tmp_path.iterdir())
 
 
 class TestCharVerifyInput:

@@ -60,6 +60,11 @@ COMMANDS = (
          "--window", "2"),
         ("torus", "check-diagonal", "--ell", "2", "--nu", "2", "--modulus", "2",
          "--hom", "1,0,1,1", "--window", "2"),
+        # a larger window, and a rank-3 torus with a mixed homomorphism
+        ("torus", "check-chevalley", "--ell", "2", "--nu", "2", "--modulus", "2",
+         "--window", "3"),
+        ("torus", "check-diagonal", "--ell", "3", "--nu", "2", "--modulus", "3",
+         "--hom", "1,2,0,1,1", "--window", "2"),
     ]
 )
 

@@ -330,39 +330,94 @@ class _CorruptedIsotropic(TorusAutomorphism):
         ))
 
 
+@dataclass(frozen=True)
+class _TwoTerms(TorusAutomorphism):
+    """Sends e01 tensor t^lam to e01 tensor t^lam + e02 tensor t^lam: a two-term image."""
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        terms = list(x.terms)
+        terms += [(("e", 0, 2), lam, c) for key, lam, c in x.terms if key == ("e", 0, 1)]
+        return ref.canonical(x.ell, x.nu, x.modulus, terms)
+
+
+@dataclass(frozen=True)
+class _KillsE01(TorusAutomorphism):
+    """Sends every e01 tensor t^lam to 0 and fixes everything else."""
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        return TorusElement(x.ell, x.nu, x.modulus, tuple(
+            term for term in x.terms if term[0] != ("e", 0, 1)
+        ))
+
+
+@dataclass(frozen=True)
+class _ZeroDivisor(TorusAutomorphism):
+    """Scales e01 by the norm element 1 + zeta + ... + zeta**(m-1), e12 by
+    1 - zeta and e02 by 0.  The first two multiply to 0, so the pairs of e01
+    and e12 pass only if [a x, a y] drops its zero terms; pairs such as those
+    of e01 and e10 fail."""
+
+    def apply(self, x: TorusElement) -> TorusElement:
+        m = self.modulus
+        scale = {
+            ("e", 0, 1): CycScalar(m, (1,) * m),
+            ("e", 1, 2): CycScalar(m, (1, -1) + (0,) * (m - 2)),
+            ("e", 0, 2): CycScalar(m, (0,) * m),
+        }
+        return ref.canonical(x.ell, x.nu, x.modulus, [
+            (key, lam, ref.times(c, scale[key]) if key in scale else c)
+            for key, lam, c in x.terms
+        ])
+
+
+def _fixing(cls):
+    return lambda t: cls(t.ell, t.nu, t.modulus, False, (0,) * (t.ell + t.nu))
+
+
 _CORRUPTIONS = {
     "diagonal": _corrupted_diagonal,
     "composite": lambda t: _CorruptedComposite(
         t.ell, t.nu, t.modulus, True, (1,) + (0,) * (t.ell + t.nu - 1)
     ),
-    "isotropic": lambda t: _CorruptedIsotropic(
-        t.ell, t.nu, t.modulus, False, (0,) * (t.ell + t.nu)
-    ),
+    "isotropic": _fixing(_CorruptedIsotropic),
+    "two_terms": _fixing(_TwoTerms),
+    "to_zero": _fixing(_KillsE01),
+    "zero_divisor": _fixing(_ZeroDivisor),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
-@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 4)], ids=str)
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 4), (3, 1, 3), (2, 0, 2)], ids=str)
 def test_negative_controls_match_the_unmemoised_loop(shape, name):
-    """Every check, with the same first five witnesses in the same order."""
-    t, w = build_torus(*shape), Window(2)
+    """Every check, with the same first five witnesses in the same order, on
+    single-term, multi-term, zero and zero-divisor images."""
+    t = build_torus(*shape)
     a = _CORRUPTIONS[name](t)
-    checks = verify_automorphism(t, a, w).checks
-    assert checks == ref.verify_automorphism(t, a, w).checks
-    assert not all(c["passed"] for c in checks.values())
-    if name == "isotropic":
+    for w in (Window(1), Window(2)):
+        checks = verify_automorphism(t, a, w).checks
+        assert checks == ref.verify_automorphism(t, a, w).checks
+        if w.bound == 1:  # every failing pair, not only the first five
+            basis = t.graded_basis(w)
+            images = [a.apply(x) for x in basis]
+            pairs = list(torus_module._incompatible_pairs(t, basis, images, a.apply))
+            assert pairs == ref.incompatible_pairs(t, a, w)
+        # without isotropic degrees the isotropic corruption is the identity
+        assert all(c["passed"] for c in checks.values()) == (name == "isotropic" and not t.nu)
+    if name == "isotropic" and t.nu:
         assert len(checks["bracket_compatibility"]["failures"]) == 5
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 2, 2), (3, 1, 3)], ids=str)
 def test_window_checks_match_the_first_version(shape):
-    t, w = build_torus(*shape), Window(1)
+    t = build_torus(*shape)
+    windows = [Window(1), Window(2)] if shape == (2, 1, 4) else [Window(1)]
 
     @settings(max_examples=6, deadline=None)
     @given(_random_map(t))
     def check(a):
         first = ref.ReferenceMap(a.ell, a.nu, a.modulus, a.flip, a.hom)
-        assert verify_automorphism(t, a, w).checks == ref.verify_automorphism(t, first, w).checks
+        for w in windows:
+            assert verify_automorphism(t, a, w).checks == ref.verify_automorphism(t, first, w).checks
 
     check()
 
@@ -430,8 +485,13 @@ def test_zero_divisors_cancel():
 def test_checks_call_the_module_bracket(monkeypatch):
     """The traced benchmark counts brackets by replacing `ears.torus.bracket`.
 
-    The window checks make two calls per basis pair whatever the map, and the
-    Jacobi check one per basis pair, for its table of pair brackets."""
+    The window checks compare memoized flats and make no call; `apply` runs
+    once per distinct element, whatever the map.  The Jacobi check makes one
+    call per basis pair, for its table of pair brackets."""
+    t, w = build_torus(2, 1, 2), Window(1)
+    basis = t.graded_basis(w)
+    n = len(basis)
+    brackets = {bracket(x, y) for x in basis for y in basis}
     calls = []
     inner = torus_module.bracket
 
@@ -439,13 +499,29 @@ def test_checks_call_the_module_bracket(monkeypatch):
         calls.append(1)
         return inner(x, y)
 
+    applied = []
+
+    @dataclass(frozen=True)
+    class Counted(TorusAutomorphism):
+        def apply(self, x):
+            applied.append(x)
+            return super().apply(x)
+
     monkeypatch.setattr(torus_module, "bracket", counted)
-    t, w = build_torus(2, 1, 2), Window(1)
-    n = len(t.graded_basis(w))
-    for a in (diagonal_from_hom(t, (0, 0, 0)), diagonal_from_hom(t, (1, 1, 1)), chevalley(t)):
+    for flip, hom in ((False, (0, 0, 0)), (False, (1, 1, 1)), (True, (0, 0, 0))):
+        a = Counted(t.ell, t.nu, t.modulus, flip, hom)
         calls.clear()
+        applied.clear()
         verify_automorphism(t, a, w)
-        assert len(calls) == 2 * n * n
+        assert not calls
+        power = 2 if flip else t.modulus
+        orbits = set()
+        for x in basis:
+            for _ in range(power):
+                orbits.add(x)
+                x = TorusAutomorphism.apply(a, x)
+        assert len(applied) == len(set(applied))
+        assert set(applied) == orbits | brackets
     calls.clear()
     jacobi_identity_report(t, w)
     assert len(calls) == n * n
