@@ -355,6 +355,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory: the window, modulus or nullity is too large", file=sys.stderr)
+        return 2
     finally:
         elapsed = time.monotonic() - start
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -13,6 +13,7 @@ intensionally from coset classes (mod 2 for S), never by point enumeration.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -69,6 +70,9 @@ class Window:
     def __post_init__(self) -> None:
         if size_int(self.bound, "window bound") < 0:
             raise ValueError("window bound must be >= 0")
+        # a range holds at most sys.maxsize items, and a coordinate takes 2b + 1 values
+        if 2 * self.bound + 1 > sys.maxsize:
+            raise ValueError(f"window bound must be at most {sys.maxsize // 2}, got {self.bound}")
 
     @staticmethod
     def norm(v: Sequence[int]) -> int:
@@ -250,24 +254,41 @@ class Ears:
 
     @cached_property
     def period(self) -> IntVector:
-        """One even q_j per isotropic coordinate: whether (finite part, iso) is
-        a root depends only on the finite part and `residue(iso, period)`.
+        """The least q_j per isotropic coordinate such that whether (finite
+        part, iso) is a root depends only on the finite part and
+        `residue(iso, period)`; an entry may be odd.
 
-        S and S + S read the coordinates mod 2.  L is a union of cosets of
-        twice its span, so q_j = 2e_j for the least e_j that puts e_j times
-        the j-th unit vector in the span; e_j divides |det B_L|, as the span
-        contains |det B_L| Z^n.  A built twisted system gets e_j = k on its
-        twisted coordinates and 1 elsewhere; L = 4Z under S = Z, which no
-        system builds, gets e = 4.
+        Membership reads S + S and S through the parity of iso, and L.  Let
+        e_j be the least divisor of |det B_L| with e_j u_j in the span of L
+        (e_j = 1 without L), u_j the j-th unit vector.  L is a union of
+        cosets of twice its span, so 2e_j is a period of L, and a period d
+        puts d u_j in L, so e_j divides d.  Hence q_j is e_j when a shift by
+        e_j u_j keeps every set, and 2e_j otherwise: for an odd e_j, flipping
+        bit j must map each parity set onto itself, and every representative
+        of L moved by e_j u_j must stay in L.  No residue is listed.
+        `b2_nu2_twist1` gets (2, 1), and L = 4Z under S = Z, which no system
+        builds, gets 4.
         """
+        units = IntLattice.standard(self.nullity).basis
         if self.L is None:
-            return (2,) * self.nullity
-        span = self.L.lattice
-        d = abs(det(span.basis))
-        return tuple(
-            2 * next(e for e in range(1, d + 1) if d % e == 0 and span.contains(vec_scale(e, x)))
-            for x in IntLattice.standard(self.nullity).basis
-        )
+            least = (1,) * self.nullity
+        else:
+            span = self.L.lattice
+            d = abs(det(span.basis))
+            least = tuple(
+                next(e for e in range(1, d + 1) if d % e == 0 and span.contains(vec_scale(e, u)))
+                for u in units
+            )
+
+        def keeps(j: int, e: int) -> bool:
+            if e % 2 and not all(k[:j] + (1 - k[j],) + k[j + 1:] in keys
+                                 for keys in (self.r0_keys, self.S.class_index) for k in keys):
+                return False
+            return self.L is None or all(
+                self.L.contains(vec_add(t, vec_scale(e, units[j]))) for t in self.L.reps
+            )
+
+        return tuple(e if keeps(j, e) else 2 * e for j, e in enumerate(least))
 
     @cached_property
     def _l_residues(self) -> dict[IntVector, bool]:
@@ -567,7 +588,9 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     (b) the S/L coupling identities on representatives, (c) unbroken root
     strings with d - u equal to the pairing, (d) connectedness of the
     non-orthogonality graph on non-isotropic window roots, (e) reducedness.
-    Every window check runs once per class of `e.period` (see `Classes`).
+    The root strings run once per class pair of `e.period` (see `Classes`),
+    and the isotropic support once per class of iso mod 2, which is all that
+    check reads.
     """
     checks: dict = {}
     q = e.period
@@ -576,7 +599,7 @@ def verify_axioms(e: Ears, w: Window) -> AxiomReport:
     noniso = [c for c in classes.reps if c[1].finite is not None]
 
     isos = list(w.points(e.nullity))
-    points = Classes(isos, [residue(iso, q) for iso in isos])
+    points = Classes(isos, [parity(iso) for iso in isos])
     bad: dict = {}
     for k, iso, _ in points.reps:
         direct = parity(iso) in e.r0_keys

@@ -102,6 +102,12 @@ class Shifted(Character):
     target: Root | None = None
     period: tuple[int, ...] | None = None
 
+    @property
+    def _period(self):
+        """The shift's own period when set, so every class of the pair loop
+        lies inside one shifted class or outside all of them."""
+        return super()._period if self.period is None else self.period
+
     def _key(self, r):
         if self.period is None:
             return r
@@ -195,7 +201,7 @@ def _l_is_4z(b2_affine):
 
 def test_period_without_compatibility(b2_affine):
     bad = _l_is_4z(b2_affine)
-    assert bad.period == (8,)
+    assert bad.period == (4,)
     for x in range(-20, 21):
         iso = (x,)
         assert bad._in_l(iso) == bad.L.contains(iso)
@@ -203,7 +209,7 @@ def test_period_without_compatibility(b2_affine):
 
 def assert_shift_invariant(e):
     """Moving coordinate j by period[j] never changes `classify`, for any finite part."""
-    assert len(e.period) == e.nullity and all(q % 2 == 0 for q in e.period)
+    assert len(e.period) == e.nullity
     for iso in itertools.product(range(-3, 4), repeat=e.nullity):
         for j, q in enumerate(e.period):
             moved = iso[:j] + (iso[j] + q,) + iso[j + 1:]
@@ -221,11 +227,63 @@ def test_period_is_a_period_without_compatibility(b2_affine):
     assert_shift_invariant(_l_is_4z(b2_affine))
 
 
+def even_period(e):
+    """A period from the definitions alone: 2 per coordinate without L, else
+    2e_j, e_j the least e with e times the j-th unit vector in the span of L."""
+    if e.L is None:
+        return (2,) * e.nullity
+    units = IntLattice.standard(e.nullity).basis
+    return tuple(
+        2 * next(k for k in itertools.count(1) if e.L.lattice.contains(tuple(k * x for x in u)))
+        for u in units
+    )
+
+
+def assert_least(e):
+    """No proper divisor d of period[j] is a period: on one full box of the
+    even period, some finite part and iso classify differently after iso
+    moves by d along coordinate j."""
+    bound = even_period(e)
+    assert all(c % q == 0 for q, c in zip(e.period, bound))
+    isos = list(itertools.product(*map(range, bound)))
+    fins = (None, *e.finite.coords)
+    for j, q in enumerate(e.period):
+        for d in (d for d in range(1, q) if q % d == 0):
+            assert any(
+                e.classify(fin, iso) != e.classify(fin, iso[:j] + (iso[j] + d,) + iso[j + 1:])
+                for iso in isos for fin in fins
+            ), (j, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems())
+def test_period_is_least_per_coordinate(e):
+    event(f"period {e.period}")
+    assert_least(e)
+
+
+def test_period_is_least_without_compatibility(b2_affine):
+    assert_least(_l_is_4z(b2_affine))
+
+
+@pytest.mark.parametrize("name, want", [
+    ("a3_nu2", (1, 1)), ("b2_nu2_twist1", (2, 1)), ("g2_nu1", (1,)), ("a2_nu1", (1,)),
+    ("b2_nu1_untwisted", (1,)), ("affine_a1", (1,)), ("a1_nu2_full", (1, 1)),
+    ("a1_nu2_three_coset", (2, 2)), ("counterexample_nu6", (2,) * 6),
+])
+def test_shipped_periods_are_least(name, want):
+    e = build_ears(EarsSpec.from_json(load_spec_file(f"{name}.json")))
+    assert e.period == want
+    assert_shift_invariant(e)
+    assert_least(e)
+
+
 def test_twisted_period_per_coordinate(monkeypatch, capsys):
-    """Only the twisted coordinate pays 2k, so `info` classifies fewer sums."""
+    """The least period is (2, 1), so `info` classifies one set of class
+    pairs at window 1 and at window 2: window 1 already meets every class."""
     spec = str(SPEC_DIR / "b2_nu2_twist1.json")
     e = build_ears(EarsSpec.from_json(load_spec_file("b2_nu2_twist1.json")))
-    assert e.period == (4, 2)
+    assert e.period == (2, 1)
     classify = Ears.classify
     calls = []
 
@@ -234,7 +292,7 @@ def test_twisted_period_per_coordinate(monkeypatch, capsys):
         return classify(self, *args)
 
     monkeypatch.setattr(Ears, "classify", counted)
-    for window, want in ((1, 8_512), (2, 18_816)):
+    for window, want in ((1, 1_176), (2, 1_176)):
         calls.clear()
         assert main(["info", spec, "--window", str(window)]) == 0
         capsys.readouterr()
@@ -252,10 +310,24 @@ def test_axiom_checks_match_on_incompatible_system(b2_affine, window):
         assert not checks["root_strings"]["passed"]
 
 
+@pytest.mark.parametrize("window", [1, 2])
+def test_support_check_reads_parity_under_an_odd_period(window):
+    """With S + S missing a class it should hold, the support check fails on
+    exactly the points of that parity, though the period (1, 1) puts every
+    point in one class."""
+    e = build_ears(EarsSpec.from_json(load_spec_file("a3_nu2.json")))
+    assert e.period == (1, 1)
+    e.__dict__["r0_keys"] = e.r0_keys - {(1, 0)}
+    w = Window(window)
+    got = verify_axioms(e, w).checks["isotropic_support"]
+    want = ref.axiom_window_checks(e, w)["isotropic_support"]
+    assert got == want and not got["passed"]
+
+
 def test_hom_basis_rule_uses_its_own_period(a2_nu1):
     """A hom given on a non-standard basis: q still reads the exponent mod m."""
     basis = ((1, 0, 0), (1, 1, 0), (0, 1, 1))
     c = Character(a2_nu1, 3, LatticeHomRule(basis, (1, 2, 0)))
-    assert c._period == (6,)
+    assert c._period == (3,)
     w = Window(2)
     assert verify_character(c, w).to_json() == ref.verify_by_pairs(c, w, False).to_json()

@@ -326,9 +326,16 @@ def _limit_address_space():
 ])
 def test_integer_above_maxsize_exits_2(tmp_path, argv):
     """No OverflowError traceback and no unbounded loop: exit 2 with an error line."""
+    assert_input_error_capped(tmp_path, argv)
+    assert not list(tmp_path.iterdir())
+
+
+def assert_input_error_capped(cwd, argv):
+    """The CLI in a child process capped at 1 GiB of address space exits 2
+    with an error line, no traceback and nothing on stdout."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from ears.cli import main; sys.exit(main())", *argv],
-        cwd=tmp_path,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src")),
         capture_output=True,
         text=True,
@@ -338,7 +345,28 @@ def test_integer_above_maxsize_exits_2(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
-    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # at most sys.maxsize, but a coordinate range of 2b + 1 values is not
+    pytest.param(["info", AFFINE, "--window", str(sys.maxsize)], id="info-window"),
+    pytest.param(["info", AFFINE, "--window", str(sys.maxsize // 2 + 1)], id="info-window-half"),
+    pytest.param(["char-verify", CEX_SPEC, CEX_CHAR, "--window", str(sys.maxsize)],
+                 id="char-verify-window"),
+    # these fit every bound but not in memory
+    pytest.param(["info", AFFINE, "--window", str(sys.maxsize // 2)], id="info-window-largest"),
+    pytest.param(["torus", "check-chevalley", "--ell", "2", "--nu", "1",
+                  "--modulus", "10000000000", "--window", "1"], id="torus-modulus"),
+    pytest.param(["info", "cex30.json", "--window", "1"], id="info-nullity-30"),
+])
+def test_too_large_to_enumerate_exits_2(tmp_path, capsys, argv):
+    """No OverflowError or MemoryError traceback: exit 2 with an error line."""
+    spec, char = tmp_path / "cex30.json", tmp_path / "cex30_char.json"
+    assert main(["counterexample", "--nullity", "30",
+                 "--out-spec", str(spec), "--out-char", str(char)]) == 0
+    capsys.readouterr()
+    assert_input_error_capped(tmp_path, argv)
+    assert sorted(tmp_path.iterdir()) == [spec, char]
 
 
 class TestCharVerifyInput:

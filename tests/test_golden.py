@@ -41,6 +41,7 @@ ORBITS = (
 )
 COMMANDS = (
     [("info", f"specs/{s}.json", "--window", str(w)) for s in SPECS for w in (0, 1, 2)]
+    + [("info", f"specs/{s}.json", "--window", "3") for s in ("a3_nu2", "b2_nu2_twist1", "g2_nu1")]
     + [("char-verify", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("char-extend", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("info", f"specs/{s}.json", "--window", "1", "--refl-oracle")
