@@ -506,6 +506,14 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
     non-isotropic roots whose reflections cover the window.  Agreement with
     the input character is certified by telescoping along prefix
     decompositions, which forces the extension value step by step.
+
+    The decompositions form a tree: a prefix's parent is the prefix minus its
+    last step.  Each prefix is checked once, against its parent's telescoped
+    value plus its step's value, and each signed step is valued once.  A root
+    walks up only to its first prefix already checked, then checks downwards,
+    so roots in window order and prefixes shallow to deep meet the first
+    failure, and raise its message, where checking every prefix from the zero
+    root would.
     """
     e = c.ears
     m = c.modulus
@@ -522,20 +530,35 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
     if not cover.covered:
         raise ValueError("base reflections do not cover the window")
     decs = decompose_all(e, base, w)
+    telescoped = {e.zero_root: 0}  # checked prefix -> its value, the sum of its steps' values
+    moves = {(sign, b): e.scale_root(sign, b) for b in base for sign in (1, -1)}
+    step_values = {(1, b): x for b, x in zip(base, values)}
     for r in cover.roots:
-        if r.finite is not None:
+        if r.finite is None:
+            value = c._exponent(r)
+        else:
             dec = decs.get(r)
             if dec is None:
                 raise ValueError(f"cannot decompose {r} inside the window")
-            acc = 0
-            for (sign, b), prefix in zip(dec.terms, dec.prefixes(e)):
-                acc = (acc + c._exponent(e.scale_root(sign, b))) % m
-                if c._exponent(prefix) != acc:
+            unchecked = []
+            node = r
+            for sign, b in reversed(dec.terms):
+                if node in telescoped:
+                    break
+                unchecked.append((node, (sign, b)))
+                node = e.add(node, moves[-sign, b])
+            value = telescoped[node]
+            for prefix, step in reversed(unchecked):
+                if step not in step_values:
+                    step_values[step] = c._exponent(moves[step])
+                value = (value + step_values[step]) % m
+                if c._exponent(prefix) != value:
                     raise ValueError(
                         f"telescoping failed at prefix {prefix}: the character is "
                         "not multiplicative along the decomposition"
                     )
-        if hom._exponent(r) != c._exponent(r):
+                telescoped[prefix] = value
+        if hom._exponent(r) != value:
             raise ValueError(
                 f"extension disagrees with the character at {r}; the data is "
                 "not index-zero consistent or the window is too small"

@@ -9,12 +9,7 @@ AssertionError is an internal fault and is not caught.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
-import time
-
+# Package modules first: compiled after hashlib has mapped OpenSSL, they raise peak RSS.
 from .characters import (
     Character,
     build_a1_counterexample,
@@ -40,6 +35,12 @@ from .torus import (
     verify_automorphism,
 )
 from .weyl import check_reflectable, decompose, minimal_reflectable_size, orbit_closure
+
+import argparse
+import hashlib
+import json
+import sys
+import time
 
 
 def _read_json(path: str) -> tuple[dict, str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from collections import deque
+from operator import sub
 from typing import Sequence
 
 from .lattice import IntVector, generates, parity, vec_add, vec_scale, vec_sub
@@ -47,7 +48,11 @@ def orbit_closure(
     """Fixed point of applying the base reflections to the base, inside a window.
 
     Work happens inside bound + margin (margin defaults to the bound itself);
-    the result is the part inside the requested window.
+    the result is the part inside the requested window.  Each base root gets
+    one table before the loop, from a finite part to its reflected finite part
+    and the isotropic shift c * alpha.iso (see `reflect`), so a reflection in
+    the loop is one lookup and one subtraction.  Every root of the closure is
+    non-isotropic, since the base is.
     """
     _require_nonisotropic(e, base)
     if not base:
@@ -55,13 +60,23 @@ def orbit_closure(
     if margin is None:
         margin = w.bound
     work = Window(w.bound + margin)
+    fin = e.finite
+    tables = []
+    for alpha in base:
+        ai = fin.coord_index[alpha.finite]
+        tables.append({
+            beta: (fin.coords[fin.reflect_table[ai][bi]],
+                   vec_scale(fin.pairing_table[bi][ai], alpha.iso))
+            for bi, beta in enumerate(fin.coords)
+        })
     closed: set[Root] = {r for r in base if work.contains(r.iso)}
     frontier = list(closed)
     while frontier:
         fresh: list[Root] = []
-        for b in base:
+        for table in tables:
             for r in frontier:
-                image = reflect(e, b, r)
+                new_fin, shift = table[r.finite]
+                image = Root(new_fin, tuple(map(sub, r.iso, shift)))
                 if image not in closed and work.contains(image.iso):
                     closed.add(image)
                     fresh.append(image)
@@ -208,38 +223,33 @@ def decompose(e: Ears, target: Root, base: Sequence[Root], w: Window) -> Decompo
 def decompose_all(
     e: Ears, base: Sequence[Root], w: Window
 ) -> dict[Root, Decomposition]:
-    """Shortest prefix decompositions for every root reachable inside the window."""
+    """Shortest prefix decompositions for every root reachable inside the window.
+
+    Breadth-first from the zero root, which maps to the empty decomposition;
+    the 2 * |base| signed steps are scaled once, and a root's decomposition is
+    that of the root it was first reached from plus the step taken.
+    """
     _require_nonisotropic(e, base)
     if not base:
         raise ValueError("base must be nonempty")
-    steps: list[tuple[int, Root]] = []
-    for b in sorted(base, key=e.sort_key):
-        steps.append((1, b))
-        steps.append((-1, b))
+    moves = [
+        ((sign, b), e.scale_root(sign, b))
+        for b in sorted(base, key=e.sort_key) for sign in (1, -1)
+    ]
     start = e.zero_root
-    parent: dict[Root, tuple[Root, tuple[int, Root]] | None] = {start: None}
+    out = {start: Decomposition(())}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for sign, b in steps:
-            nxt = e.add(node, e.scale_root(sign, b))
-            if nxt in parent:
+        terms = out[node].terms
+        for step, move in moves:
+            nxt = e.add(node, move)
+            if nxt in out:
                 continue
             if not w.contains(nxt.iso):
                 continue
             if not e.is_root(nxt):
                 continue
-            parent[nxt] = (node, (sign, b))
+            out[nxt] = Decomposition(terms + (step,))
             queue.append(nxt)
-    out: dict[Root, Decomposition] = {}
-    for node in parent:
-        if node == start:
-            continue
-        terms: list[tuple[int, Root]] = []
-        cur = node
-        while parent[cur] is not None:
-            prev, step = parent[cur]
-            terms.append(step)
-            cur = prev
-        out[node] = Decomposition(tuple(reversed(terms)))
     return out

@@ -210,6 +210,16 @@ class TestWeyl:
         assert report["prefixes_are_roots"] is True
         assert len(report["terms"]) == 3
 
+    def test_decompose_zero_root_is_the_empty_word(self, capsys):
+        code, report = run(
+            capsys, "weyl", AFFINE, "decompose",
+            "--base", self.BASE, "--target", '[{"finite":null,"iso":[0]}]',
+            "--window", "3",
+        )
+        assert code == 0
+        assert report["terms"] == []
+        assert report["prefixes_are_roots"] is True
+
     @pytest.mark.parametrize(
         "base, target",
         [

@@ -13,12 +13,17 @@ it lists must still exist.  Roots and the semilattices of a built system share
 one coordinate system, which `system.build_ears` reads off a spec's bases, so
 no module but `lattice` maps coordinates to ambient vectors (`from_coords`),
 and none but `lattice` and `system` solves for coordinates (`coords`).
+Names are imported from their modules, so `import ears` loads no layer, and
+a module loads only the layers it imports.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,3 +219,20 @@ def test_traced_names_resolve():
             if not callable(getattr(getattr(module, cls_name, None), meth, None)):
                 missing.append(f"{layer}.{cls_name}.{meth}")
     assert not missing, f"traced names missing from ears: {missing}"
+
+
+def loaded_layers(statement: str) -> set[str]:
+    """The `ears.*` modules a fresh interpreter holds after running statement."""
+    probe = f"import sys\n{statement}\nprint(*(m for m in sys.modules if m.startswith('ears.')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_import_surface():
+    assert loaded_layers("import ears") == set()
+    assert loaded_layers("import ears.lattice") == {"ears.lattice"}
+    loaded = loaded_layers("from ears.characters import extend_ind_zero")
+    assert "ears.characters" in loaded
+    assert not loaded & {"ears.torus", "ears.cli"}, loaded
