@@ -317,6 +317,19 @@ def verify_character(c: Character, w: Window) -> CharacterCheckReport:
     The pair loop runs once per pair of root classes (see `Classes`), and the
     core report restricts the same tallies to non-isotropic first classes.
     """
+    return _check_pairs(c, w, core_only=False)
+
+
+def verify_core_character(c: Character, w: Window) -> CharacterCheckReport:
+    """Multiplicativity over pairs whose first member is non-isotropic.
+
+    This is the `core` of the full report; the pair loop skips isotropic first
+    classes, and the inverse check still runs on every class.
+    """
+    return _check_pairs(c, w, core_only=True)
+
+
+def _check_pairs(c: Character, w: Window, core_only: bool) -> CharacterCheckReport:
     e = c.ears
     m = c.modulus
     roots = enumerate_roots(e, w)
@@ -326,6 +339,8 @@ def verify_character(c: Character, w: Window) -> CharacterCheckReport:
     tally: dict = {}  # first class -> [pairs checked, pairs skipped]
     bad: dict = {}
     for ka, alpha, na in classes.reps:
+        if core_only and alpha.finite is None:
+            continue
         ea = exps[ka]
         row = tally[ka] = [0, 0]
         for kb, beta, nb in classes.reps:
@@ -360,15 +375,7 @@ def verify_character(c: Character, w: Window) -> CharacterCheckReport:
         )
 
     core = report("core", [k for k, r, _ in classes.reps if r.finite is not None])
-    return report("full", list(tally), core)
-
-
-def verify_core_character(c: Character, w: Window) -> CharacterCheckReport:
-    """Multiplicativity over pairs whose first member is non-isotropic.
-
-    This is the `core` of the full report: both come from one pass.
-    """
-    return verify_character(c, w).core
+    return core if core_only else report("full", list(tally), core)
 
 
 def verify_square_shift_identity(c: Character, w: Window) -> dict:

@@ -227,7 +227,8 @@ def decompose_all(
 
     Breadth-first from the zero root, which maps to the empty decomposition;
     the 2 * |base| signed steps are scaled once, and a root's decomposition is
-    that of the root it was first reached from plus the step taken.
+    that of the root it was first reached from plus the step taken.  A
+    candidate outside the window or the root system is tested once.
     """
     _require_nonisotropic(e, base)
     if not base:
@@ -238,17 +239,17 @@ def decompose_all(
     ]
     start = e.zero_root
     out = {start: Decomposition(())}
+    rejected: set[Root] = set()
     queue = deque([start])
     while queue:
         node = queue.popleft()
         terms = out[node].terms
         for step, move in moves:
             nxt = e.add(node, move)
-            if nxt in out:
+            if nxt in out or nxt in rejected:
                 continue
-            if not w.contains(nxt.iso):
-                continue
-            if not e.is_root(nxt):
+            if not (w.contains(nxt.iso) and e.is_root(nxt)):
+                rejected.add(nxt)
                 continue
             out[nxt] = Decomposition(terms + (step,))
             queue.append(nxt)

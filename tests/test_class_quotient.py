@@ -167,6 +167,19 @@ def test_character_checks_match_pair_loops(case):
         event("witnesses listed")
 
 
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_core_check_matches_core_of_full_report(case):
+    """The core-only pair loop skips isotropic first classes; its report is
+    the `core` of the full one, witnesses and window roots alike."""
+    c, w = case
+    got, want = verify_core_character(c, w), verify_character(c, w).core
+    assert got.to_json() == want.to_json()
+    assert got.additivity_failures == want.additivity_failures
+    assert got.inverse_failures == want.inverse_failures
+    assert got.roots == want.roots
+
+
 @settings(max_examples=30, deadline=None)
 @given(systems(), st.data())
 def test_axiom_checks_match_window_loops(e, data):

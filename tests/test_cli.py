@@ -313,6 +313,31 @@ class TestExitContract:
         }[case]
         assert_input_error(capsys, argv)
 
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["info", str(SPEC_DIR / "a3_nu2.json"), "--window", "1"], 0, id="info"),
+        pytest.param(["--format", "text", "info", AFFINE, "--window", "1"], 0, id="info-text"),
+        pytest.param(["char-extend", CEX_SPEC, CEX_CHAR, "--window", "1"], 1, id="char-extend"),
+    ])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_keeps_the_verdict(self, argv, code, buffered):
+        """A reader that closes stdout early (`| head -1`) leaves the exit code
+        of the verdict, with no traceback and no "Exception ignored" line,
+        whether the report is written by `print` or by the final flush."""
+        env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"), PYTHONUNBUFFERED="1")
+        if buffered:
+            del env["PYTHONUNBUFFERED"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ears.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == code, err
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("elapsed:"), err
+
 
 TOO_LARGE = "99999999999999999999"  # above sys.maxsize
 _TORUS = {"--ell": "2", "--nu": "1", "--modulus": "2", "--window": "1"}

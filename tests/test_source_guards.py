@@ -4,17 +4,22 @@ Certificate and invariant checks must be explicit exceptions, which still run
 under `python -O`, so the package has no `assert` statement.  The package
 computes over the integers only, so no module imports `fractions`.  A window
 is defined once, by `system.Window`, so the sup-norm box and the sup-norm test
-are spelled nowhere else.  Every import sits at module top, so the layering
-between modules is visible in their headers.  A function whose body only
-passes its own parameters on to another callable is a second name for it, so
-no such alias is defined unless something outside the package names it.  The
-traced benchmark run wraps `ears` functions and methods by name, so every name
-it lists must still exist.  Roots and the semilattices of a built system share
-one coordinate system, which `system.build_ears` reads off a spec's bases, so
-no module but `lattice` maps coordinates to ambient vectors (`from_coords`),
-and none but `lattice` and `system` solves for coordinates (`coords`).
-Names are imported from their modules, so `import ears` loads no layer, and
-a module loads only the layers it imports.
+are spelled nowhere else.  Every import in a library module sits at module
+top, so the layering between modules is visible in their headers.  The CLI
+imports at top only `system`, the layer every command runs, and each command
+handler imports the further layers it calls as its first statements (always
+`from .<layer> import ...`): without a bytecode cache, compiling layers a
+command never calls was most of a short command's time.  A function whose body
+only passes its own parameters on to another callable is a second name for it,
+so no such alias is defined unless something outside the package names it.
+The traced benchmark run wraps `ears` functions and methods by name, so every
+name it lists must still exist.  Roots and the semilattices of a built system
+share one coordinate system, which `system.build_ears` reads off a spec's
+bases, so no module but `lattice` maps coordinates to ambient vectors
+(`from_coords`), and none but `lattice` and `system` solves for coordinates
+(`coords`).  Names are imported from their modules, so `import ears` loads no
+layer, a module loads only the layers it imports, and a command only the
+layers it runs.
 """
 
 import ast
@@ -63,6 +68,23 @@ def function_import_lines(source: str) -> list[int]:
             imports = (n for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom)))
             lines += [n.lineno for n in imports]
     return sorted(set(lines))
+
+
+def late_import_lines(source: str, layers: set[str]) -> list[int]:
+    """Function-level imports other than `from .<layer> import ...` statements
+    that lead their function's body (after a docstring, if any)."""
+    lines = set(function_import_lines(source))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            for stmt in body:
+                if not (isinstance(stmt, ast.ImportFrom) and stmt.level == 1
+                        and stmt.module in layers):
+                    break
+                lines.discard(stmt.lineno)
+    return sorted(lines)
 
 
 def bare_aliases(source: str) -> list[str]:
@@ -125,6 +147,14 @@ def test_guards_see_what_they_look_for():
     assert function_import_lines("import os\ndef f():\n    from .x import y\n") == [3]
     assert function_import_lines("class A:\n    def f(self):\n        import os\n") == [3]
     assert function_import_lines("from .x import y\ndef f():\n    return y\n") == []
+    layers = {"x", "z"}
+    lead = 'def f():\n    """Doc."""\n    from .x import y\n    from .z import w\n    return y\n'
+    assert late_import_lines(lead, layers) == []
+    assert late_import_lines("def f():\n    a = 1\n    from .x import y\n", layers) == [3]
+    assert late_import_lines("def f():\n    import os\n", layers) == [2]
+    assert late_import_lines("def f():\n    from ears.x import y\n", layers) == [2]
+    assert late_import_lines("def f():\n    from .q import y\n", layers) == [2]
+    assert late_import_lines("def f():\n    if a:\n        from .x import y\n", layers) == [3]
     assert bare_aliases("def f(a, b):\n    '''Doc.'''\n    return g(a, b)\n") == ["f"]
     assert bare_aliases("def f(a, b):\n    return g(a, b=b)\n") == ["f"]
     assert bare_aliases(
@@ -167,10 +197,18 @@ def test_window_spelled_only_in_system(path):
     assert not lines, f"{path.name} spells a window outside system.Window at lines {lines}"
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name
+)
 def test_no_function_level_imports(path):
     lines = function_import_lines(path.read_text())
     assert not lines, f"{path.name} imports inside a function at lines {lines}"
+
+
+def test_cli_imports_layers_at_handler_top():
+    layers = {p.stem for p in MODULES} - {"__init__", "cli"}
+    lines = late_import_lines((SRC / "cli.py").read_text(), layers)
+    assert not lines, f"cli.py imports other than leading layer imports at lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -222,12 +260,27 @@ def test_traced_names_resolve():
 
 
 def loaded_layers(statement: str) -> set[str]:
-    """The `ears.*` modules a fresh interpreter holds after running statement."""
-    probe = f"import sys\n{statement}\nprint(*(m for m in sys.modules if m.startswith('ears.')))"
+    """The `ears.*` modules a fresh interpreter holds after running statement.
+
+    The statement runs from the repository root, and what it prints on stdout
+    is kept out of the probe's output.
+    """
+    probe = (
+        "import contextlib, io, sys\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    exec({statement!r})\n"
+        "print(*(m for m in sys.modules if m.startswith('ears.')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, cwd=ROOT)
     return set(out.stdout.split())
+
+
+def command_layers(argv: list[str], code: int = 0) -> set[str]:
+    """The `ears.*` modules loaded by `ears.cli.main(argv)`, which must return code."""
+    return loaded_layers(
+        f"import ears.cli\nif ears.cli.main({argv!r}) != {code}: sys.exit('exit code')"
+    )
 
 
 def test_import_surface():
@@ -236,3 +289,26 @@ def test_import_surface():
     loaded = loaded_layers("from ears.characters import extend_ind_zero")
     assert "ears.characters" in loaded
     assert not loaded & {"ears.torus", "ears.cli"}, loaded
+
+
+CORE = {"ears.cli", "ears.system", "ears.finite", "ears.lattice"}
+CHARACTERS = CORE | {"ears.weyl", "ears.characters"}  # `characters` imports `weyl`
+CEX = ["specs/counterexample_nu6.json", "specs/counterexample_nu6_char.json", "--window", "1"]
+AFFINE_A1_BASE = '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]'
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    pytest.param(["info", "specs/a3_nu2.json", "--window", "1"], 0, CORE, id="info"),
+    pytest.param(["info", "specs/affine_a1.json", "--window", "1", "--refl-oracle"], 0,
+                 CORE | {"ears.weyl"}, id="info-refl-oracle"),
+    pytest.param(["weyl", "specs/affine_a1.json", "orbit", "--base", AFFINE_A1_BASE,
+                  "--window", "1"], 0, CORE | {"ears.weyl"}, id="weyl-orbit"),
+    pytest.param(["char-verify", *CEX], 0, CHARACTERS, id="char-verify"),
+    pytest.param(["char-extend", *CEX], 1, CHARACTERS, id="char-extend"),
+    pytest.param(["torus", "check-diagonal", "--ell", "2", "--nu", "1", "--modulus", "4",
+                  "--hom", "1,2,3", "--window", "1"], 0, CHARACTERS | {"ears.torus"},
+                 id="torus-check-diagonal"),
+])
+def test_command_import_surface(argv, code, layers):
+    """A command loads `system` and the layers its handler imports, no more."""
+    assert command_layers(argv, code) == layers

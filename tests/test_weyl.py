@@ -1,7 +1,8 @@
 import pytest
 
 import enumeration_reference as ref
-from ears.system import EarsSpec, Root, Window, build_ears, enumerate_roots
+from ears.finite import FiniteType
+from ears.system import Ears, EarsSpec, Root, Window, build_ears, enumerate_roots
 from ears.weyl import (
     check_reflectable,
     decompose,
@@ -206,3 +207,23 @@ class TestDecompose:
                 continue
             assert r in table
             assert table[r].verify(e, r)
+
+    def test_each_candidate_tested_once(self, monkeypatch):
+        """At A3, nullity 2, window 3, with the simple roots and alpha_1 + delta_j
+        as base: 2,204 distinct candidates, each tested for membership once."""
+        e = build_ears(EarsSpec.simply_laced(FiniteType("A", 3), 2))
+        rows = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                (1, 0, 0, 1, 0), (1, 0, 0, 0, 1)]
+        base = [e.root_from_coords(row) for row in rows]
+        tested: dict = {}
+        is_root = Ears.is_root
+
+        def counted(self, r):
+            tested[r] = tested.get(r, 0) + 1
+            return is_root(self, r)
+
+        monkeypatch.setattr(Ears, "is_root", counted)
+        table = decompose_all(e, base, Window(3))
+        assert len(tested) == 2204
+        assert set(tested.values()) == {1}
+        assert set(table) == set(enumerate_roots(e, Window(3)))
