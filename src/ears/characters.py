@@ -16,7 +16,6 @@ relation among window roots that certifies the obstruction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from typing import Sequence
@@ -25,11 +24,13 @@ from .lattice import (
     IntLattice,
     IntVector,
     Semilattice,
+    field,
     inverse_unimodular,
     json_int,
     json_int_rows,
     json_object,
     parity,
+    record,
     size_int,
     solve_mod,
 )
@@ -48,7 +49,7 @@ from .system import (
 from .weyl import check_reflectable, decompose_all
 
 
-@dataclass(frozen=True)
+@record
 class UnityValue:
     """The root of unity zeta_m ** exponent, stored by exponent."""
 
@@ -62,7 +63,7 @@ class UnityValue:
             raise ValueError("exponent must be reduced mod the modulus")
 
 
-@dataclass(frozen=True)
+@record
 class LatticeHomRule:
     """Homomorphism on the root lattice: exponents on a chosen basis.
 
@@ -74,7 +75,7 @@ class LatticeHomRule:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class A1CosetRule:
     """Rank-one rule: +1 on roots over 2L, -1 over the nontrivial cosets of S.
 
@@ -84,7 +85,7 @@ class A1CosetRule:
     """
 
 
-@dataclass(frozen=True)
+@record
 class TableRule:
     """Explicit exponent table over a window of roots."""
 
@@ -118,7 +119,7 @@ def sum_free_violation(s: Semilattice) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Character:
     """A modulus-m character rule attached to a specific root system."""
 
@@ -276,7 +277,7 @@ def standard_hom_character(e: Ears, values: Sequence[int], modulus: int) -> Char
     return Character(e, modulus, LatticeHomRule(basis, tuple(v % modulus for v in values)))
 
 
-@dataclass(frozen=True)
+@record
 class CharacterCheckReport:
     """Multiplicativity check over window pairs, with explicit failure witnesses.
 
@@ -437,7 +438,7 @@ def build_a1_counterexample(
     return Character(e, 2, A1CosetRule())
 
 
-@dataclass(frozen=True)
+@record
 class ExtendabilityResult:
     """SAT with an extending homomorphism, or UNSAT with a checkable relation."""
 

@@ -13,10 +13,9 @@ which the rest of the package works with, are derived from them exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import IntMatrix, IntVector, json_int, vec_add, vec_sub
+from .lattice import IntMatrix, IntVector, json_int, record, vec_add, vec_sub
 
 Coords = tuple[int, ...]
 
@@ -33,7 +32,7 @@ _RANK_RULES = {
 _LACING = {"A": 1, "D": 1, "E": 1, "B": 2, "C": 2, "F": 2, "G": 3}
 
 
-@dataclass(frozen=True)
+@record
 class FiniteType:
     family: str
     rank: int
@@ -125,7 +124,7 @@ def _dot(x: Coords, y: Coords) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True)
+@record
 class FiniteRootSystem:
     """A finite root system as the simple-root coordinates of its roots.
 

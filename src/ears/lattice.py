@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 IntVector = tuple[int, ...]
@@ -35,6 +35,121 @@ def size_int(value, field: str) -> int:
     if json_int(value, field) > sys.maxsize:
         raise ValueError(f"{field} must be at most {sys.maxsize}, got {value}")
     return value
+
+
+_MISSING = object()
+
+
+class field:
+    """One field of a `record`, with the options `dataclasses.field` takes:
+    its default, and whether `__init__` takes it, the repr shows it, and `==`
+    and `hash` read it."""
+
+    __slots__ = ("name", "default", "init", "repr", "compare")
+
+    def __init__(self, default=_MISSING, *, init=True, repr=True, compare=True):
+        self.name = None
+        self.default, self.init, self.repr, self.compare = default, init, repr, compare
+
+
+def record(cls: type) -> type:
+    """`dataclasses.dataclass(frozen=True)`, built from closures.
+
+    The fields are the annotated names of the class, after those of its
+    record bases; each has a plain default, a `field`, or nothing.  Added:
+    `__init__` (by position or keyword, with the interpreter's messages for a
+    bad call, then `__post_init__` if the class has one), a repr of the shown
+    fields, `==` and `hash` on the tuple of compared fields, and assignment
+    and deletion that raise `AttributeError`; these replace any the class
+    body defines, which no record does.  Nothing is compiled:
+    `dataclasses` imports `inspect` and generates source for every class,
+    which a short command paid at each start.
+    """
+    fields = {f.name: f for base in cls.__mro__[-1:0:-1]
+              for f in base.__dict__.get("__record_fields__", ())}
+    for name in cls.__dict__.get("__annotations__", {}):
+        value = getattr(cls, name, _MISSING)
+        if isinstance(value, field):
+            if value.default is _MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, value.default)
+        else:
+            value = field(value)
+        value.name = name
+        fields[name] = value
+    fields = tuple(fields.values())
+    names = tuple(f.name for f in fields if f.init)
+    defaults = tuple(f.default for f in fields if f.init)
+    position = {name: i for i, name in enumerate(names)}
+    compared = tuple(f.name for f in fields if f.compare)
+    # the tuple of compared fields; attrgetter needs a name and gives one bare
+    fetch = attrgetter(*compared) if len(compared) > 1 else (
+        lambda self: tuple([getattr(self, name) for name in compared]))
+    shown = tuple(f.name for f in fields if f.repr)
+    frozen = frozenset(f.name for f in fields)
+    post_init = hasattr(cls, "__post_init__")
+    call = f"{cls.__qualname__}.__init__()"
+
+    def bind(args: tuple, kwargs: dict) -> list:
+        """The field values of a call other than one value per field by position."""
+        values = [*args[: len(names)], *defaults[len(args):]]
+        for key, value in kwargs.items():
+            i = position.get(key)
+            if i is None:
+                raise TypeError(f"{call} got an unexpected keyword argument {key!r}")
+            if i < len(args):
+                raise TypeError(f"{call} got multiple values for argument {key!r}")
+            values[i] = value
+        if len(args) > len(names):
+            top = len(names) + 1  # counting self
+            optional = sum(d is not _MISSING for d in defaults)
+            takes = f"from {top - optional} to {top}" if optional else str(top)
+            plural = "s" if optional or top > 1 else ""
+            raise TypeError(f"{call} takes {takes} positional argument{plural} "
+                            f"but {len(args) + 1} were given")
+        missing = [repr(n) for n, v in zip(names, values) if v is _MISSING]
+        if missing:
+            listed = ", ".join(missing[:-1]) + "," * (len(missing) > 2)
+            listed = f"{listed} and {missing[-1]}" if listed else missing[0]
+            raise TypeError(f"{call} missing {len(missing)} required positional "
+                            f"argument{'s' * (len(missing) > 1)}: {listed}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fetch(self) == fetch(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fetch(self))
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in frozen:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in frozen:
+            raise AttributeError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__record_fields__ = fields
+    return cls
 
 
 def json_object(value, field: str, keys: Iterable[str] | None = None) -> dict:
@@ -229,7 +344,7 @@ def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ModSolveResult:
     """Outcome of solving A x = b (mod m).
 
@@ -340,7 +455,7 @@ def generates(vectors: Sequence[Sequence[int]], n: int) -> bool:
     return all(diag[i] == 1 for i in range(n))
 
 
-@dataclass(frozen=True)
+@record
 class IntLattice:
     """Full-rank lattice in Z^n, given by a square basis matrix whose columns generate it."""
 
@@ -395,7 +510,7 @@ class IntLattice:
         return cls(basis)
 
 
-@dataclass(frozen=True)
+@record
 class Semilattice:
     """Union of cosets of 2L in a lattice L, described by coset representatives.
 
@@ -467,16 +582,6 @@ class Semilattice:
             return False
         k = self.key(v)
         return k is not None and k in self.class_index
-
-    def closure_holds(self) -> bool:
-        """Check s + 2s' and s - 2s' stay inside, on representatives."""
-        for r in self.reps:
-            for r2 in self.reps:
-                if not self.contains(vec_add(r, vec_scale(2, r2))):
-                    return False
-                if not self.contains(vec_sub(r, vec_scale(2, r2))):
-                    return False
-        return True
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import add, mod
@@ -27,9 +26,11 @@ from .lattice import (
     IntVector,
     Semilattice,
     det,
+    field,
     json_int,
     json_object,
     parity,
+    record,
     size_int,
     sum_semilattices,
     vec_add,
@@ -57,7 +58,7 @@ class Root(NamedTuple):
     iso: IntVector
 
 
-@dataclass(frozen=True)
+@record
 class Window:
     """Finite truncation: cap on the sup-norm of isotropic basis coordinates.
 
@@ -104,7 +105,7 @@ def _form(t: FiniteType) -> str:
     return "lattice" if t.simply_laced else "twisted"
 
 
-@dataclass(frozen=True)
+@record
 class EarsSpec:
     """Construction data: finite type, nullity, twist, and semilattice components.
 
@@ -190,7 +191,7 @@ def residue(iso: Sequence[int], q: Sequence[int]) -> IntVector:
     return tuple(map(mod, iso, q))
 
 
-@dataclass(frozen=True)
+@record
 class Ears:
     """An extended affine root system with exact membership tests; S and L are
     semilattices in the coordinates of `Root.iso`, so `S.lattice` is Z^nullity."""
@@ -543,7 +544,7 @@ def invariants(e: Ears) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     """Outcome of named window checks, with witnesses for failures.
 

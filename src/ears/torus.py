@@ -17,14 +17,13 @@ value of `trace_form`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .characters import Character, TableRule, verify_core_character
 from .finite import FiniteType
-from .lattice import IntVector, json_int, size_int
+from .lattice import IntVector, json_int, record, size_int
 from .system import AxiomReport, Ears, EarsSpec, Root, Window, build_ears
 
 TermKey = tuple  # ("e", i, j) or ("h", r)
@@ -32,7 +31,7 @@ Coeffs = tuple[int, ...]  # one integer per power of zeta
 Term = tuple[int, IntVector, Coeffs]  # (key id, Laurent degree, coefficients)
 
 
-@dataclass(frozen=True)
+@record
 class CycScalar:
     """Element of Z[Z/m]: integer coefficient vector for (1, zeta, ..., zeta**(m-1)).
 
@@ -149,7 +148,7 @@ def _basis_trace(k1: TermKey, k2: TermKey) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@record
 class LieTorus:
     """Traceless (ell+1) x (ell+1) matrices over nu-variable Laurent polynomials.
 
@@ -323,10 +322,6 @@ class TorusElement:
         keys, m = self._torus.keys, self._torus.modulus
         return tuple((keys[k], lam, _cyc(m, c)) for k, lam, c in self._flat)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._flat
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusElement):
             return NotImplemented
@@ -347,12 +342,6 @@ class TorusElement:
     def __add__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
         return _element(self._torus, _merge(self._flat + other._flat))
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def __neg__(self) -> "TorusElement":
-        return self.scale(-1)
 
     def scale(self, c: CycScalar | int) -> "TorusElement":
         t = self._torus
@@ -412,7 +401,7 @@ def trace_form(x: TorusElement, y: TorusElement) -> CycScalar:
     return _cyc(t.modulus, total)
 
 
-@dataclass(frozen=True)
+@record
 class TorusAutomorphism:
     """Monomial map x_(key, lam) -> (-1)**flip * zeta**k * x_target(key, lam).
 
@@ -481,19 +470,6 @@ def diagonal_from_hom(t: LieTorus, hom: Sequence[int]) -> TorusAutomorphism:
     e_r - e_(r+1)) followed by the nu lattice generators.
     """
     return TorusAutomorphism(t.ell, t.nu, t.modulus, False, hom)
-
-
-def compose(left: TorusAutomorphism, right: TorusAutomorphism) -> TorusAutomorphism:
-    """The map left after right, as one monomial map.
-
-    A flip negates both coords(key) and lam, so left's exponent is read off
-    the image of right with the sign (-1)**right.flip.
-    """
-    if (left.ell, left.nu, left.modulus) != (right.ell, right.nu, right.modulus):
-        raise ValueError("cannot compose automorphisms of different tori")
-    sign = -1 if right.flip else 1
-    hom = tuple(r + sign * l for l, r in zip(left.hom, right.hom))
-    return TorusAutomorphism(left.ell, left.nu, left.modulus, left.flip != right.flip, hom)
 
 
 def _term_label(x: TorusElement) -> tuple[TermKey, IntVector] | None:

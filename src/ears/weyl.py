@@ -8,12 +8,11 @@ and reported inside the requested one, so Weyl words may exit and re-enter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from collections import deque
 from operator import sub
 from typing import Sequence
 
-from .lattice import IntVector, generates, parity, vec_add, vec_scale, vec_sub
+from .lattice import IntVector, field, generates, parity, record, vec_add, vec_scale
 from .system import Ears, Root, RootClass, Window, enumerate_roots
 
 
@@ -24,24 +23,6 @@ def _require_nonisotropic(e: Ears, base: Sequence[Root]) -> None:
             raise ValueError(f"base element {r} does not classify as a non-isotropic root")
 
 
-def reflect(e: Ears, alpha: Root, beta: Root) -> Root:
-    """Reflection of beta through the hyperplane of a non-isotropic root alpha.
-
-    The bilinear form sees only finite parts (isotropic directions are null),
-    so the isotropic coordinate moves by an integer multiple of alpha's.
-    """
-    if alpha.finite is None:
-        raise ValueError("cannot reflect through an isotropic root")
-    if beta.finite is None:
-        return beta
-    fin = e.finite
-    ai = fin.coord_index[alpha.finite]
-    bi = fin.coord_index[beta.finite]
-    c = fin.pairing_table[bi][ai]
-    new_fin = fin.coords[fin.reflect_table[ai][bi]]
-    return Root(new_fin, vec_sub(beta.iso, vec_scale(c, alpha.iso)))
-
-
 def orbit_closure(
     e: Ears, base: Sequence[Root], w: Window, margin: int | None = None
 ) -> set[Root]:
@@ -50,8 +31,9 @@ def orbit_closure(
     Work happens inside bound + margin (margin defaults to the bound itself);
     the result is the part inside the requested window.  Each base root gets
     one table before the loop, from a finite part to its reflected finite part
-    and the isotropic shift c * alpha.iso (see `reflect`), so a reflection in
-    the loop is one lookup and one subtraction.  Every root of the closure is
+    and the isotropic shift c * alpha.iso (the form sees only finite parts,
+    so a reflection moves the isotropic part by a multiple of alpha's), so a
+    reflection in the loop is one lookup and one subtraction.  Every root of the closure is
     non-isotropic, since the base is.
     """
     _require_nonisotropic(e, base)
@@ -84,7 +66,7 @@ def orbit_closure(
     return {r for r in closed if w.contains(r.iso)}
 
 
-@dataclass(frozen=True)
+@record
 class ReflectabilityReport:
     """Orbit coverage of a window; `roots`, the window roots, is not reported."""
 
@@ -103,7 +85,7 @@ def check_reflectable(e: Ears, base: Sequence[Root], w: Window) -> Reflectabilit
     return ReflectabilityReport(not missing, missing, w.bound, roots)
 
 
-@dataclass(frozen=True)
+@record
 class MinimalBaseSearch:
     """Result of the brute-force minimal reflectable base search."""
 
@@ -181,7 +163,7 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     )
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Signed base elements whose prefix sums all stay inside the root system."""
 

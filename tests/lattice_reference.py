@@ -4,12 +4,13 @@
 left transform and a cols x cols right transform as full integer matrices.
 `ears.lattice` runs the same elimination with sparse transforms; the tests
 check that it returns exactly the same (u, d, v), solutions and certificates.
+`closure_holds` checks the semilattice axiom on a `Semilattice`'s representatives.
 """
 
 from math import gcd
 from typing import Sequence
 
-from ears.lattice import IntMatrix, IntVector, json_int_rows, matvec, vec_scale
+from ears.lattice import IntMatrix, IntVector, json_int_rows, matvec, vec_add, vec_scale, vec_sub
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -145,3 +146,14 @@ def _solve_snf(
     if first is not None:
         return None, first
     return matvec(v, y), None
+
+
+def closure_holds(s) -> bool:
+    """Check s + 2s' and s - 2s' stay inside, on representatives."""
+    for r in s.reps:
+        for r2 in s.reps:
+            if not s.contains(vec_add(r, vec_scale(2, r2))):
+                return False
+            if not s.contains(vec_sub(r, vec_scale(2, r2))):
+                return False
+    return True

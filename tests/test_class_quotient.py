@@ -8,7 +8,6 @@ and witnesses alike.
 """
 
 import itertools
-from dataclasses import dataclass
 from math import lcm
 
 import pytest
@@ -30,7 +29,7 @@ from ears.characters import (
     verify_square_shift_identity,
 )
 from ears.finite import FiniteType
-from ears.lattice import IntLattice, Semilattice
+from ears.lattice import IntLattice, Semilattice, record
 from ears.system import Ears, EarsSpec, Root, Window, build_ears, enumerate_roots, verify_axioms
 
 LATTICES = {
@@ -90,7 +89,7 @@ def class_period(e, m):
     return tuple(lcm(2, q, m) for q in e.period)
 
 
-@dataclass(frozen=True)
+@record
 class Shifted(Character):
     """A character with 1 added to the exponent on one whole class of roots.
 

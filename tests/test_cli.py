@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import ears.cli
 import ears.system
 from ears.cli import main
 from ears.system import Classes, EarsSpec
@@ -317,12 +319,16 @@ class TestExitContract:
         pytest.param(["info", str(SPEC_DIR / "a3_nu2.json"), "--window", "1"], 0, id="info"),
         pytest.param(["--format", "text", "info", AFFINE, "--window", "1"], 0, id="info-text"),
         pytest.param(["char-extend", CEX_SPEC, CEX_CHAR, "--window", "1"], 1, id="char-extend"),
+        pytest.param(["--help"], 0, id="help"),
+        pytest.param(["info", "--help"], 0, id="info-help"),
     ])
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     def test_closed_stdout_keeps_the_verdict(self, argv, code, buffered):
         """A reader that closes stdout early (`| head -1`) leaves the exit code
         of the verdict, with no traceback and no "Exception ignored" line,
-        whether the report is written by `print` or by the final flush."""
+        whether the report is written by `print` or by the final flush.  The
+        help leaves through argparse's exit, before any command runs, so it
+        writes nothing to stderr."""
         env = dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src"), PYTHONUNBUFFERED="1")
         if buffered:
             del env["PYTHONUNBUFFERED"]
@@ -336,7 +342,7 @@ class TestExitContract:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == code, err
         assert "Traceback" not in err and "Exception ignored" not in err
-        assert err.startswith("elapsed:"), err
+        assert err == "" if "--help" in argv else err.startswith("elapsed:"), err
 
 
 TOO_LARGE = "99999999999999999999"  # above sys.maxsize
@@ -683,6 +689,20 @@ class TestDeterminism:
         main(list(argv))
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestDigest:
+    """The CLI takes sha256 from the builtin module that `hashlib` falls back
+    to, and must give `hashlib`'s digest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=1 << 12))
+    def test_random_bytes(self, raw):
+        assert ears.cli.sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest()
+
+    @pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_spec(self, path):
+        assert ears.cli._read_json(str(path))[1] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(

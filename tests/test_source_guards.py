@@ -2,7 +2,11 @@
 
 Certificate and invariant checks must be explicit exceptions, which still run
 under `python -O`, so the package has no `assert` statement.  The package
-computes over the integers only, so no module imports `fractions`.  A window
+computes over the integers only, so no module imports `fractions`.  Every
+command is a fresh process, so start-up cost counts: no module imports
+`dataclasses`, which imports `inspect` and compiles code for each class, or
+`hashlib`, which maps OpenSSL (the CLI falls back to it only on a Python
+without the builtin sha256), and no command loads either.  A window
 is defined once, by `system.Window`, so the sup-norm box and the sup-norm test
 are spelled nowhere else.  Every import in a library module sits at module
 top, so the layering between modules is visible in their headers.  The CLI
@@ -50,15 +54,26 @@ def assert_lines(source: str) -> list[int]:
     return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
 
 
-def imports_fractions(source: str) -> bool:
-    for node in ast.walk(ast.parse(source)):
+def imported_modules(source: str, fallbacks: bool = True) -> set[str]:
+    """The top-level names of the modules a source imports by absolute name.
+    An import inside an `except ImportError` handler counts only with
+    `fallbacks`."""
+    tree = ast.parse(source)
+    skipped = set()
+    if not fallbacks:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+                    and node.type.id == "ImportError"):
+                skipped |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
         if isinstance(node, ast.Import):
-            if any(a.name.split(".")[0] == "fractions" for a in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and (node.module or "").split(".")[0] == "fractions":
-                return True
-    return False
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
 
 
 def function_import_lines(source: str) -> list[int]:
@@ -138,9 +153,14 @@ ALIAS_ALLOWED = {
 def test_guards_see_what_they_look_for():
     assert assert_lines("x = 1\nassert x, 'msg'\n") == [2]
     assert assert_lines("raise AssertionError('explicit')\n") == []
-    assert imports_fractions("from fractions import Fraction\n")
-    assert imports_fractions("def f():\n    import fractions\n")
-    assert not imports_fractions("from .finite import Coords\n")
+    assert imported_modules("from fractions import Fraction\n") == {"fractions"}
+    assert imported_modules("def f():\n    import fractions.x\n") == {"fractions"}
+    assert imported_modules("from .finite import Coords\n") == set()
+    fallback = "try:\n    import _sha256\nexcept ImportError:\n    import hashlib\n"
+    assert imported_modules(fallback) == {"_sha256", "hashlib"}
+    assert imported_modules(fallback, fallbacks=False) == {"_sha256"}
+    assert imported_modules("try:\n    import a\nexcept KeyError:\n    import b\n",
+                            fallbacks=False) == {"a", "b"}
     assert window_lines("x = max(map(abs, r.iso), default=0)\n") == [1]
     assert window_lines("a\nfor t in range(-w.bound, w.bound + 1):\n") == [2]
     assert window_lines("for n in range(-8, 9):\n") == []
@@ -186,7 +206,16 @@ def test_no_assert_statements(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_fractions_import(path):
-    assert not imports_fractions(path.read_text()), f"{path.name} imports fractions"
+    assert "fractions" not in imported_modules(path.read_text()), f"{path.name} imports fractions"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_or_hashlib_import(path):
+    """`ears.lattice.record` stands in for `dataclasses`, and the builtin sha256
+    for `hashlib`, which only a fallback for a Python without it imports."""
+    source = path.read_text()
+    assert "dataclasses" not in imported_modules(source), f"{path.name} imports dataclasses"
+    assert "hashlib" not in imported_modules(source, fallbacks=False), f"{path.name} imports hashlib"
 
 
 @pytest.mark.parametrize(
@@ -259,8 +288,8 @@ def test_traced_names_resolve():
     assert not missing, f"traced names missing from ears: {missing}"
 
 
-def loaded_layers(statement: str) -> set[str]:
-    """The `ears.*` modules a fresh interpreter holds after running statement.
+def loaded_modules(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running statement.
 
     The statement runs from the repository root, and what it prints on stdout
     is kept out of the probe's output.
@@ -268,7 +297,7 @@ def loaded_layers(statement: str) -> set[str]:
     probe = (
         "import contextlib, io, sys\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    exec({statement!r})\n"
-        "print(*(m for m in sys.modules if m.startswith('ears.')))"
+        "print(*sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -276,9 +305,14 @@ def loaded_layers(statement: str) -> set[str]:
     return set(out.stdout.split())
 
 
-def command_layers(argv: list[str], code: int = 0) -> set[str]:
-    """The `ears.*` modules loaded by `ears.cli.main(argv)`, which must return code."""
-    return loaded_layers(
+def loaded_layers(statement: str) -> set[str]:
+    """The `ears.*` modules a fresh interpreter holds after running statement."""
+    return {m for m in loaded_modules(statement) if m.startswith("ears.")}
+
+
+def command_modules(argv: list[str], code: int = 0) -> set[str]:
+    """The modules loaded by `ears.cli.main(argv)`, which must return code."""
+    return loaded_modules(
         f"import ears.cli\nif ears.cli.main({argv!r}) != {code}: sys.exit('exit code')"
     )
 
@@ -310,5 +344,8 @@ AFFINE_A1_BASE = '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]'
                  id="torus-check-diagonal"),
 ])
 def test_command_import_surface(argv, code, layers):
-    """A command loads `system` and the layers its handler imports, no more."""
-    assert command_layers(argv, code) == layers
+    """A command loads `system` and the layers its handler imports, no more,
+    and none of the standard library's costly start-up modules."""
+    loaded = command_modules(argv, code)
+    assert {m for m in loaded if m.startswith("ears.")} == layers
+    assert not loaded & {"dataclasses", "inspect", "hashlib", "_hashlib"}, loaded

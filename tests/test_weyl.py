@@ -9,8 +9,8 @@ from ears.weyl import (
     decompose_all,
     minimal_reflectable_size,
     orbit_closure,
-    reflect,
 )
+from weyl_reference import reflect
 
 from conftest import load_spec_file
 

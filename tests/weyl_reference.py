@@ -1,7 +1,8 @@
 """The extend path's loops before it did each piece of work once, kept as test oracles.
 
-`orbit_closure_by_reflect` applies `weyl.reflect` to every (base root,
-frontier root) pair, where `weyl.orbit_closure` reads a per-base-root table.
+`reflect` reflects one root through another from the finite tables, and
+`orbit_closure_by_reflect` applies it to every (base root, frontier root)
+pair, where `weyl.orbit_closure` reads a per-base-root table.
 `decompose_all_by_bfs` scales each signed step at every node and rebuilds
 each decomposition by walking its parents; it leaves the zero root, where the
 search starts, out of the result.  `extend_ind_zero_by_prefixes` telescopes
@@ -13,8 +14,27 @@ results, and the error messages, of the two versions.
 from collections import deque
 
 from ears.characters import Character, LatticeHomRule
-from ears.system import Window, index_formula
-from ears.weyl import Decomposition, _require_nonisotropic, check_reflectable, reflect
+from ears.lattice import vec_scale, vec_sub
+from ears.system import Root, Window, index_formula
+from ears.weyl import Decomposition, _require_nonisotropic, check_reflectable
+
+
+def reflect(e, alpha, beta):
+    """Reflection of beta through the hyperplane of a non-isotropic root alpha.
+
+    The bilinear form sees only finite parts (isotropic directions are null),
+    so the isotropic coordinate moves by an integer multiple of alpha's.
+    """
+    if alpha.finite is None:
+        raise ValueError("cannot reflect through an isotropic root")
+    if beta.finite is None:
+        return beta
+    fin = e.finite
+    ai = fin.coord_index[alpha.finite]
+    bi = fin.coord_index[beta.finite]
+    c = fin.pairing_table[bi][ai]
+    new_fin = fin.coords[fin.reflect_table[ai][bi]]
+    return Root(new_fin, vec_sub(beta.iso, vec_scale(c, alpha.iso)))
 
 
 def orbit_closure_by_reflect(e, base, w, margin=None):
