@@ -379,42 +379,6 @@ def _check_pairs(c: Character, w: Window, core_only: bool) -> CharacterCheckRepo
     return core if core_only else report("full", list(tally), core)
 
 
-def verify_square_shift_identity(c: Character, w: Window) -> dict:
-    """Check value(alpha)^2 = value(alpha+sigma) * value(alpha-sigma) on the window.
-
-    Runs once per pair of root classes (see `Classes`).
-    """
-    e = c.ears
-    m = c.modulus
-    classes = Classes.of_roots(enumerate_roots(e, w), c._period)
-    iso_roots = [x for x in classes.reps if x[1].finite is None]
-    noniso = [x for x in classes.reps if x[1].finite is not None]
-    table = c.rule.box if isinstance(c.rule, TableRule) else None
-    checked = 0
-    bad: dict = {}
-    for ks, sigma, ns in iso_roots:
-        for ka, alpha, na in noniso:
-            plus = e.add(alpha, sigma)
-            minus = e.add(alpha, e.neg(sigma))
-            if not (e.is_root(plus) and e.is_root(minus)):
-                continue
-            if table is not None and not (
-                table.contains(plus.iso) and table.contains(minus.iso)
-            ):
-                continue
-            lhs = 2 * c._exponent(alpha)
-            rhs = c._exponent(plus) + c._exponent(minus)
-            checked += ns * na
-            if (lhs - rhs) % m:
-                bad.setdefault(ks, {})[ka] = None
-    roots = classes.items
-    failures = [
-        {"alpha": root_to_json(e, roots[j]), "sigma": root_to_json(e, roots[i])}
-        for i, j, _ in itertools.islice(classes.pairs(bad), 5)
-    ]
-    return {"checked": checked, "failures": failures, "ok": not bad}
-
-
 def build_a1_counterexample(
     nullity: int = 6, taus: Sequence[Sequence[int]] | None = None
 ) -> Character:

@@ -303,21 +303,18 @@ def cmd_torus(args) -> int:
             hom = [int(x) for x in args.hom.split(",")]
         except ValueError as exc:
             raise ValueError(f"cannot parse --hom {args.hom!r}") from exc
-    if args.action == "check-chevalley":
-        rep = verify_automorphism(t, chevalley(t), w)
-        report["checks"] = rep.checks
-        failed = not rep.ok
-    elif args.action == "check-diagonal":
-        rep = verify_automorphism(t, diagonal_from_hom(t, hom), w)
-        report["checks"] = rep.checks
-        failed = not rep.ok
-    else:
+    if args.action == "extract":
         char, extraction = extract_core_character(t, diagonal_from_hom(t, hom), w)
         report["extraction"] = extraction
         report["character"] = char.to_json()
         failed = not all(
             v is True or not isinstance(v, bool) for v in extraction.values()
         )
+    else:
+        a = chevalley(t) if args.action == "check-chevalley" else diagonal_from_hom(t, hom)
+        rep = verify_automorphism(t, a, w)
+        report["checks"] = rep.checks
+        failed = not rep.ok
     return _finish(report, args, failed)
 
 

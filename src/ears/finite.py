@@ -56,13 +56,6 @@ class FiniteType:
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
-    @classmethod
-    def parse(cls, text: str) -> "FiniteType":
-        text = text.strip()
-        if len(text) < 2 or not text[0].isalpha():
-            raise ValueError(f"cannot parse finite type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
-
 
 def _vec(n: int, entries) -> Coords:
     v = [0] * n

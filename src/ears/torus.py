@@ -214,9 +214,6 @@ class LieTorus:
             raise ValueError("Laurent degree has wrong length")
         return lam
 
-    def zero(self) -> TorusElement:
-        return _element(self, ())
-
     def _unit(self, key: TermKey, lam: Sequence[int] | None) -> TorusElement:
         lam = (0,) * self.nu if lam is None else self._degree(lam)
         return _element(self, ((self.ids[key], lam, self.one),))
@@ -342,18 +339,6 @@ class TorusElement:
     def __add__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
         return _element(self._torus, _merge(self._flat + other._flat))
-
-    def scale(self, c: CycScalar | int) -> "TorusElement":
-        t = self._torus
-        if isinstance(c, CycScalar):
-            if c.modulus != t.modulus:
-                raise ValueError("scalar modulus mismatch")
-            coeffs = c.coeffs
-        else:
-            coeffs = _scaled(t.one, json_int(c, "scalar"))
-        return _element(t, _merge(
-            [(k, lam, _product(t.units, v, coeffs)) for k, lam, v in self._flat]
-        ))
 
 
 def _element(t: LieTorus, flat: tuple[Term, ...]) -> TorusElement:
@@ -640,37 +625,6 @@ def verify_automorphism(t: LieTorus, a: TorusAutomorphism, w: Window) -> AxiomRe
     checks["form_preservation"] = {"passed": not form_failures, "failures": form_failures[:5]}
 
     return AxiomReport(w.bound, checks)
-
-
-def jacobi_identity_report(t: LieTorus, w: Window) -> dict:
-    """Check the Jacobi identity on all graded basis triples inside the window.
-
-    The basis-pair brackets are computed once; each triple then sums
-    [x, [y, z]] + [y, [z, x]] + [z, [x, y]] in one accumulator.
-    """
-    basis = t.graded_basis(w)
-    flats = [x._flat for x in basis]
-    pairs = [[bracket(x, y)._flat for y in basis] for x in basis]
-    failures = []
-    count = 0
-    for i, x in enumerate(flats):
-        for j, y in enumerate(flats):
-            yz_row, xy = pairs[j], pairs[i][j]
-            for k, z in enumerate(flats):
-                count += 1
-                yz, zx = yz_row[k], pairs[k][i]
-                total: list[Term] = []
-                if yz:
-                    _bracket_into(total, t, x, yz)
-                if zx:
-                    _bracket_into(total, t, y, zx)
-                if xy:
-                    _bracket_into(total, t, z, xy)
-                if total and _merge(total):
-                    failures.append(
-                        tuple(repr(_term_label(basis[n])) for n in (i, j, k))
-                    )
-    return {"triples": count, "failures": failures[:5], "ok": not failures}
 
 
 def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):

@@ -17,10 +17,13 @@ from .system import Ears, Root, RootClass, Window, enumerate_roots
 
 
 def _require_nonisotropic(e: Ears, base: Sequence[Root]) -> None:
+    """A base must be nonempty, and each of its elements a non-isotropic root."""
     for r in base:
         cls = e.classify(r.finite, r.iso)
         if cls not in (RootClass.SHORT, RootClass.LONG):
             raise ValueError(f"base element {r} does not classify as a non-isotropic root")
+    if not base:
+        raise ValueError("base must be nonempty")
 
 
 def orbit_closure(
@@ -37,8 +40,6 @@ def orbit_closure(
     non-isotropic, since the base is.
     """
     _require_nonisotropic(e, base)
-    if not base:
-        raise ValueError("base must be nonempty")
     if margin is None:
         margin = w.bound
     work = Window(w.bound + margin)
@@ -96,10 +97,6 @@ class MinimalBaseSearch:
     candidates: int
     subsets_tested: int
     search_space: str
-
-    @property
-    def found(self) -> bool:
-        return self.size is not None
 
 
 def _candidate_pool(e: Ears, w: Window) -> list[Root]:
@@ -169,9 +166,6 @@ class Decomposition:
 
     terms: tuple[tuple[int, Root], ...]
 
-    def total(self, e: Ears) -> Root:
-        return (self.prefixes(e) or [e.zero_root])[-1]
-
     def prefixes(self, e: Ears) -> list[Root]:
         out = []
         acc = e.zero_root
@@ -213,8 +207,6 @@ def decompose_all(
     candidate outside the window or the root system is tested once.
     """
     _require_nonisotropic(e, base)
-    if not base:
-        raise ValueError("base must be nonempty")
     moves = [
         ((sign, b), e.scale_root(sign, b))
         for b in sorted(base, key=e.sort_key) for sign in (1, -1)

@@ -71,7 +71,11 @@ def verify_by_pairs(c, w, core_only):
 
 
 def square_shift_by_pairs(c, w):
-    """`verify_square_shift_identity` over every (isotropic, non-isotropic) pair."""
+    """The square-shift identity value(alpha)**2 = value(alpha + sigma) *
+    value(alpha - sigma), over every pair of an isotropic window root sigma
+    and a non-isotropic window root alpha with alpha + sigma and
+    alpha - sigma both roots (and, for a table character, both inside its
+    table).  Reports the pairs checked and the first five failures."""
     e = c.ears
     m = c.modulus
     roots = enumerate_roots(e, w)

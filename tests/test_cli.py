@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -276,6 +278,33 @@ class TestTorus:
             ["torus", "check-chevalley", "--ell", "1", "--nu", "1", "--modulus", "2"]
         )
         assert code == 2
+
+
+USAGE_HEAD = "ears info specs/affine_a1.json --window 3 --refl-oracle"
+
+
+def readme_usage_lines() -> list[list[str]]:
+    """README's usage block, one argv per line, `\\` continuations joined."""
+    text = (SPEC_DIR.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    block = next(b for b in blocks if b.startswith(USAGE_HEAD))
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_usage_block_runs(capsys, tmp_path, monkeypatch):
+    """Each command of README's usage block runs as written: `char-extend` on
+    the counterexample exits 1 with a witness, every other line exits 0.  The
+    block runs in a temporary directory, where `counterexample` writes its
+    two files."""
+    monkeypatch.chdir(tmp_path)
+    lines = readme_usage_lines()
+    assert [argv[:2] for argv in lines].count(["ears", "char-extend"]) == 3
+    for argv in lines:
+        assert argv[0] == "ears", argv
+        args = [str(SPEC_DIR.parent / a) if a.startswith("specs/") else a for a in argv[1:]]
+        assert main(args) == (1 if args[0] == "char-extend" else 0), argv
+        capsys.readouterr()
+    assert (tmp_path / "spec.json").is_file() and (tmp_path / "char.json").is_file()
 
 
 def exit_code(argv):

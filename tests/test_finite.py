@@ -36,7 +36,7 @@ D4_ORTHOGONAL = ((1, 2, 1, 1), (0, 0, 0, 1))
 
 @pytest.fixture(scope="module")
 def systems():
-    return {name: build_finite(FiniteType.parse(name)) for name in COUNTS}
+    return {name: build_finite(FiniteType(name[0], int(name[1:]))) for name in COUNTS}
 
 
 def neg(c):
@@ -102,7 +102,8 @@ def test_root_counts(systems, name):
 
 
 @pytest.mark.parametrize(
-    "family,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("F", 3), ("G", 4)]
+    "family,rank",
+    [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("F", 3), ("G", 4), ("X", 2)],
 )
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(ValueError):
@@ -310,11 +311,3 @@ def test_integer_construction_matches_fraction_oracle(systems, name):
     pairs = ref.pairing_table()
     assert f.pairing_table == pairs
     assert f.reflect_table == ref.reflect_table(pairs)
-
-
-def test_parse_type():
-    assert FiniteType.parse("b3") == FiniteType("B", 3)
-    with pytest.raises(ValueError):
-        FiniteType.parse("X2")
-    with pytest.raises(ValueError):
-        FiniteType.parse("A")

@@ -25,9 +25,9 @@ SPECS = [
     "b2_nu1_untwisted", "b2_nu2_twist1", "counterexample_nu6", "g2_nu1",
 ]
 CEX = ("specs/counterexample_nu6.json", "specs/counterexample_nu6_char.json")
+AFFINE_BASE = '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]'
 DECOMPOSE = (
-    "weyl", "specs/affine_a1.json", "decompose",
-    "--base", '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]',
+    "weyl", "specs/affine_a1.json", "decompose", "--base", AFFINE_BASE,
     "--target", '[{"finite":[1],"iso":[1]}]', "--window", "3",
 )
 # orbits that reach the B2 and G2 reflection tables directly
@@ -48,6 +48,14 @@ COMMANDS = (
        for s in ("b2_nu1_untwisted", "b2_nu2_twist1", "g2_nu1")]
     + [("weyl", "specs/affine_a1.json", "minsize", "--window", "3"), DECOMPOSE, *ORBITS]
     + [
+        # a reflectable base (exit 0), one that is not (exit 1), and a
+        # minimal-base search that ends below the minimum (exit 1)
+        ("weyl", "specs/affine_a1.json", "check", "--window", "3", "--base", AFFINE_BASE),
+        ("weyl", "specs/affine_a1.json", "check", "--window", "3", "--base",
+         '[{"finite":[1],"iso":[0]}]'),
+        ("weyl", "specs/affine_a1.json", "minsize", "--window", "1", "--max-size", "1"),
+    ]
+    + [
         ("torus", "extract", "--ell", "2", "--nu", "1", "--modulus", "4",
          "--hom", "1,2,3", "--window", "2"),
         ("torus", "extract", "--ell", "2", "--nu", "2", "--modulus", "2",
@@ -66,6 +74,13 @@ COMMANDS = (
          "--window", "3"),
         ("torus", "check-diagonal", "--ell", "3", "--nu", "2", "--modulus", "3",
          "--hom", "1,2,0,1,1", "--window", "2"),
+    ]
+    # the text format of a passing report, a failing one and a torus extraction
+    + [
+        ("--format", "text", "info", "specs/a3_nu2.json", "--window", "1"),
+        ("--format", "text", "char-extend", *CEX, "--window", "1"),
+        ("--format", "text", "torus", "extract", "--ell", "2", "--nu", "1",
+         "--modulus", "4", "--hom", "1,2,3", "--window", "2"),
     ]
 )
 

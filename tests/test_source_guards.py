@@ -23,7 +23,10 @@ bases, so no module but `lattice` maps coordinates to ambient vectors
 (`from_coords`), and none but `lattice` and `system` solves for coordinates
 (`coords`).  Names are imported from their modules, so `import ears` loads no
 layer, a module loads only the layers it imports, and a command only the
-layers it runs.
+layers it runs.  The package holds what a command or the benchmark runs:
+every public function, class, method and property is reached from another
+part of `src/ears` or from `bench/*.py`, and code only tests call lives in
+`tests/`.
 """
 
 import ast
@@ -136,6 +139,66 @@ def bare_aliases(source: str) -> list[str]:
     return found
 
 
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def unreached_definitions(
+    library: dict[str, str], users: list[str], strings_from: tuple[str, ...] = ()
+) -> list[str]:
+    """Public definitions of `library` (module name to source) that nothing reaches.
+
+    A module-level function or class must be named (as a name or an attribute)
+    and a method or property of a module-level class must be read as an
+    attribute, somewhere in `library` outside its own definition or anywhere
+    in `users`.  The identifiers inside the string constants of `strings_from`
+    count as both.  Dunders and names with a leading underscore are exempt.
+    Returns `module.name` and `module.Class.name`, sorted.
+    """
+    defs = []  # (module, qualified name, name, is a method, first line, last line)
+    names, attrs = [], []  # (module, line, identifier)
+    for module, source in library.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                defs.append((module, node.name, node.name, False, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (module, f"{node.name}.{m.name}", m.name, True, m.lineno, m.end_lineno)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("_")
+                ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.append((module, n.lineno, n.id))
+            elif isinstance(n, ast.Attribute):
+                attrs.append((module, n.lineno, n.attr))
+    outside_names, outside_attrs = set(), set()
+    for source in users:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                outside_names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                outside_attrs.add(n.attr)
+    for source in strings_from:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                found = set(IDENTIFIER.findall(n.value))
+                outside_names |= found
+                outside_attrs |= found
+    unreached = []
+    for module, qualname, name, method, first, last in defs:
+        if name in outside_attrs or (not method and name in outside_names):
+            continue
+        uses = attrs if method else names + attrs
+        if not any(ident == name and (mod != module or not first <= line <= last)
+                   for mod, line, ident in uses):
+            unreached.append(f"{module}.{qualname}")
+    return sorted(unreached)
+
+
 def method_calls(source: str, method: str) -> list[int]:
     """Lines of calls `X.method(...)`; an attribute read or a bare call is not one."""
     return [
@@ -190,6 +253,22 @@ def test_guards_see_what_they_look_for():
     assert method_calls("c = e.finite.coords\n", "coords") == []
     assert method_calls("c = coords(v)\n", "coords") == []
     assert method_calls("v = lat.from_coords(x)\n", "coords") == []
+    # `used`, `A` and `A.write` are reached from `_private` or `unused`;
+    # `unused` and `A.read` only from inside themselves
+    planted = {"m": (
+        "def used():\n    return 1\n\n\n"
+        "def unused():\n    return unused() + used()\n\n\n"
+        "class A:\n"
+        "    def read(self):\n        return self.read()\n\n"
+        "    def write(self):\n        return 2\n\n"
+        "    def __eq__(self, other):\n        return False\n\n\n"
+        "def _private():\n    return A().write()\n"
+    )}
+    assert unreached_definitions(planted, []) == ["m.A.read", "m.unused"]
+    assert unreached_definitions(planted, ["unused()\n", "x.read\n"]) == []
+    assert unreached_definitions(planted, ["read()\n"]) == ["m.A.read", "m.unused"]
+    trace = 'SPANNED = {"m": ("unused",)}\nCOUNTED = (("A", "read"),)\n'
+    assert unreached_definitions(planted, [], (trace,)) == []
 
 
 def test_package_modules_found():
@@ -261,6 +340,17 @@ def test_from_coords_only_in_lattice(path):
 def test_coords_only_in_lattice_and_system(path):
     lines = method_calls(path.read_text(), "coords")
     assert not lines, f"{path.name} solves for lattice coordinates at lines {lines}"
+
+
+def test_library_is_what_commands_run():
+    """Code that only tests call lives in `tests/`.  The traced benchmark
+    wraps `ears` functions by the names in `bench/trace_calls.py`'s strings,
+    so those names count as uses: `torus.bracket` stays for it alone."""
+    library = {p.stem: p.read_text() for p in MODULES}
+    users = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    trace = (ROOT / "bench" / "trace_calls.py").read_text()
+    unreached = unreached_definitions(library, users, (trace,))
+    assert not unreached, f"nothing in src/ears or bench/ reaches {unreached}"
 
 
 def load_trace_calls():

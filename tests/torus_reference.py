@@ -7,14 +7,19 @@ and the window-check loop are copies of the first version, so they share
 no arithmetic with `ears.torus`: every product is a cyclic convolution, every
 bracket builds each term's scalar, and `verify_automorphism` applies the map
 to each of the |basis|**2 brackets separately.  `is_zero`, `neg`, `sub`
-and `compose`, which only the tests use, live here too.
+and `compose`, which only the tests use, live here too, and so do `scale`
+and `jacobi_identity_report`, which no command runs: these two are the
+kernel's own code, run on its private helpers, so `scale` is checked
+against the convolution above and the Jacobi check tests the kernel's
+structure constants.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from ears.lattice import record
+import ears.torus as kernel
+from ears.lattice import json_int, record
 from ears.system import AxiomReport
 from ears.torus import CycScalar, TorusAutomorphism, TorusElement
 
@@ -240,8 +245,22 @@ def is_zero(x: TorusElement) -> bool:
     return not x.terms
 
 
+def scale(x: TorusElement, c: CycScalar | int) -> TorusElement:
+    """c * x, for a group-ring scalar or an integer c, by the kernel's product."""
+    t = x._torus
+    if isinstance(c, CycScalar):
+        if c.modulus != t.modulus:
+            raise ValueError("scalar modulus mismatch")
+        coeffs = c.coeffs
+    else:
+        coeffs = kernel._scaled(t.one, json_int(c, "scalar"))
+    return kernel._element(t, kernel._merge(
+        [(k, lam, kernel._product(t.units, v, coeffs)) for k, lam, v in x._flat]
+    ))
+
+
 def neg(x: TorusElement) -> TorusElement:
-    return x.scale(-1)
+    return scale(x, -1)
 
 
 def sub(x: TorusElement, y: TorusElement) -> TorusElement:
@@ -259,3 +278,35 @@ def compose(left: TorusAutomorphism, right: TorusAutomorphism) -> TorusAutomorph
     sign = -1 if right.flip else 1
     hom = tuple(r + sign * l for l, r in zip(left.hom, right.hom))
     return TorusAutomorphism(left.ell, left.nu, left.modulus, left.flip != right.flip, hom)
+
+
+def jacobi_identity_report(t, w) -> dict:
+    """Check the Jacobi identity on all graded basis triples inside the window.
+
+    The basis-pair brackets are computed once, by the kernel's `bracket`;
+    each triple then sums [x, [y, z]] + [y, [z, x]] + [z, [x, y]] in one
+    accumulator, by the kernel's `_bracket_into`.
+    """
+    basis = t.graded_basis(w)
+    flats = [x._flat for x in basis]
+    pairs = [[kernel.bracket(x, y)._flat for y in basis] for x in basis]
+    failures = []
+    count = 0
+    for i, x in enumerate(flats):
+        for j, y in enumerate(flats):
+            yz_row, xy = pairs[j], pairs[i][j]
+            for k, z in enumerate(flats):
+                count += 1
+                yz, zx = yz_row[k], pairs[k][i]
+                total = []
+                if yz:
+                    kernel._bracket_into(total, t, x, yz)
+                if zx:
+                    kernel._bracket_into(total, t, y, zx)
+                if xy:
+                    kernel._bracket_into(total, t, z, xy)
+                if total and kernel._merge(total):
+                    failures.append(
+                        tuple(repr(_term_label(basis[n])) for n in (i, j, k))
+                    )
+    return {"triples": count, "failures": failures[:5], "ok": not failures}
