@@ -197,6 +197,8 @@ def cmd_char_extend(args) -> int:
 def cmd_counterexample(args) -> int:
     from .characters import build_a1_counterexample
 
+    if os.path.realpath(args.out_spec) == os.path.realpath(args.out_char):
+        raise ValueError(f"--out-spec and --out-char name the same file {args.out_char}")
     taus = None
     digests = {}
     if args.taus:

@@ -1,16 +1,16 @@
 """The exact integer linear-algebra core, integer lattices and semilattices.
 
-Every elimination in the package happens here: Smith normal form, Bareiss
-determinant, unimodular inverse, and solving over Z and Z/m.  All of it works
-over plain Python integers, so there is no precision limit and no floating
-point anywhere.  Vectors are tuples of ints, matrices are tuples of row tuples.
+Every elimination in the package happens here: one Bareiss pass answers a
+square matrix (determinant, coordinates, unimodular inverse), and the Smith
+normal form solves over Z/m and decides `generates`.  All of it is plain Python
+integers, with no precision limit and no floating point anywhere.  Vectors are
+tuples of ints, matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
-from functools import cached_property
 from math import gcd
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -178,16 +178,6 @@ def matvec(m: Sequence[Sequence[int]], v: Sequence[int]) -> IntVector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix dimension mismatch")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for arow in a
-    )
-
-
 def vec_add(u: Sequence[int], v: Sequence[int]) -> IntVector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -200,25 +190,44 @@ def vec_scale(c: int, v: Sequence[int]) -> IntVector:
     return tuple(c * x for x in v)
 
 
+Bareiss = tuple[int, int, IntMatrix | None]
+
+
+def _bareiss(m: Sequence[Sequence[int]]) -> Bareiss:
+    """The one pass for a square matrix: fraction-free Gauss-Jordan on [m | I].
+
+    Returns (det m, d, d * m^-1) with d the last pivot, det m up to sign, or
+    (0, 0, None) when m is singular.  Every division is exact and every entry
+    a minor of [m | I], within Hadamard's bound (E. H. Bareiss, Math. Comp. 22,
+    1968), where a Smith form's entries can grow without bound.
+    """
+    n = len(m)
+    a = [[*row, *(int(i == j) for j in range(n))]
+         for i, row in enumerate(json_int_rows(m, "matrix entry"))]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot, pk = a[k], a[k][k]
+        for i, row in enumerate(a):
+            f = row[k]
+            # a row with no entry in column k only rescales, by pk / prev
+            if i != k and (f or pk != prev):
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot)]
+        prev = pk
+    return sign * prev, prev, tuple(tuple(row[n:]) for row in a)
+
+
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss: every division is exact)."""
+    """Exact determinant of a square integer matrix, from `_bareiss`."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    a = [list(row) for row in json_int_rows(m, "matrix entry")]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    return _bareiss(m)[0]
 
 
 Smith = tuple[list[dict[int, int]], IntVector, list[dict[int, int]]]
@@ -332,8 +341,8 @@ def snf(mat: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Returns (u, d, v) with u * mat * v = d, u and v unimodular, and d diagonal
     with non-negative entries forming a divisibility chain d1 | d2 | ...
-    Total: works for empty and all-zero matrices.  This is a dense view of
-    `_smith`, for square work such as `inverse_unimodular`.
+    Total: works for empty and all-zero matrices.  A dense view of `_smith`,
+    kept for the tests and the traced benchmark span; no command calls it.
     """
     u, diag, v = _smith(mat)
     rows, cols = len(u), len(v)
@@ -367,9 +376,8 @@ def _solve_snf(
 ) -> tuple[IntVector | None, IntVector | None]:
     """Back-substitution through a Smith form u A v = D: solve A x = b over Z/m.
 
-    m == 0 means over Z.  Returns (x, None) with x = v y, not reduced mod m, or
-    (None, r) where r is a multiple of a row of u.  For m >= 1, r.A = 0 and
-    r.b != 0 (mod m); over Z only the failure itself is meaningful.
+    m >= 1.  Returns (x, None) with x = v y, not reduced mod m, or (None, r)
+    where r is a multiple of a row of u with r.A = 0 and r.b != 0 (mod m).
 
     Row i of u times A is d_i times a row of v^-1, so a failing row with
     d_i = 0 gives an exact certificate (r.A = 0 over Z).  The first failing
@@ -388,21 +396,13 @@ def _solve_snf(
         ci = sum(c * b[k] for k, c in ui.items())
         di = diag[i] if i < len(y) else 0
         g = gcd(di, m)
-        if g == 0:
-            if ci:
-                return None, cert(i, 1)
-            continue
         if ci % g:
             # (m//g) * row_i(u) kills A mod m but not b
-            if di == 0 or m == 0:
+            if di == 0:
                 return None, cert(i, m // g)
             if first is None:
                 first = (i, m // g)
-        elif first is not None:
-            continue
-        elif m == 0:
-            y[i] = ci // di
-        elif m > g:
+        elif first is None and m > g:
             mm = m // g
             y[i] = ((ci // g) * pow(di // g, -1, mm)) % mm
     if first is not None:
@@ -434,17 +434,15 @@ def solve_mod(
 
 
 def inverse_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Integer inverse of a square matrix of determinant +-1.
-
-    From u m v = I the inverse is v u; any other Smith form raises ValueError.
-    """
+    """Integer inverse of a square matrix of determinant +-1: d times the
+    d * m^-1 of `_bareiss` when d = +-1; any other d raises ValueError."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse needs a square matrix")
-    u, d, v = snf(m)
-    if any(d[i][i] != 1 for i in range(n)):
+    _, d, scaled = _bareiss(m)
+    if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return matmul(v, u)
+    return scaled if d == 1 else tuple(tuple(-x for x in row) for row in scaled)
 
 
 def generates(vectors: Sequence[Sequence[int]], n: int) -> bool:
@@ -460,13 +458,16 @@ class IntLattice:
     """Full-rank lattice in Z^n, given by a square basis matrix whose columns generate it."""
 
     basis: IntMatrix
+    # the one pass over the basis: (det B, d, d * B^-1)
+    _bareiss: Bareiss = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.basis)
         object.__setattr__(self, "basis", json_int_rows(self.basis, "basis entry"))
         if any(len(row) != n for row in self.basis):
             raise ValueError("lattice basis must be square")
-        if n and det(self.basis) == 0:
+        object.__setattr__(self, "_bareiss", _bareiss(self.basis))
+        if not self._bareiss[0]:
             raise ValueError("lattice basis must have nonzero determinant")
 
     @classmethod
@@ -477,15 +478,14 @@ class IntLattice:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _smith(self) -> Smith:
-        return _smith(self.basis)
-
     def coords(self, v: Sequence[int]) -> IntVector | None:
-        """Coordinates of v in this basis, or None when v is not a lattice point."""
+        """Coordinates of v in this basis, d * B^-1 v divided exactly by d;
+        None when v is not a lattice point."""
         if len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        return _solve_snf(self._smith, [json_int(x, "vector entry") for x in v], 0)[0]
+        _, d, scaled = self._bareiss
+        x = matvec(scaled, [json_int(x, "vector entry") for x in v])
+        return None if any(xi % d for xi in x) else tuple([xi // d for xi in x])
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coords(v) is not None
@@ -494,10 +494,7 @@ class IntLattice:
         """Ambient vector of the lattice point with the given basis coordinates."""
         if len(x) != self.dim:
             raise ValueError("coordinate dimension mismatch")
-        return tuple(
-            sum(self.basis[i][j] * x[j] for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        return matvec(self.basis, x)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "basis": [list(row) for row in self.basis]}

@@ -1,8 +1,8 @@
 """Fraction-based code kept as test oracles for the integer core.
 
-Rational Gaussian eliminations for the determinant and the unimodular
-inverse, which the package computes with the integer routines of
-`ears.lattice` (Bareiss, and the Smith normal form), and for simple-root
+Rational Gaussian eliminations for the determinant, the unimodular inverse
+and coordinates in a lattice basis (`solve`), which the package reads off one
+fraction-free Bareiss pass in `ears.lattice`, and for simple-root
 coordinates, which the package reads off by walking up from the simple
 roots.  Root arithmetic on realization coordinates (`FractionRoots`), which
 the package replaced with integer simple-root and lattice coordinates.  The
@@ -451,8 +451,14 @@ def lattice_coords(e, vector):
 
     They are integers exactly when the vector is an ambient lattice point.
     """
-    n = e.nullity
-    basis = ambient_model(e.spec)[0].basis
+    return solve(ambient_model(e.spec)[0].basis, vector)
+
+
+def solve(basis, vector):
+    """The rational x with basis . x = vector, for a nonsingular square basis,
+    by Gauss-Jordan; x is integral exactly when vector lies in the lattice the
+    columns of basis generate."""
+    n = len(basis)
     a = [[Fraction(basis[i][j]) for j in range(n)] + [Fraction(vector[i])] for i in range(n)]
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col])

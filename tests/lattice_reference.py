@@ -4,6 +4,9 @@
 left transform and a cols x cols right transform as full integer matrices.
 `ears.lattice` runs the same elimination with sparse transforms; the tests
 check that it returns exactly the same (u, d, v), solutions and certificates.
+`_solve_snf` with m == 0 solves over Z, as `IntLattice.coords` did before it
+read a Bareiss pass, and is the oracle of its coordinates.  `matmul` is the
+matrix product the tests check transforms and inverses with.
 `closure_holds` checks the semilattice axiom on a `Semilattice`'s representatives.
 """
 
@@ -11,6 +14,16 @@ from math import gcd
 from typing import Sequence
 
 from ears.lattice import IntMatrix, IntVector, json_int_rows, matvec, vec_add, vec_scale, vec_sub
+
+
+def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix dimension mismatch")
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
+        for arow in a
+    )
 
 
 def _identity(n: int) -> list[list[int]]:

@@ -12,7 +12,7 @@ import time
 from functools import cache
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import ears.cli
@@ -20,6 +20,7 @@ import ears.system
 from ears.cli import main
 from ears.system import Classes, EarsSpec
 
+import fraction_reference
 from conftest import SPEC_DIR, load_spec_file
 
 AFFINE = str(SPEC_DIR / "affine_a1.json")
@@ -324,9 +325,10 @@ def assert_input_error(capsys, argv):
 
 class TestExitContract:
     @pytest.mark.parametrize(
-        "case", ["negative_window", "taus_not_vectors", "out_spec_missing_dir"]
+        "case", ["negative_window", "taus_not_vectors", "out_spec_missing_dir", "same_out_path"]
     )
     def test_bad_input_exits_2_with_error_line(self, capsys, tmp_path, case):
+        """Bad input exits 2 with an error line and writes no output file."""
         taus = tmp_path / "taus.json"
         taus.write_text("[1, 2]")
         argv = {
@@ -341,8 +343,34 @@ class TestExitContract:
                 "--out-spec", str(tmp_path / "missing" / "s.json"),
                 "--out-char", str(tmp_path / "c.json"),
             ],
+            # one file by two spellings: the character would overwrite the spec
+            "same_out_path": [
+                "counterexample",
+                "--out-spec", str(tmp_path / "out.json"),
+                "--out-char", str(tmp_path / "." / "out.json"),
+            ],
         }[case]
         assert_input_error(capsys, argv)
+        assert [p.name for p in tmp_path.iterdir()] == ["taus.json"]
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.randoms(use_true_random=False))
+    def test_dense_lattice_basis_answers(self, capsys, tmp_path, rng):
+        """A valid spec answers whatever basis writes its lattice down.  An A1
+        spec whose S has a random nonsingular 7 x 7 basis with entries in
+        [-9, 9], and 0 and the basis columns as representatives, runs
+        `info --window 0` with exit 0.  Solved through a Smith form, whose
+        entries grow without bound, half such bases took seconds or more."""
+        basis = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(7)]
+        assume(fraction_reference.det(basis) != 0)
+        reps = [[0] * 7] + [list(column) for column in zip(*basis)]
+        spec = {"type": "A", "rank": 1, "nullity": 7,
+                "S": {"dim": 7, "lattice_basis": basis, "reps": reps}}
+        capsys.readouterr()
+        code = main(["info", _spec_file(tmp_path, spec), "--window", "0"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "info"
 
     @pytest.mark.parametrize("argv, code", [
         pytest.param(["info", str(SPEC_DIR / "a3_nu2.json"), "--window", "1"], 0, id="info"),

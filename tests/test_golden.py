@@ -42,6 +42,9 @@ ORBITS = (
 COMMANDS = (
     [("info", f"specs/{s}.json", "--window", str(w)) for s in SPECS for w in (0, 1, 2)]
     + [("info", f"specs/{s}.json", "--window", "3") for s in ("a3_nu2", "b2_nu2_twist1", "g2_nu1")]
+    # specs over a dense 8 x 8 lattice basis with entries in [-9, 9]
+    + [("info", "specs/a1_dense_nu8.json", "--window", w) for w in ("0", "1")]
+    + [("info", "specs/b2_dense_nu8.json", "--window", "0")]
     + [("char-verify", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("char-extend", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("info", f"specs/{s}.json", "--window", "1", "--refl-oracle")

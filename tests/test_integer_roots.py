@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from enumeration_reference import index_of_sublattice
 from fraction_reference import FractionFinite, FractionRoots, ambient_model, simple_coords
+from lattice_reference import matmul
 from ears.characters import (
     A1CosetRule,
     Character,
@@ -35,7 +36,7 @@ from ears.characters import (
 )
 from ears.finite import FiniteType
 from ears.cli import main
-from ears.lattice import IntLattice, Semilattice, matmul, matvec
+from ears.lattice import IntLattice, Semilattice, matvec
 from ears.system import EarsSpec, Window, build_ears, enumerate_roots, invariants, twist_order
 from ears.torus import build_torus
 

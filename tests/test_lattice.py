@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 import fraction_reference
 import lattice_reference
 from enumeration_reference import index_of_sublattice
+from lattice_reference import matmul
 from ears.characters import A1CosetRule, Character
 from ears.finite import FiniteType
 from ears.lattice import (
     IntLattice,
     Semilattice,
-    _smith,
-    _solve_snf,
     det,
     inverse_unimodular,
-    matmul,
     snf,
     solve_mod,
     sum_semilattices,
@@ -158,7 +156,6 @@ class TestSparseCoreOracle:
     def test_same_solution_or_certificate(self, system):
         mat, b = system
         dense = lattice_reference.snf(mat)
-        assert _solve_snf(_smith(mat), b, 0) == lattice_reference._solve_snf(dense, b, 0)
         for m in (1, 2, 3, 4, 6):
             x, cert = lattice_reference._solve_snf(dense, b, m)
             res = solve_mod(mat, b, m)
@@ -166,6 +163,65 @@ class TestSparseCoreOracle:
                 assert not res.sat and res.certificate == cert
             else:
                 assert res.solution == tuple(val % m for val in x)
+
+
+@st.composite
+def bases_and_vectors(draw, n, bound):
+    """An n x n matrix with entries in [-bound, bound], filled from a drawn
+    seed, and vectors to solve for in the lattice its columns generate:
+    lattice points, lattice points moved by one unit, and random vectors."""
+    rng = draw(st.randoms(use_true_random=False))
+    basis = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    vectors = []
+    for _ in range(3):
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        point = [sum(b * y for b, y in zip(row, x)) for row in basis]
+        moved = list(point)
+        moved[rng.randrange(n)] += 1
+        vectors += [point, moved, [rng.randint(-9, 9) for _ in range(n)]]
+    return basis, vectors
+
+
+def integral(x):
+    return tuple(int(t) for t in x) if all(t.denominator == 1 for t in x) else None
+
+
+class TestCoordsOracle:
+    """`IntLattice.coords` reads one Bareiss pass.  The over-Z back-substitution
+    through the dense Smith form it replaced (tests/lattice_reference.py) is its
+    oracle on bases where that form stays small: 5 x 5 in [-9, 9], 6 x 6 in
+    [-4, 4] and 10 x 10 in [-1, 1].  On some 6 x 6 bases in [-9, 9] its entries
+    already grow to hundreds of bits and it runs for seconds, so there and
+    beyond a Fraction solve is the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(bases_and_vectors(5, 9), bases_and_vectors(6, 4),
+                     bases_and_vectors(10, 1)))
+    def test_matches_dense_smith_solve(self, drawn):
+        basis, vectors = drawn
+        if fraction_reference.det(basis) == 0:
+            with pytest.raises(ValueError, match="nonzero determinant"):
+                IntLattice(basis)
+            return
+        lat = IntLattice(basis)
+        dense = lattice_reference.snf(basis)
+        for v in vectors:
+            assert lat.coords(v) == lattice_reference._solve_snf(dense, v, 0)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(bases_and_vectors(6, 9), bases_and_vectors(8, 9),
+                     bases_and_vectors(12, 9)))
+    def test_dense_bases_match_fraction_solve(self, drawn):
+        basis, vectors = drawn
+        d = det(basis)
+        assert d == fraction_reference.det(basis)
+        if d == 0:
+            with pytest.raises(ValueError, match="nonzero determinant"):
+                IntLattice(basis)
+            return
+        lat = IntLattice(basis)
+        for v in vectors:
+            assert lat.coords(v) == integral(fraction_reference.solve(basis, v))
 
 
 class TestDet:
@@ -282,7 +338,8 @@ class TestSolveMod:
         _, d, _ = snf(a)
         assert any(d[i][i] > 1 for i in range(cols))
         transposed = [[a[i][j] for i in range(rows)] for j in range(cols)]
-        assert _solve_snf(_smith(transposed), [x // m for x in ra], 0)[0] is None
+        dense = lattice_reference.snf(transposed)
+        assert lattice_reference._solve_snf(dense, [x // m for x in ra], 0)[0] is None
 
     def test_exact_certificate_preferred(self):
         # the first failing SNF row (d = 2) only cancels mod 2; the second

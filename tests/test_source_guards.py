@@ -26,7 +26,10 @@ layer, a module loads only the layers it imports, and a command only the
 layers it runs.  The package holds what a command or the benchmark runs:
 every public function, class, method and property is reached from another
 part of `src/ears` or from `bench/*.py`, and code only tests call lives in
-`tests/`.
+`tests/`.  A square matrix is answered by one fraction-free Bareiss pass,
+whose entries stay within Hadamard's bound, while a Smith form's can grow
+without bound on a dense square basis; so only `snf`, `solve_mod` and
+`generates`, where the Smith form's choices matter, call `lattice._smith`.
 """
 
 import ast
@@ -199,6 +202,31 @@ def unreached_definitions(
     return sorted(unreached)
 
 
+def callers(source: str, callee: str) -> list[str]:
+    """The functions (as `Class.name` for methods, the outermost one for a
+    nested function) that call `callee` by name or as an attribute; a call
+    outside any function is listed as `<module>`.  Sorted."""
+    found = set()
+
+    def visit(node, owner, prefix):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, f"{prefix}{child.name}.")
+                continue
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = prefix + child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == callee
+                        or isinstance(func, ast.Attribute) and func.attr == callee):
+                    found.add(owner or "<module>")
+            visit(child, inner, prefix)
+
+    visit(ast.parse(source), None, "")
+    return sorted(found)
+
+
 def method_calls(source: str, method: str) -> list[int]:
     """Lines of calls `X.method(...)`; an attribute read or a bare call is not one."""
     return [
@@ -253,6 +281,20 @@ def test_guards_see_what_they_look_for():
     assert method_calls("c = e.finite.coords\n", "coords") == []
     assert method_calls("c = coords(v)\n", "coords") == []
     assert method_calls("v = lat.from_coords(x)\n", "coords") == []
+    # a call by name, as an attribute, from a method, from a nested function
+    # and at module level; a bare name read is not a call
+    planted_smith = (
+        "def solve_mod(a):\n    return _smith(a)\n\n\n"
+        "def generates(a):\n    def inner():\n        return _smith(a)\n    return inner\n\n\n"
+        "class IntLattice:\n"
+        "    def coords(self, v):\n        return lattice._smith(self.basis)\n\n"
+        "    def dim(self):\n        return _smith\n\n\n"
+        "x = _smith([])\n"
+    )
+    assert callers(planted_smith, "_smith") == [
+        "<module>", "IntLattice.coords", "generates", "solve_mod"
+    ]
+    assert callers(planted_smith, "_bareiss") == []
     # `used`, `A` and `A.write` are reached from `_private` or `unused`;
     # `unused` and `A.read` only from inside themselves
     planted = {"m": (
@@ -340,6 +382,19 @@ def test_from_coords_only_in_lattice(path):
 def test_coords_only_in_lattice_and_system(path):
     lines = method_calls(path.read_text(), "coords")
     assert not lines, f"{path.name} solves for lattice coordinates at lines {lines}"
+
+
+# the functions where the Smith form's choices matter: `solve_mod`'s
+# certificates, `generates` on wide root pools, and `snf`, its dense view
+SMITH_CALLERS = {"snf", "solve_mod", "generates"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_snf_solve_mod_and_generates_call_smith(path):
+    """No square basis reaches the Smith form: `det`, `IntLattice.coords` and
+    `inverse_unimodular` read `lattice._bareiss`."""
+    extra = [name for name in callers(path.read_text(), "_smith") if name not in SMITH_CALLERS]
+    assert not extra, f"{path.name} calls _smith from {extra}"
 
 
 def test_library_is_what_commands_run():
