@@ -5,7 +5,7 @@ stay inside the system.  Values are held as exponents modulo a fixed order m,
 so every comparison is exact integer arithmetic.  Three rule kinds exist:
 
 * a root-lattice homomorphism determined by values on a lattice basis,
-* the rank-one coset rule (values +-1 read off the coset of 2L),
+* a table by root class, which the rank-one coset rule is read into,
 * a finite table over a window.
 
 The module also decides extendability of a windowed character to a lattice
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import lcm
+from operator import xor
 from typing import Sequence
 
 from .lattice import (
@@ -29,7 +30,6 @@ from .lattice import (
     json_int,
     json_int_rows,
     json_object,
-    parity,
     record,
     size_int,
     solve_mod,
@@ -43,6 +43,7 @@ from .system import (
     build_ears,
     enumerate_roots,
     index_formula,
+    residue,
     root_from_json,
     root_to_json,
 )
@@ -76,16 +77,6 @@ class LatticeHomRule:
 
 
 @record
-class A1CosetRule:
-    """Rank-one rule: +1 on roots over 2L, -1 over the nontrivial cosets of S.
-
-    Isotropic values: +1 on 2L and on (S+S) minus S, -1 on S minus 2L.  Only
-    order 2 is meaningful here, and the rule is only a character when sums of
-    3 to 6 distinct nonzero representatives avoid 2L.
-    """
-
-
-@record
 class TableRule:
     """Explicit exponent table over a window of roots."""
 
@@ -96,27 +87,29 @@ class TableRule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "box", Window(self.window))
 
+    def key(self, r: Root) -> Root:
+        if not self.box.contains(r.iso):
+            raise ValueError("root lies outside the table window")
+        return r
+
     @cached_property
     def lookup(self) -> dict[Root, int]:
         return dict(self.entries)
 
 
-def sum_free_violation(s: Semilattice) -> tuple[int, ...] | None:
-    """An index set of 3 to 6 distinct nonzero reps whose sum falls in 2L, or None.
+@record
+class ClassRule:
+    """Exponent table by root class: the finite part and iso mod `period`."""
 
-    The nonzero reps have distinct nonzero class keys, so such a set exists
-    exactly when two different sets of at most 3 reps have equal key sums mod
-    2; their symmetric difference is then one.
-    """
-    keys = [s.key(r) for r in s.reps]
-    seen: dict[IntVector, tuple[int, ...]] = {}
-    for k in (1, 2, 3):
-        for combo in itertools.combinations(range(1, s.coset_count), k):
-            total = parity(map(sum, zip(*(keys[i] for i in combo))))
-            first = seen.setdefault(total, combo)
-            if first is not combo:
-                return tuple(sorted(set(first) ^ set(combo)))
-    return None
+    period: IntVector
+    entries: tuple[tuple[Root, int], ...]
+
+    def key(self, r: Root) -> Root:
+        return Root(r.finite, residue(r.iso, self.period))
+
+    @cached_property
+    def lookup(self) -> dict[Root, int]:
+        return {self.key(r): x for r, x in self.entries}
 
 
 @record
@@ -125,7 +118,7 @@ class Character:
 
     ears: Ears
     modulus: int
-    rule: LatticeHomRule | A1CosetRule | TableRule
+    rule: LatticeHomRule | ClassRule | TableRule
 
     def __post_init__(self) -> None:
         if json_int(self.modulus, "modulus") < 1:
@@ -142,18 +135,13 @@ class Character:
                 self._std_values
             except ValueError:
                 raise ValueError("homomorphism basis must be unimodular") from None
-        elif isinstance(self.rule, A1CosetRule):
-            if self.ears.spec.kind != "rank_one":
-                raise ValueError("coset rule requires a rank-one system")
-            if self.modulus != 2:
-                raise ValueError("coset rule is an order-2 character")
-            violation = sum_free_violation(self.ears.S)
-            if violation is not None:
-                raise ValueError(
-                    f"coset rule is not a character: representatives {violation} "
-                    "sum into 2L"
-                )
         else:
+            if isinstance(self.rule, ClassRule):  # checked before `lookup` divides by it
+                period, q = self.rule.period, self.ears.period
+                if len(period) != len(q) or any(
+                    json_int(p, "class period") < 1 or p % d for p, d in zip(period, q)
+                ):
+                    raise ValueError(f"class period {period} must be positive multiples of {q}")
             for _, x in self.rule.entries:
                 json_int(x, "exponent")
             if len(self.rule.lookup) != len(self.rule.entries):
@@ -192,10 +180,12 @@ class Character:
         finite part and iso mod q; None for a table, which has no period.
 
         `Ears.period` covers membership and a homomorphism reads the
-        coordinates mod m; the coset rule reads them mod 2, and its m is 2.
+        coordinates mod m; a class rule has its own.
         """
         if isinstance(self.rule, TableRule):
             return None
+        if isinstance(self.rule, ClassRule):
+            return self.rule.period
         return tuple(lcm(q, self.modulus) for q in self.ears.period)
 
     def _exponent(self, r: Root) -> int:
@@ -203,15 +193,8 @@ class Character:
         if isinstance(self.rule, LatticeHomRule):
             coords = self.ears.root_coords(r)
             return sum(c * v for c, v in zip(coords, self._std_values)) % self.modulus
-        if isinstance(self.rule, A1CosetRule):
-            i = self.ears.S.class_index.get(parity(r.iso))  # S rep of iso mod 2L
-            if r.finite is not None:
-                return 0 if i == 0 else 1
-            return 1 if (i is not None and i > 0) else 0
-        if not self.rule.box.contains(r.iso):
-            raise ValueError("root lies outside the table window")
         try:
-            return self.rule.lookup[r] % self.modulus
+            return self.rule.lookup[self.rule.key(r)] % self.modulus
         except KeyError:
             raise ValueError(f"table has no entry for root {r}") from None
 
@@ -223,17 +206,14 @@ class Character:
                 "basis": [list(v) for v in self.rule.basis],
                 "values": list(self.rule.values),
             }
-        elif isinstance(self.rule, A1CosetRule):
-            rule = {"kind": "a1coset"}
         else:
-            rule = {
-                "kind": "table",
-                "window": self.rule.window,
-                "entries": [
-                    {"root": root_to_json(self.ears, r), "exponent": x}
-                    for r, x in self.rule.entries
-                ],
-            }
+            if isinstance(self.rule, ClassRule):
+                rule = {"kind": "class", "period": list(self.rule.period)}
+            else:
+                rule = {"kind": "table", "window": self.rule.window}
+            rule["entries"] = [
+                {"root": root_to_json(self.ears, r), "exponent": x} for r, x in self.rule.entries
+            ]
         return {"modulus": self.modulus, "rule": rule}
 
 
@@ -244,26 +224,50 @@ def character_from_json(e: Ears, obj: dict) -> Character:
     kind = json_object(rule_obj, "rule")["kind"]
     if kind == "hom":
         json_object(rule_obj, "hom rule", ("kind", "basis", "values"))
-        rule: LatticeHomRule | A1CosetRule | TableRule = LatticeHomRule(
+        rule: LatticeHomRule | ClassRule | TableRule = LatticeHomRule(
             json_int_rows(rule_obj["basis"], "basis entry"),
             tuple(json_int(x, "value") for x in rule_obj["values"]),
         )
     elif kind == "a1coset":
         json_object(rule_obj, "a1coset rule", ("kind",))
-        rule = A1CosetRule()
-    elif kind == "table":
-        json_object(rule_obj, "table rule", ("kind", "window", "entries"))
+        if m != 2:
+            raise ValueError("coset rule is an order-2 character")
+        rule = coset_rule(e)
+    elif kind in ("table", "class"):
+        extent = "window" if kind == "table" else "period"
+        json_object(rule_obj, f"{kind} rule", ("kind", extent, "entries"))
         entries = [json_object(x, "table entry", ("root", "exponent")) for x in rule_obj["entries"]]
-        rule = TableRule(
-            json_int(rule_obj["window"], "table window"),
-            tuple(
-                (root_from_json(e, ent["root"]), json_int(ent["exponent"], "exponent"))
-                for ent in entries
-            ),
+        pairs = tuple(
+            (root_from_json(e, ent["root"]), json_int(ent["exponent"], "exponent"))
+            for ent in entries
         )
+        if kind == "table":
+            rule = TableRule(json_int(rule_obj["window"], "table window"), pairs)
+        else:
+            rule = ClassRule(tuple(json_int(p, "class period") for p in rule_obj["period"]), pairs)
     else:
         raise ValueError(f"unknown character rule kind {kind!r}")
     return Character(e, m, rule)
+
+
+def coset_rule(e: Ears) -> ClassRule:
+    """The rank-one coset rule mod 2, refused unless it is a character: a finite
+    root over a class k of S gets [k != 0], an isotropic root over a class k of
+    S + S gets c(k) = [k in S, k != 0].  It is one exactly when c(k) + c(k') =
+    c(k + k') wherever k, k' and k + k' lie in S + S; as c vanishes off S, a
+    failing pair has k, k' or k + k' in S, and if k + k' is, (k + k', k') fails
+    too, so testing the k in S suffices."""
+    if e.spec.kind != "rank_one":
+        raise ValueError("coset rule requires a rank-one system")
+    in_s = e.S.class_index
+    c = {k: int(k in in_s and any(k)) for k in sorted(e.r0_keys)}
+    for a, b in itertools.product(in_s, c):
+        total = tuple(map(xor, a, b))
+        if total in c and c[a] ^ c[b] != c[total]:
+            raise ValueError(f"coset rule is not a character: classes {a} and {b} sum into {total}")
+    entries = [(Root(None, k), x) for k, x in c.items()]
+    entries += [(Root(fin, k), int(any(k))) for fin in e.finite.coords for k in in_s]
+    return ClassRule((2,) * e.nullity, tuple(entries))
 
 
 def standard_hom_character(e: Ears, values: Sequence[int], modulus: int) -> Character:
@@ -399,7 +403,7 @@ def build_a1_counterexample(
     reps = (tuple(0 for _ in range(nullity)),) + tuple(tuple(t) for t in taus)
     s = Semilattice(IntLattice.standard(nullity), reps)
     e = build_ears(EarsSpec.rank_one(nullity, s))
-    return Character(e, 2, A1CosetRule())
+    return Character(e, 2, coset_rule(e))
 
 
 @record

@@ -211,7 +211,8 @@ def cmd_counterexample(args) -> int:
         taus = [tuple(t) for t in obj]
     c = build_a1_counterexample(args.nullity, taus)
     _write_json(args.out_spec, c.ears.spec.to_json())
-    _write_json(args.out_char, c.to_json())
+    # the shorthand of `c.rule`, whose class table has 2^nullity entries or more
+    _write_json(args.out_char, {"modulus": 2, "rule": {"kind": "a1coset"}})
     report = {
         "command": "counterexample",
         "inputs": digests,

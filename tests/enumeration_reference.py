@@ -12,12 +12,25 @@ pruned its pool: it walks every subset of the whole candidate pool.
 `index_of_sublattice` is the twist order before it became a ratio of
 covolumes: the coordinates of each sublattice basis vector in the lattice
 basis, then the absolute determinant of that coordinate matrix.
+
+`CosetCharacter` is the rank-one coset rule read off S root by root, with
+the period lcm(`Ears.period`, 2), and `coset_character_from_json` reads
+`a1coset` files into it, refused when `sum_free_violation_by_subsets` finds
+3 to 6 nonzero representatives summing into 2L: the rule as it was before it
+became a class table, whose refusal is sufficient but not necessary.
 """
 
 import itertools
+from math import lcm
 
-from ears.characters import CharacterCheckReport, TableRule
-from ears.lattice import det, generates, parity, vec_sub
+from ears.characters import (
+    CharacterCheckReport,
+    Character,
+    ClassRule,
+    TableRule,
+    character_from_json,
+)
+from ears.lattice import det, generates, parity, record, vec_sub
 from ears.system import enumerate_roots, root_to_json
 from ears.weyl import MinimalBaseSearch, _candidate_pool, orbit_closure
 
@@ -196,3 +209,57 @@ def index_of_sublattice(lat, sub):
             raise ValueError("not a sublattice")
         cols.append(c)
     return abs(det(tuple(zip(*cols)))) if lat.dim else 1
+
+
+def sum_free_violation_by_subsets(s):
+    """The first 3- to 6-subset of nonzero reps, in size then lex order, whose keys
+    sum to 0 mod 2, or None: the exhaustive search."""
+    keys = [s.key(r) for r in s.reps]
+    for k in range(3, min(6, s.index) + 1):
+        for combo in itertools.combinations(range(1, s.coset_count), k):
+            if not any(sum(col) % 2 for col in zip(*(keys[i] for i in combo))):
+                return combo
+    return None
+
+
+def coset_exponent(e, r):
+    """The coset rule on a root: a finite root is -1 off 2L, an isotropic one
+    is -1 over S minus 2L, as exponents mod 2."""
+    i = e.S.class_index.get(parity(r.iso))  # S rep of iso mod 2L
+    if r.finite is not None:
+        return 0 if i == 0 else 1
+    return 1 if (i is not None and i > 0) else 0
+
+
+@record
+class CosetCharacter(Character):
+    """The coset rule of a rank-one system, evaluated by `coset_exponent`.
+
+    Its rule is an empty class table, which the checks never read."""
+
+    @property
+    def _period(self):
+        return tuple(lcm(q, 2) for q in self.ears.period)
+
+    def _exponent(self, r):
+        return coset_exponent(self.ears, r)
+
+
+def coset_character(e):
+    """The coset rule as a `CosetCharacter`, without a check."""
+    return CosetCharacter(e, 2, ClassRule((2,) * e.nullity, ()))
+
+
+def coset_character_from_json(e, obj):
+    """`character_from_json`, with an `a1coset` file read into a
+    `CosetCharacter` and refused on a sum-free violation."""
+    if obj.get("rule", {}).get("kind") != "a1coset":
+        return character_from_json(e, obj)
+    if e.spec.kind != "rank_one":
+        raise ValueError("coset rule requires a rank-one system")
+    if obj["modulus"] != 2:
+        raise ValueError("coset rule is an order-2 character")
+    violation = sum_free_violation_by_subsets(e.S)
+    if violation is not None:
+        raise ValueError(f"coset rule is not a character: representatives {violation} sum into 2L")
+    return coset_character(e)

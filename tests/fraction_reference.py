@@ -370,21 +370,29 @@ class FractionRoots:
 
     def value(self, c, r):
         """Exponent of character `c` on a realization root, without the integer root path."""
-        from ears.characters import A1CosetRule, LatticeHomRule
+        from ears.characters import ClassRule, LatticeHomRule
+        from ears.system import Root
 
         e = self.e
         coords = self.ambient.coords(r[1])
+        fin = None if r[0] is None else simple_coords(self.finite, r[0])
         if isinstance(c.rule, LatticeHomRule):
-            fin = (0,) * e.rank if r[0] is None else simple_coords(self.finite, r[0])
+            fin = (0,) * e.rank if fin is None else fin
             return sum(x * v for x, v in zip(fin + coords, c._std_values)) % c.modulus
-        if isinstance(c.rule, A1CosetRule):
-            i = coset_class(self.S, r[1])
-            if r[0] is not None:
-                return 0 if i == 0 else 1
-            return 1 if (i is not None and i > 0) else 0
+        if isinstance(c.rule, ClassRule):
+            key = Root(fin, tuple(x % p for x, p in zip(coords, c.rule.period)))
+            return c.rule.lookup[key] % c.modulus
         if max((abs(x) for x in coords), default=0) > c.rule.window:
             raise ValueError("root lies outside the table window")
         return c.rule.lookup[self.to_int(r)] % c.modulus
+
+    def coset_value(self, r):
+        """The rank-one coset rule on a realization root, read off the coset
+        of 2L that holds its isotropic part."""
+        i = coset_class(self.S, r[1])
+        if r[0] is not None:
+            return 0 if i == 0 else 1
+        return 1 if (i is not None and i > 0) else 0
 
     def root_json(self, r):
         fin = None if r[0] is None else list(simple_coords(self.finite, r[0]))

@@ -18,16 +18,15 @@ import enumeration_reference
 import lattice_reference
 import torus_reference
 from ears.characters import (
-    A1CosetRule,
     Character,
     TableRule,
     build_a1_counterexample,
     character_from_json,
+    coset_rule,
     extend_ind_zero,
     extendability,
     recheck_witness,
     standard_hom_character,
-    sum_free_violation,
     verify_character,
 )
 from ears.finite import FiniteType
@@ -69,12 +68,14 @@ def test_criterion_1_counterexample_reproduction():
     char = build_a1_counterexample(6)
     e = char.ears
 
-    # (a) exhaustive sum-free condition over index subsets of sizes 3..6
-    assert sum_free_violation(e.S) is None
+    # (a) exhaustive sum-free condition over index subsets of sizes 3..6, and
+    # the exact class-level check of the coset rule
+    assert enumeration_reference.sum_free_violation_by_subsets(e.S) is None
     subsets = sum(
         1 for k in (3, 4, 5, 6) for _ in itertools.combinations(range(1, 8), k)
     )
     assert subsets == 98
+    assert coset_rule(e) == char.rule
 
     # (b) exhaustive verification at window 1, randomized pairs at window 2
     report = verify_character(char, Window(1))
@@ -345,7 +346,7 @@ def test_criterion_6_negative_controls():
         build_a1_counterexample(2, [(1, 0), (0, 1), (1, 1)])
     full = build_ears(EarsSpec.rank_one(2, Semilattice.standard(2)))
     with pytest.raises(ValueError):
-        Character(full, 2, A1CosetRule())
+        coset_rule(full)
 
     # corrupted diagonal map: incoherent scaling across one root space
     t = build_torus(2, 1, 2)

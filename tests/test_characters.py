@@ -1,28 +1,32 @@
-import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ears.characters
 import ears.weyl
 import fraction_reference
-from enumeration_reference import square_shift_by_pairs
+from enumeration_reference import (
+    coset_character,
+    coset_exponent,
+    square_shift_by_pairs,
+    sum_free_violation_by_subsets,
+)
 from ears.characters import (
-    A1CosetRule,
     Character,
+    ClassRule,
     LatticeHomRule,
     TableRule,
     UnityValue,
     build_a1_counterexample,
     character_from_json,
+    coset_rule,
     extend_ind_zero,
     extendability,
     recheck_witness,
     standard_hom_character,
-    sum_free_violation,
     verify_character,
     verify_core_character,
 )
@@ -96,27 +100,18 @@ class TestCosetRuleValues:
             assert c.eval(translated).exponent == want
 
     def test_requires_modulus_two(self, counterexample_char):
-        with pytest.raises(ValueError):
-            Character(counterexample_char.ears, 4, A1CosetRule())
+        with pytest.raises(ValueError, match="order-2"):
+            character_from_json(
+                counterexample_char.ears, {"modulus": 4, "rule": {"kind": "a1coset"}}
+            )
 
     def test_requires_rank_one(self, a2_nu1):
-        with pytest.raises(ValueError):
-            Character(a2_nu1, 2, A1CosetRule())
+        with pytest.raises(ValueError, match="rank-one"):
+            coset_rule(a2_nu1)
 
     def test_non_root_rejected(self, counterexample_char):
         with pytest.raises(ValueError):
             counterexample_char.eval(Root(None, (1, 1, 1, 0, 0, 0)))
-
-
-def sum_free_violation_by_subsets(s):
-    """The first 3- to 6-subset of nonzero reps, in size then lex order, whose keys
-    sum to 0 mod 2: the exhaustive search, kept as the oracle."""
-    keys = [s.key(r) for r in s.reps]
-    for k in range(3, min(6, s.index) + 1):
-        for combo in itertools.combinations(range(1, s.coset_count), k):
-            if not any(sum(col) % 2 for col in zip(*(keys[i] for i in combo))):
-                return combo
-    return None
 
 
 @st.composite
@@ -145,31 +140,92 @@ def semilattices(draw):
 
 
 class TestSumFreeCondition:
+    """The subset search's sum-free condition is sufficient for the coset
+    rule to be a character, but not necessary."""
+
     def test_defaults_pass(self, counterexample_char):
-        assert sum_free_violation(counterexample_char.ears.S) is None
+        e = counterexample_char.ears
+        assert sum_free_violation_by_subsets(e.S) is None
+        assert coset_rule(e) == counterexample_char.rule
 
     @settings(max_examples=300, deadline=None)
     @given(semilattices())
-    def test_matches_subset_search(self, s):
-        found = sum_free_violation(s)
-        assert (found is None) == (sum_free_violation_by_subsets(s) is None)
-        if found is not None:
-            assert 3 <= len(set(found)) == len(found) <= 6
-            assert all(1 <= i < s.coset_count for i in found)
-            keys = [s.key(s.reps[i]) for i in found]
-            assert not any(sum(col) % 2 for col in zip(*keys))
+    def test_sum_free_semilattices_are_accepted(self, s):
+        if sum_free_violation_by_subsets(s) is None:
+            coset_rule(build_ears(EarsSpec.rank_one(s.dim, s)))
 
     def test_dependent_representative_caught(self):
         s = Semilattice.standard(2)  # reps 00, 01, 10, 11: 01+10+11 = 0 mod 2L
-        assert sum_free_violation(s) is not None
+        assert sum_free_violation_by_subsets(s) is not None
+        with pytest.raises(ValueError, match=r"classes \(0, 1\) and \(1, 0\) sum into \(1, 1\)"):
+            coset_rule(build_ears(EarsSpec.rank_one(2, s)))
 
     def test_constructor_rejects_violation(self, a1_nu2_full):
-        with pytest.raises(ValueError):
-            Character(a1_nu2_full, 2, A1CosetRule())
+        with pytest.raises(ValueError, match="coset rule is not a character"):
+            coset_rule(a1_nu2_full)
+        with pytest.raises(ValueError, match="coset rule is not a character"):
+            character_from_json(a1_nu2_full, {"modulus": 2, "rule": {"kind": "a1coset"}})
 
     def test_counterexample_rejects_dependent_taus(self):
         with pytest.raises(ValueError):
             build_a1_counterexample(2, [(1, 0), (0, 1), (1, 1)])
+
+
+@st.composite
+def spanning_rank_one(draw):
+    """A rank-one system over Z^nu, nu <= 5, with S any set of classes that
+    spans F2^nu."""
+    nu = draw(st.integers(1, 5))
+    masks = draw(st.lists(st.integers(1, 2**nu - 1), unique=True, min_size=nu))
+    reps = ((0,) * nu,) + tuple(tuple(m >> j & 1 for j in range(nu)) for m in masks)
+    try:
+        s = Semilattice(IntLattice.standard(nu), reps)
+    except ValueError:  # the classes do not span
+        assume(False)
+    return build_ears(EarsSpec.rank_one(nu, s))
+
+
+class TestCosetRuleAcceptance:
+    @settings(max_examples=150, deadline=None)
+    @given(spanning_rank_one())
+    def test_accepts_exactly_the_characters(self, e):
+        """Window 1 meets every class mod 2, so its verdict on the unchecked
+        coset rule is the global one; the class table must agree with it."""
+        ok = verify_character(coset_character(e), Window(1)).ok
+        event(f"character {ok}, sum-free {sum_free_violation_by_subsets(e.S) is None}")
+        try:
+            rule = coset_rule(e)
+        except ValueError as exc:
+            assert not ok, exc
+            return
+        assert ok
+        assert all(coset_exponent(e, r) == x for r, x in rule.entries)
+
+    def test_sum_free_refusal_was_not_necessary(self):
+        """Four nonzero classes summing into 2L, yet the rule is a character."""
+        taus = [(1, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
+        c = build_a1_counterexample(3, taus)
+        assert sum_free_violation_by_subsets(c.ears.S) == (1, 2, 3, 4)
+        assert verify_character(c, Window(1)).ok
+        assert extendability(c, Window(1)).sat
+
+
+class TestClassRule:
+    def test_class_without_entry_raises_when_evaluated(self, counterexample_char):
+        rule = counterexample_char.rule
+        c = Character(counterexample_char.ears, 2, ClassRule(rule.period, rule.entries[1:]))
+        (root, _), *_ = rule.entries
+        far = Root(root.finite, tuple(x + 4 for x in root.iso))
+        with pytest.raises(ValueError, match="no entry"):
+            c.eval(far)
+        assert c.eval(rule.entries[1][0]).exponent == rule.entries[1][1]
+
+    def test_entries_are_keyed_by_class(self, counterexample_char):
+        e, rule = counterexample_char.ears, counterexample_char.rule
+        moved = tuple((Root(r.finite, tuple(x - 2 for x in r.iso)), x) for r, x in rule.entries)
+        assert Character(e, 2, ClassRule(rule.period, moved)).rule.lookup == rule.lookup
+        with pytest.raises(ValueError, match="more than once"):
+            Character(e, 2, ClassRule(rule.period, rule.entries + moved[:1]))
 
 
 class TestTableRule:
@@ -294,7 +350,8 @@ class TestExtendability:
     def test_extendable_coset_variant(self):
         # three cosets in rank two satisfy the sum-free condition vacuously
         s = Semilattice(IntLattice.standard(2), ((0, 0), (1, 0), (0, 1)))
-        c = Character(build_ears(EarsSpec.rank_one(2, s)), 2, A1CosetRule())
+        e = build_ears(EarsSpec.rank_one(2, s))
+        c = Character(e, 2, coset_rule(e))
         assert verify_character(c, Window(2)).ok
         res = extendability(c, Window(2))
         assert res.sat
@@ -378,8 +435,10 @@ class TestJson:
 
     def test_coset_roundtrip(self, counterexample_char):
         c = counterexample_char
-        back = character_from_json(c.ears, c.to_json())
-        assert back.rule == A1CosetRule()
+        back = character_from_json(c.ears, {"modulus": 2, "rule": {"kind": "a1coset"}})
+        assert isinstance(back.rule, ClassRule) and back == c
+        assert c.to_json()["rule"]["kind"] == "class"
+        assert character_from_json(c.ears, c.to_json()) == c
 
     def test_table_roundtrip(self, a2_nu1):
         hom = standard_hom_character(a2_nu1, (1, 0, 1), 2)
@@ -391,11 +450,16 @@ class TestJson:
         hom = standard_hom_character(a2_nu1, (1, 0, 1), 2)
         table = table_restriction(hom, 1)
         (root, exp), *rest = table.rule.entries
+        (root6, exp6), *rest6 = counterexample_char.rule.entries
         for build in (
             lambda: standard_hom_character(a2_nu1, (1, 0, 1), 2.5),
             lambda: standard_hom_character(a2_nu1, (1.0, 0, 1), 2),
             lambda: Character(a2_nu1, 2, LatticeHomRule(hom.rule.basis, (1, 0, True))),
             lambda: Character(a2_nu1, 2, TableRule(1, ((root, float(exp)), *rest))),
+            lambda: Character(counterexample_char.ears, 2, ClassRule(
+                counterexample_char.rule.period, ((root6, float(exp6)), *rest6))),
+            lambda: Character(counterexample_char.ears, 2, ClassRule(
+                (2.0,) + counterexample_char.rule.period[1:], counterexample_char.rule.entries)),
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 build()

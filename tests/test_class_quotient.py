@@ -24,10 +24,11 @@ from conftest import SPEC_DIR, load_spec_file
 from fraction_reference import ambient_model
 from ears.cli import main
 from ears.characters import (
-    A1CosetRule,
     Character,
+    ClassRule,
     LatticeHomRule,
     TableRule,
+    coset_rule,
     standard_hom_character,
     verify_character,
     verify_core_character,
@@ -131,19 +132,34 @@ def sum_free_rank_one(draw):
     return build_ears(EarsSpec.rank_one(nullity, Semilattice(lattice, reps)))
 
 
+def class_table(c, q):
+    """The class rule of period q with c's exponent on one root per root class."""
+    e = c.ears
+    entries = tuple(
+        (Root(fin, iso), c._exponent(Root(fin, iso)))
+        for fin in (None, *e.finite.coords)
+        for iso in itertools.product(*map(range, q))
+        if e.is_root(Root(fin, iso))
+    )
+    return ClassRule(q, entries)
+
+
 @st.composite
 def cases(draw):
-    """(character, window): a hom, coset or table rule, shifted on one class or not."""
-    kind = draw(st.sampled_from(["hom", "table", "a1coset"]))
+    """(character, window): a hom, coset, class or table rule, shifted on one
+    class or not."""
+    kind = draw(st.sampled_from(["hom", "table", "a1coset", "class"]))
     e = draw(sum_free_rank_one() if kind == "a1coset" else systems())
     w = Window(draw(windows_for(e)))
     n = e.rank + e.nullity
     if kind == "a1coset":
-        base, q = Character(e, 2, A1CosetRule()), class_period(e, 2)
+        base, q = Character(e, 2, coset_rule(e)), class_period(e, 2)
     else:
         m = draw(st.sampled_from([2, 3, 4]))
         values = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         base, q = standard_hom_character(e, values, m), class_period(e, m)
+    if kind == "class":
+        base = Character(e, base.modulus, class_table(base, q))
     if kind == "table":
         bound = w.bound + draw(st.integers(0, 1))
         entries = tuple((r, base._exponent(r)) for r in enumerate_roots(e, Window(bound)))
@@ -346,3 +362,13 @@ def test_hom_basis_rule_uses_its_own_period(a2_nu1):
     assert c._period == (3,)
     w = Window(2)
     assert verify_character(c, w).to_json() == ref.verify_by_pairs(c, w, False).to_json()
+
+
+def test_class_rule_uses_its_own_period(a2_nu1):
+    """A class rule of period 6 over `Ears.period` (1,): the pair loop reads
+    classes mod 6, and a hom mod 3 tabled by class passes."""
+    c = Character(a2_nu1, 3, class_table(standard_hom_character(a2_nu1, (1, 2, 1), 3), (6,)))
+    assert c._period == (6,) and len(c.rule.entries) == 6 * 7
+    w = Window(3)
+    got = verify_character(c, w)
+    assert got.ok and got.to_json() == ref.verify_by_pairs(c, w, False).to_json()

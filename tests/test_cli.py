@@ -15,11 +15,13 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+import ears.characters
 import ears.cli
 import ears.system
 from ears.cli import main
-from ears.system import Classes, EarsSpec
+from ears.system import Classes, EarsSpec, build_ears
 
+import enumeration_reference
 import fraction_reference
 from conftest import SPEC_DIR, load_spec_file
 
@@ -163,7 +165,20 @@ class TestCounterexampleCommand:
         assert json.loads(spec_out.read_text())["type"] == "A"
         assert json.loads(char_out.read_text())["modulus"] == 2
         # emitted files reproduce the shipped ones
-        assert json.loads(spec_out.read_text()) == json.load(open(CEX_SPEC))
+        assert spec_out.read_bytes() == open(CEX_SPEC, "rb").read()
+        assert char_out.read_bytes() == open(CEX_CHAR, "rb").read()
+
+    def test_classes_summing_into_2l_are_no_refusal(self, capsys, tmp_path):
+        """Four nonzero representatives sum into 2L, yet the coset rule is a
+        character, and one that extends."""
+        taus = tmp_path / "taus.json"
+        taus.write_text(json.dumps([[1, 1, 1], [0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+        spec, char = str(tmp_path / "s.json"), str(tmp_path / "c.json")
+        code, _ = run(capsys, "counterexample", "--nullity", "3", "--taus", str(taus),
+                      "--out-spec", spec, "--out-char", char)
+        assert code == 0
+        code, report = run(capsys, "char-extend", spec, char, "--window", "1")
+        assert code == 0 and report["extendable"] is True
 
     def test_bad_taus(self, capsys, tmp_path):
         taus = tmp_path / "taus.json"
@@ -551,8 +566,11 @@ class TestCharVerifyInput:
             ("hom", ("rule",), "window", 3),
             ("table", ("rule", "entries", 0), "weight", 1),
             ("table", ("rule", "entries", 0, "root"), "Iso", [0]),
+            ("class", ("rule",), "window", 1),
+            ("class", ("rule", "entries", 0), "residue", [0]),
         ],
-        ids=["character", "a1coset_rule", "hom_rule", "table_entry", "root"],
+        ids=["character", "a1coset_rule", "hom_rule", "table_entry", "root", "class_rule",
+             "class_entry"],
     )
     def test_unknown_key_rejected(self, capsys, tmp_path, kind, where, key, value):
         """A misspelt or misplaced key is bad input, not dropped."""
@@ -564,6 +582,64 @@ class TestCharVerifyInput:
         path = tmp_path / "char.json"
         path.write_text(json.dumps(char))
         assert_input_error(capsys, ["char-verify", AFFINE, str(path), "--window", "1"])
+
+    @pytest.mark.parametrize("case", [
+        "short_period", "zero_period", "negative_period", "float_period",
+        "period_off_the_system_period", "one_class_twice", "not_a_root_class",
+    ])
+    def test_bad_class_rule(self, capsys, tmp_path, case):
+        """The three-coset spec has period (2, 2), and (1, 1) is not a class of S."""
+        spec = str(SPEC_DIR / "a1_nu2_three_coset.json")
+        char = _class_character(spec)
+        rule = char["rule"]
+        period = {"short_period": [2], "zero_period": [0, 2], "negative_period": [-2, 2],
+                  "float_period": [2.0, 2], "period_off_the_system_period": [3, 2]}
+        if case in period:
+            rule["period"] = period[case]
+        elif case == "one_class_twice":
+            entry = rule["entries"][0]
+            iso = [x + 2 for x in entry["root"]["iso"]]
+            rule["entries"].append({**entry, "root": {**entry["root"], "iso": iso}})
+        else:
+            rule["entries"].append({"root": {"finite": [1], "iso": [1, 1]}, "exponent": 0})
+        path = tmp_path / "char.json"
+        path.write_text(json.dumps(char))
+        assert_input_error(capsys, ["char-verify", spec, str(path), "--window", "1"])
+
+
+def _class_character(spec: str) -> dict:
+    """The coset rule of a rank-one spec, written out as its class table."""
+    from ears.characters import Character, coset_rule
+
+    e = build_ears(EarsSpec.from_json(json.load(open(spec))))
+    return Character(e, 2, coset_rule(e)).to_json()
+
+
+def _coset_run(capsys, argv):
+    """Exit code, stdout, and whether stderr has an error line."""
+    code = exit_code(argv)
+    out, err = capsys.readouterr()
+    return code, out, "error:" in err
+
+
+@pytest.mark.parametrize("spec, window", [
+    *((s, w) for s in ("a1_nu2_three_coset", "affine_a1", "counterexample_nu6") for w in (0, 1, 2)),
+    # window 1 meets every class mod 2; window 2 of char-extend on nullity 8 takes seconds
+    ("a1_dense_nu8", 0), ("a1_dense_nu8", 1), ("a1_nu2_full", 1),
+])
+@pytest.mark.parametrize("command", ["char-verify", "char-extend"])
+def test_coset_rule_matches_root_by_root_oracle(capsys, monkeypatch, spec, window, command):
+    """`a1coset` read into a class table, and read into the coset rule
+    evaluated root by root and refused by the sum-free subset search, give
+    the same reports and exit codes; both refuse the full lattice."""
+    argv = [command, str(SPEC_DIR / f"{spec}.json"), CEX_CHAR, "--window", str(window)]
+    got = _coset_run(capsys, argv)
+    monkeypatch.setattr(
+        ears.characters, "character_from_json", enumeration_reference.coset_character_from_json
+    )
+    assert _coset_run(capsys, argv) == got
+    if spec == "a1_nu2_full":
+        assert got[0] == 2
 
 
 @cache
@@ -584,6 +660,8 @@ def _affine_character(kind: str) -> dict:
     if kind == "hom":
         return {"modulus": 4, "rule": {"kind": "hom", "basis": [[1, 0], [0, 1]],
                                        "values": [1, 2]}}
+    if kind == "class":
+        return _class_character(AFFINE)
     return {"modulus": 2, "rule": {"kind": "a1coset"}}
 
 
@@ -615,7 +693,7 @@ LEAF_REPLACEMENTS = st.one_of(
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["hom", "table", "a1coset"]), st.data())
+@given(st.sampled_from(["hom", "table", "a1coset", "class"]), st.data())
 def test_character_json_leaf_fuzz(capsys, tmp_path, kind, data):
     """One corrupted leaf: exit 0, 1 with a witness, or 2 with an error line."""
     char = _affine_character(kind)

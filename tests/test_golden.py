@@ -25,6 +25,8 @@ SPECS = [
     "b2_nu1_untwisted", "b2_nu2_twist1", "counterexample_nu6", "g2_nu1",
 ]
 CEX = ("specs/counterexample_nu6.json", "specs/counterexample_nu6_char.json")
+# the extra character of S = {0, e1, ..., e7, e1 + ... + e7}, a class table
+S77 = ("specs/s77_nu7.json", "specs/s77_nu7_char.json")
 AFFINE_BASE = '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]'
 DECOMPOSE = (
     "weyl", "specs/affine_a1.json", "decompose", "--base", AFFINE_BASE,
@@ -47,6 +49,8 @@ COMMANDS = (
     + [("info", "specs/b2_dense_nu8.json", "--window", "0")]
     + [("char-verify", *CEX, "--window", str(w)) for w in (1, 2)]
     + [("char-extend", *CEX, "--window", str(w)) for w in (1, 2)]
+    + [(command, *S77, "--window", str(w)) for command in ("char-verify", "char-extend")
+       for w in (1, 2)]
     + [("info", f"specs/{s}.json", "--window", "1", "--refl-oracle")
        for s in ("b2_nu1_untwisted", "b2_nu2_twist1", "g2_nu1")]
     + [("weyl", "specs/affine_a1.json", "minsize", "--window", "3"), DECOMPOSE, *ORBITS]

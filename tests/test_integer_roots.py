@@ -26,11 +26,11 @@ from enumeration_reference import index_of_sublattice
 from fraction_reference import FractionFinite, FractionRoots, ambient_model, simple_coords
 from lattice_reference import matmul
 from ears.characters import (
-    A1CosetRule,
     Character,
+    ClassRule,
     LatticeHomRule,
     TableRule,
-    sum_free_violation,
+    coset_rule,
     verify_character,
     verify_core_character,
 )
@@ -123,8 +123,11 @@ def characters(draw, e):
     values = tuple(draw(st.integers(0, m - 1)) for _ in range(n))
     hom = Character(e, m, LatticeHomRule(basis, values))
     kind = draw(st.sampled_from(["hom", "table", "a1coset"]))
-    if kind == "a1coset" and e.spec.kind == "rank_one" and sum_free_violation(e.S) is None:
-        return Character(e, 2, A1CosetRule())
+    if kind == "a1coset" and e.spec.kind == "rank_one":
+        try:
+            return Character(e, 2, coset_rule(e))
+        except ValueError:  # not a character
+            pass
     if kind == "table":
         entries = [(r, hom.eval(r).exponent) for r in enumerate_roots(e, Window(WINDOW))]
         i = draw(st.integers(0, len(entries) - 1))
@@ -171,6 +174,8 @@ def test_enumeration_and_root_strings_match_oracle(spec):
 def test_character_reports_match_oracle(c):
     ref = FractionRoots(c.ears)
     w = Window(WINDOW)
+    if isinstance(c.rule, ClassRule):
+        assert all(ref.value(c, r) == ref.coset_value(r) for r in ref.enumerate_roots(WINDOW))
     assert verify_character(c, w).to_json() == ref.verify_character(c, WINDOW)
     assert verify_core_character(c, w).to_json() == ref.verify_character(
         c, WINDOW, core_only=True

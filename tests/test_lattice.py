@@ -12,7 +12,7 @@ import fraction_reference
 import lattice_reference
 from enumeration_reference import index_of_sublattice
 from lattice_reference import matmul
-from ears.characters import A1CosetRule, Character
+from ears.characters import Character, coset_rule
 from ears.finite import FiniteType
 from ears.lattice import (
     IntLattice,
@@ -561,7 +561,8 @@ class TestSumSemilattices:
         lambda: diagonal_from_hom(LieTorus(2, 1, 2), (1.5, 0, 1)),
         lambda: TorusAutomorphism(2, 1, 2, False, (0.5, 0, 0)),
         lambda: Character(
-            build_ears(EarsSpec.rank_one(1, Semilattice.standard(1))), 2.0, A1CosetRule()
+            build_ears(EarsSpec.rank_one(1, Semilattice.standard(1))), 2.0,
+            coset_rule(build_ears(EarsSpec.rank_one(1, Semilattice.standard(1)))),
         ),
     ],
     ids=[

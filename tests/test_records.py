@@ -27,10 +27,10 @@ import ears.system
 import ears.torus
 import ears.weyl
 from ears.characters import (
-    A1CosetRule,
     Character,
     TableRule,
     UnityValue,
+    coset_rule,
     extendability,
     standard_hom_character,
     verify_character,
@@ -85,7 +85,7 @@ def examples() -> dict[type, list]:
         (r, standard_hom_character(a1, (1, 2), 3).eval(r).exponent)
         for r in enumerate_roots(a1, w1)
     )))
-    coset = Character(a1, 2, A1CosetRule())
+    coset = Character(a1, 2, coset_rule(a1))
     base = [a1.root_from_coords((1, 0)), a1.root_from_coords((-1, 1))]
     report = verify_character(hom, w0)
     t = build_torus(2, 1, 2)
@@ -96,7 +96,7 @@ def examples() -> dict[type, list]:
         FiniteType("A", 1), FiniteType("B", 2), a1.finite, a2.finite,
         w0, Window(2), a1.spec, a2.spec, b2.spec, a1, a2,
         verify_axioms(a1, w1), verify_axioms(a2, w0),
-        UnityValue(1, 4), UnityValue(0, 2), hom.rule, A1CosetRule(), table.rule,
+        UnityValue(1, 4), UnityValue(0, 2), hom.rule, coset.rule, table.rule,
         hom, table, coset, report, report.core, verify_character(coset, w1),
         extendability(hom, w0), extendability(coset, w1),
         check_reflectable(a1, base, w1), check_reflectable(a1, base[:1], w1),

@@ -282,9 +282,9 @@ class TestConnectivity:
     )
     def test_finite_parts_match_root_search(self, name):
         e = build_ears(EarsSpec.from_json(load_spec_file(name)))
-        # nullity 6 and 8: the window grows as (2w + 1)^nullity
-        windows = {"counterexample_nu6.json": (0, 1), "a1_dense_nu8.json": (0, 1),
-                   "b2_dense_nu8.json": (0,)}.get(name, (0, 1, 2))
+        # nullity 6 to 8: the window grows as (2w + 1)^nullity
+        windows = {"counterexample_nu6.json": (0, 1), "s77_nu7.json": (0, 1),
+                   "a1_dense_nu8.json": (0, 1), "b2_dense_nu8.json": (0,)}.get(name, (0, 1, 2))
         for n in windows:
             noniso = [r for r in enumerate_roots(e, Window(n)) if r.finite is not None]
             assert finite_parts_connected(e, noniso) == root_level_connected(e, noniso)
