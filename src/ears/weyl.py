@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from operator import sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .lattice import IntVector, field, generates, parity, record, vec_add, vec_scale
 from .system import Ears, Root, RootClass, Window, enumerate_roots
@@ -117,41 +117,60 @@ def _candidate_pool(e: Ears, w: Window) -> list[Root]:
     return out
 
 
+def _subsets(pool: list[Root], classes: list, needed: set,
+             sizes: range) -> Iterator[tuple[Root, ...]]:
+    """Each size's subsets of the pool in lexicographic order of index, less every
+    prefix whose missing needed classes (pool[i] meets classes[i]) outnumber its free places."""
+
+    def walk(start: int, size: int, prefix: tuple, missing: frozenset) -> Iterator[tuple]:
+        free = size - len(prefix)
+        if len(missing) > free:
+            return
+        if not free:
+            yield prefix
+            return
+        for i in range(start, len(pool) - free + 1):
+            yield from walk(i + 1, size, prefix + (pool[i],), missing - {classes[i]})
+
+    for size in sizes:
+        yield from walk(0, size, (), frozenset(needed))
+
+
 def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSearch:
     """Smallest base size whose orbit covers the non-isotropic window roots.
 
     The candidate pool restricts isotropic parts to coset representatives plus
-    shifts of sup-norm at most 1.  Subsets are pruned by two necessary
-    conditions before any orbit is computed: the base must span the full root
-    lattice (reflections stay inside the span), so it has rank + nullity
-    elements or more; for type A1 the base must meet every coset class of S
-    (A1 pairings are even, so reflections preserve the class of the isotropic
-    part mod 2L), so it is drawn from the pool members in those classes and
-    has one element per class or more.  A pool that does not span the lattice
+    shifts of sup-norm at most 1.  A base spans the root lattice (reflections
+    stay inside the span), so it has rank + nullity elements or more.  A root
+    that pairs evenly with every root (A1's, and the long roots of B2 and C)
+    keeps its length and its isotropic part mod 2 under reflection, so a base
+    meets each class mod 2 of the even window roots with an even element (one
+    root more than there are classes when the pool's even roots do not span);
+    other even candidates are dropped.  A pool that does not span the lattice
     has no subset to test.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     full_pool = _candidate_pool(e, w)
-    target = [r for r in enumerate_roots(e, w) if r.finite is not None]
-    target_set = set(target)
+    target = {r for r in enumerate_roots(e, w) if r.finite is not None}
     n = e.rank + e.nullity
-    a1 = e.spec.type.family == "A" and e.rank == 1
-    needed_classes = {parity(r.iso) for r in target}
-    pool = [r for r in full_pool if parity(r.iso) in needed_classes] if a1 else full_pool
+    fin = e.finite
+    even = {c for c, row in zip(fin.coords, fin.pairing_table) if not any(p & 1 for p in row)}
+    needed = {parity(r.iso) for r in target if r.finite in even}
+    pool = [r for r in full_pool if r.finite not in even or parity(r.iso) in needed]
+    classes = [parity(r.iso) if r.finite in even else None for r in pool]
+    even_rows = [e.root_coords(r) for r in pool if r.finite in even]
+    smallest = max(n, len(needed))
+    if smallest == len(needed) and not generates(even_rows, n):
+        smallest += 1  # a base of even roots alone would not span the lattice
     found = None
     tested = 0
-    sizes = range(max(n, len(needed_classes) if a1 else 0), max_size + 1)
     if generates([e.root_coords(r) for r in pool], n):
-        for combo in itertools.chain.from_iterable(
-            itertools.combinations(pool, size) for size in sizes
-        ):
-            if a1 and {parity(r.iso) for r in combo} != needed_classes:
-                continue
+        for combo in _subsets(pool, classes, needed, range(smallest, max_size + 1)):
             if not generates([e.root_coords(r) for r in combo], n):
                 continue
             tested += 1
-            if target_set <= orbit_closure(e, combo, w):
+            if target <= orbit_closure(e, combo, w):
                 found = combo
                 break
     return MinimalBaseSearch(

@@ -7,7 +7,8 @@ window pair and every window point, and read the exponent with
 `Character._exponent` on each root.  The tests compare the two reports.
 
 `minimal_reflectable_size_by_subsets` is the minimal-base search before it
-pruned its pool: it walks every subset of the whole candidate pool.
+pruned its pool and its walk: it walks every subset of the whole candidate
+pool and refuses afterwards those that break the class rule.
 
 `index_of_sublattice` is the twist order before it became a ratio of
 covolumes: the coordinates of each sublattice basis vector in the lattice
@@ -167,8 +168,15 @@ def axiom_window_checks(e, w):
     return checks
 
 
-def minimal_reflectable_size_by_subsets(e, w, max_size):
-    """`minimal_reflectable_size` over every subset of the unfiltered pool."""
+def minimal_reflectable_size_by_subsets(e, w, max_size, class_rule=True, budget=None):
+    """`minimal_reflectable_size` over every subset of the unfiltered pool.
+
+    The class rule refuses a subset unless its even roots (those whose
+    pairing with every finite root is even) meet exactly the classes mod 2 of
+    the even window roots.  With `class_rule` false no subset is refused for
+    its classes.  With a `budget`, the search returns None once it has
+    visited more subsets than that.
+    """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     pool = _candidate_pool(e, w)
@@ -176,14 +184,18 @@ def minimal_reflectable_size_by_subsets(e, w, max_size):
     target_set = set(target)
     n = e.rank + e.nullity
     rank_floor = n if generates([e.root_coords(r) for r in target], n) else 1
-    a1 = e.spec.type.family == "A" and e.rank == 1
-    needed_classes = {parity(r.iso) for r in target} if a1 else set()
-    tested = 0
+    fin = e.finite
+    even = {c for c, row in zip(fin.coords, fin.pairing_table) if all(p % 2 == 0 for p in row)}
+    needed_classes = {parity(r.iso) for r in target if r.finite in even}
+    tested = visited = 0
     for size in range(1, max_size + 1):
         if size < rank_floor:
             continue
         for combo in itertools.combinations(pool, size):
-            if a1 and {parity(r.iso) for r in combo} != needed_classes:
+            visited += 1
+            if budget is not None and visited > budget:
+                return None
+            if class_rule and {parity(r.iso) for r in combo if r.finite in even} != needed_classes:
                 continue
             if not generates([e.root_coords(r) for r in combo], n):
                 continue

@@ -60,6 +60,30 @@ class TestInfo:
         assert report["invariants"]["refl_search"] is None
         assert report["invariants"]["refl_matches"] is False
 
+    @pytest.mark.parametrize("argv,code,size", [
+        pytest.param(["info", CEX_SPEC, "--window", "1", "--refl-oracle"], 0, 8,
+                     id="counterexample"),
+        pytest.param(["info", str(SPEC_DIR / "a1_nu3_full.json"), "--window", "1",
+                      "--refl-oracle"], 0, 8, id="a1-nu3-full"),
+        pytest.param(["weyl", str(SPEC_DIR / "b2_nu2_s2_four.json"), "minsize", "--window", "1",
+                      "--max-size", "4"], 1, None, id="b2-nu2-s2-four"),
+    ])
+    def test_base_searches_finish(self, argv, code, size):
+        """Base searches that once ran without end.  They run in a child
+        process with a timeout, so a regression fails here instead of
+        stalling the suite."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ears.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SPEC_DIR.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == code, proc.stderr
+        report = json.loads(proc.stdout)
+        found = report["invariants"]["refl_search"] if argv[0] == "info" else report["minimal_size"]
+        assert found == size
+
     def test_three_coset_index(self, capsys):
         code, report = run(
             capsys, "info", str(SPEC_DIR / "a1_nu2_three_coset.json"), "--window", "2"
@@ -913,8 +937,8 @@ class TestBenchChild:
 # Specs whose checks finish in milliseconds at windows up to 1.  The
 # counterexample is drawn by `info` and `char-verify` at windows up to 2, where
 # each takes under a second, and by `char-extend` at windows up to 1.  `info`
-# draws it with `--refl-oracle` only at window 0: its base search is
-# exponential at larger windows.
+# draws it with `--refl-oracle` at windows up to 1, where its base search
+# tests one subset; at window 2 that search takes about 4 s.
 SMALL_SPECS = [
     str(SPEC_DIR / name)
     for name in ("affine_a1.json", "a1_nu2_three_coset.json", "a2_nu1.json",
@@ -1019,7 +1043,7 @@ def cli_argv(draw, files):
         spec = draw(st.sampled_from(SMALL_SPECS + [CEX_SPEC] + files["specs"]))
         if spec == CEX_SPEC:
             window = draw(CEX_WINDOWS)
-            oracle = maybe("--refl-oracle") if window == "0" else []
+            oracle = maybe("--refl-oracle") if window in ("0", "1") else []
             return ["info", spec, "--window", window, *oracle]
         return ["info", spec, *window, *maybe("--refl-oracle")]
     if command in ("char-verify", "char-extend"):

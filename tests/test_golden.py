@@ -62,6 +62,15 @@ COMMANDS = (
          '[{"finite":[1],"iso":[0]}]'),
         ("weyl", "specs/affine_a1.json", "minsize", "--window", "1", "--max-size", "1"),
     ]
+    # base searches that ran without end before the class rule cut their walk
+    # (the last ends at once, with no base of size 4), and a window-0 search
+    # whose pool keeps only the long roots in the window's one class
+    + [
+        ("info", "specs/counterexample_nu6.json", "--window", "1", "--refl-oracle"),
+        ("info", "specs/a1_nu3_full.json", "--window", "1", "--refl-oracle"),
+        ("weyl", "specs/b2_nu2_s2_four.json", "minsize", "--window", "1", "--max-size", "4"),
+        ("weyl", "specs/b2_nu1_untwisted.json", "minsize", "--window", "0", "--max-size", "3"),
+    ]
     + [
         ("torus", "extract", "--ell", "2", "--nu", "1", "--modulus", "4",
          "--hom", "1,2,3", "--window", "2"),

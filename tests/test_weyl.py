@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import enumeration_reference as ref
 from ears.finite import FiniteType
-from ears.system import Ears, EarsSpec, Root, Window, build_ears, enumerate_roots
+from ears.system import Ears, EarsSpec, Root, Window, build_ears, enumerate_roots, invariants
 from ears.weyl import (
+    _subsets,
     check_reflectable,
     decompose,
     decompose_all,
@@ -13,6 +18,7 @@ from ears.weyl import (
 from weyl_reference import reflect
 
 from conftest import load_spec_file
+from test_integer_roots import semilattices
 
 
 def affine_base(e):
@@ -141,13 +147,14 @@ class TestMinimalSize:
         assert check_reflectable(affine_a1, res.base, Window(3)).covered
 
 
-# Every shipped spec but the counterexample, whose search is exponential at
-# windows >= 1; a3_nu2 at window 0 is left out because the oracle does not
-# finish there.
+# The small shipped specs: on the others the oracle, which visits every subset
+# of the pool, does not finish at windows >= 1; a3_nu2 at window 0 is left out
+# because the oracle does not finish there.
+SMALL_SPECS = ("a1_nu2_full", "a1_nu2_three_coset", "a2_nu1", "a3_nu2", "affine_a1",
+               "b2_nu1_untwisted", "b2_nu2_twist1", "g2_nu1")
 ORACLE_CASES = [
     (name, bound)
-    for name in ("a1_nu2_full", "a1_nu2_three_coset", "a2_nu1", "a3_nu2", "affine_a1",
-                 "b2_nu1_untwisted", "b2_nu2_twist1", "g2_nu1")
+    for name in SMALL_SPECS
     for bound in (0, 1, 2)
     if (name, bound) != ("a3_nu2", 0)
 ]
@@ -162,6 +169,62 @@ def test_search_matches_unpruned_oracle(name, bound):
     for max_size in range(1, e.rank + e.nullity + 2):
         got = minimal_reflectable_size(e, w, max_size)
         assert got == ref.minimal_reflectable_size_by_subsets(e, w, max_size), max_size
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((None, 0, 1, 2, 3)), max_size=9), st.sets(st.integers(0, 3)),
+       st.integers(0, 5), st.integers(0, 4))
+def test_walk_skips_only_subsets_the_class_test_refuses(classes, needed, low, count):
+    """The walk gives exactly the subsets of `itertools.combinations` that meet
+    every needed class, in the same order."""
+    pool = list(range(len(classes)))
+    sizes = range(low, low + count)
+    want = [combo for size in sizes for combo in itertools.combinations(pool, size)
+            if needed <= {classes[i] for i in combo}]
+    assert list(_subsets(pool, classes, needed, sizes)) == want
+
+
+# A search with no class rule visits every subset below the size it finds.
+# Within this budget it finishes on the small specs at windows 1 and 2; on the
+# counterexample, s77_nu7, a1_nu3_full, b2_nu2_s2_four and the dense specs it
+# would first visit every subset of rank + nullity of hundreds of candidates.
+UNRULED_BUDGET = 10_000
+
+
+def unruled_search_agrees(e: Ears, w: Window) -> bool:
+    """Does the search with no class rule give the same size as the search,
+    wherever it finishes within the budget?  Returns whether it finished."""
+    got = minimal_reflectable_size(e, w, invariants(e)["refl_R"] + 1)
+    unruled = ref.minimal_reflectable_size_by_subsets(
+        e, w, got.size or got.max_size, class_rule=False, budget=UNRULED_BUDGET
+    )
+    assert unruled is None or unruled.size == got.size
+    return unruled is not None
+
+
+@pytest.mark.parametrize("name", SMALL_SPECS)
+@pytest.mark.parametrize("bound", (1, 2))
+def test_class_rule_is_sound_on_shipped_specs(name, bound):
+    e = build_ears(EarsSpec.from_json(load_spec_file(f"{name}.json")))
+    assert unruled_search_agrees(e, Window(bound))
+
+
+@st.composite
+def small_specs(draw):
+    """A rank-one spec of nullity at most 2, or a B2 spec of nullity 1."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 2))
+        return EarsSpec.rank_one(n, draw(semilattices(n)))
+    twist = draw(st.integers(0, 1))
+    return EarsSpec(FiniteType("B", 2), 1, twist,
+                    s1=draw(semilattices(twist)), s2=draw(semilattices(1 - twist)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_specs(), st.sampled_from((1, 2)))
+def test_class_rule_is_sound(spec, bound):
+    finished = unruled_search_agrees(build_ears(spec), Window(bound))
+    event(f"search with no class rule finished: {finished}")
 
 
 class TestDecompose:
