@@ -21,25 +21,22 @@ from math import lcm
 from operator import xor
 from typing import Sequence
 
-from .lattice import (
-    IntLattice,
+from .base import (
     IntVector,
-    Semilattice,
+    Window,
     field,
-    inverse_unimodular,
     json_int,
     json_int_rows,
     json_object,
     record,
     size_int,
-    solve_mod,
 )
+from .lattice import IntLattice, Semilattice, inverse_unimodular, solve_mod
 from .system import (
     Classes,
     Ears,
     EarsSpec,
     Root,
-    Window,
     build_ears,
     enumerate_roots,
     index_formula,
@@ -47,7 +44,6 @@ from .system import (
     root_from_json,
     root_to_json,
 )
-from .weyl import check_reflectable, decompose_all
 
 
 @record
@@ -491,6 +487,8 @@ def extend_ind_zero(c: Character, base: Sequence[Root], w: Window) -> Character:
     failure, and raise its message, where checking every prefix from the zero
     root would.
     """
+    from .weyl import check_reflectable, decompose_all
+
     e = c.ears
     m = c.modulus
     ind_r, _ = index_formula(e)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .lattice import IntMatrix, IntVector, json_int, record, vec_add, vec_sub
+from .base import IntMatrix, IntVector, json_int, record
+from .lattice import vec_add, vec_sub
 
 Coords = tuple[int, ...]
 

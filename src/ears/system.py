@@ -8,30 +8,26 @@ coordinates of a basis of the span of S.  `build_ears` alone reads a spec's
 lattice bases and writes S and L in those coordinates; nothing after it
 converts between ambient vectors and coordinates.  Membership is decided
 intensionally from coset classes (mod 2 for S), never by point enumeration.
+`Window` and `AxiomReport` are defined in `base`, so the torus checks use
+them without loading this module.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 from enum import Enum
 from functools import cached_property
 from operator import add, mod
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
+from .base import AxiomReport, IntVector, Window, json_int, json_object, record
 from .finite import FiniteRootSystem, FiniteType, build_finite
 from .lattice import (
     IntLattice,
-    IntVector,
     Semilattice,
     det,
-    field,
-    json_int,
-    json_object,
     parity,
-    record,
-    size_int,
     sum_semilattices,
     vec_add,
     vec_scale,
@@ -56,36 +52,6 @@ class Root(NamedTuple):
 
     finite: IntVector | None
     iso: IntVector
-
-
-@record
-class Window:
-    """Finite truncation: cap on the sup-norm of isotropic basis coordinates.
-
-    This class is the one definition of a window: `points` lists the vectors
-    inside it in lexicographic order, and `contains` tests one vector.
-    """
-
-    bound: int
-
-    def __post_init__(self) -> None:
-        if size_int(self.bound, "window bound") < 0:
-            raise ValueError("window bound must be >= 0")
-        # a range holds at most sys.maxsize items, and a coordinate takes 2b + 1 values
-        if 2 * self.bound + 1 > sys.maxsize:
-            raise ValueError(f"window bound must be at most {sys.maxsize // 2}, got {self.bound}")
-
-    @staticmethod
-    def norm(v: Sequence[int]) -> int:
-        """Sup-norm of a coordinate vector (0 for the empty vector)."""
-        return max(map(abs, v), default=0)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return self.norm(v) <= self.bound
-
-    def points(self, dim: int) -> Iterator[IntVector]:
-        """Integer vectors of length dim with sup-norm <= bound, in lex order."""
-        return itertools.product(range(-self.bound, self.bound + 1), repeat=dim)
 
 
 # The fields each form of spec takes, with their JSON keys.
@@ -542,27 +508,6 @@ def invariants(e: Ears) -> dict:
         "ind_S": ind_s,
         "coset_counts": counts,
     }
-
-
-@record
-class AxiomReport:
-    """Outcome of named window checks, with witnesses for failures.
-
-    Used for the system axioms and for the torus automorphism checks.  The
-    axiom report keeps the window roots it enumerated in `roots`, which is
-    not part of the JSON.
-    """
-
-    window: int
-    checks: dict
-    roots: Sequence[Root] = field(default=(), repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return all(c["passed"] for c in self.checks.values())
-
-    def to_json(self) -> dict:
-        return {"window": self.window, "ok": self.ok, "checks": self.checks}
 
 
 def finite_parts_connected(e: Ears, roots: Sequence[Root]) -> bool:

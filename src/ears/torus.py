@@ -21,10 +21,7 @@ from functools import cache, cached_property, lru_cache
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
-from .characters import Character, TableRule, verify_core_character
-from .finite import FiniteType
-from .lattice import IntVector, json_int, record, size_int
-from .system import AxiomReport, Ears, EarsSpec, Root, Window, build_ears
+from .base import AxiomReport, IntVector, Window, json_int, record, size_int
 
 TermKey = tuple  # ("e", i, j) or ("h", r)
 Coeffs = tuple[int, ...]  # one integer per power of zeta
@@ -245,6 +242,9 @@ class LieTorus:
     @cached_property
     def ears(self) -> Ears:
         """The simply-laced system realized by this torus (full isotropic lattice)."""
+        from .finite import FiniteType
+        from .system import EarsSpec, build_ears
+
         return build_ears(EarsSpec.simply_laced(FiniteType("A", self.ell), self.nu))
 
     def finite_root(self, i: int, j: int) -> IntVector:
@@ -640,6 +640,9 @@ def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):
 
     Returns the table character together with a consistency report.
     """
+    from .characters import Character, TableRule, verify_core_character
+    from .system import Root
+
     e_sys, m = t.ears, t.modulus
     table: dict[Root, int] = {}
     for x in t.graded_basis(w):

@@ -12,8 +12,9 @@ from collections import deque
 from operator import sub
 from typing import Iterator, Sequence
 
-from .lattice import IntVector, field, generates, parity, record, vec_add, vec_scale
-from .system import Ears, Root, RootClass, Window, enumerate_roots
+from .base import IntVector, Window, field, record
+from .lattice import generates, parity, vec_add, vec_scale
+from .system import Ears, Root, RootClass, enumerate_roots
 
 
 def _require_nonisotropic(e: Ears, base: Sequence[Root]) -> None:

@@ -24,6 +24,7 @@ became a class table, whose refusal is sufficient but not necessary.
 import itertools
 from math import lcm
 
+from ears.base import record
 from ears.characters import (
     CharacterCheckReport,
     Character,
@@ -31,7 +32,7 @@ from ears.characters import (
     TableRule,
     character_from_json,
 )
-from ears.lattice import det, generates, parity, record, vec_sub
+from ears.lattice import det, generates, parity, vec_sub
 from ears.system import enumerate_roots, root_to_json
 from ears.weyl import MinimalBaseSearch, _candidate_pool, orbit_closure
 

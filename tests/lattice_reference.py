@@ -13,7 +13,8 @@ matrix product the tests check transforms and inverses with.
 from math import gcd
 from typing import Sequence
 
-from ears.lattice import IntMatrix, IntVector, json_int_rows, matvec, vec_add, vec_scale, vec_sub
+from ears.base import IntMatrix, IntVector, json_int_rows
+from ears.lattice import matvec, vec_add, vec_scale, vec_sub
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:

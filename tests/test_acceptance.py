@@ -17,6 +17,7 @@ import pytest
 import enumeration_reference
 import lattice_reference
 import torus_reference
+from ears.base import Window
 from ears.characters import (
     Character,
     TableRule,
@@ -33,7 +34,6 @@ from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
 from ears.system import (
     EarsSpec,
-    Window,
     build_ears,
     enumerate_roots,
     invariants,

@@ -14,6 +14,7 @@ from enumeration_reference import (
     square_shift_by_pairs,
     sum_free_violation_by_subsets,
 )
+from ears.base import Window
 from ears.characters import (
     Character,
     ClassRule,
@@ -31,7 +32,7 @@ from ears.characters import (
     verify_core_character,
 )
 from ears.lattice import IntLattice, Semilattice
-from ears.system import EarsSpec, Root, Window, build_ears, enumerate_roots
+from ears.system import EarsSpec, Root, build_ears, enumerate_roots
 from ears.weyl import check_reflectable
 
 

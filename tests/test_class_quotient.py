@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import enumeration_reference as ref
 from conftest import SPEC_DIR, load_spec_file
 from fraction_reference import ambient_model
+from ears.base import Window, record
 from ears.cli import main
 from ears.characters import (
     Character,
@@ -34,8 +35,8 @@ from ears.characters import (
     verify_core_character,
 )
 from ears.finite import FiniteType
-from ears.lattice import IntLattice, Semilattice, record
-from ears.system import Ears, EarsSpec, Root, Window, build_ears, enumerate_roots, verify_axioms
+from ears.lattice import IntLattice, Semilattice
+from ears.system import Ears, EarsSpec, Root, build_ears, enumerate_roots, verify_axioms
 
 LATTICES = {
     1: [((1,),), ((2,),), ((3,),)],

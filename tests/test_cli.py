@@ -153,7 +153,8 @@ class TestCharCommands:
 
     def test_corrupted_table_fails(self, capsys, tmp_path):
         from ears.characters import standard_hom_character, TableRule, Character
-        from ears.system import EarsSpec, Window, build_ears, enumerate_roots
+        from ears.base import Window
+        from ears.system import EarsSpec, build_ears, enumerate_roots
 
         e = build_ears(EarsSpec.from_json(json.load(open(AFFINE))))
         hom = standard_hom_character(e, (1, 1), 2)
@@ -318,6 +319,15 @@ class TestTorus:
             ["torus", "check-chevalley", "--ell", "1", "--nu", "1", "--modulus", "2"]
         )
         assert code == 2
+
+    def test_check_chevalley_refuses_hom(self, capsys):
+        """The involution has no exponents, so a `--hom` is refused, not dropped."""
+        code = main(["torus", "check-chevalley", "--ell", "2", "--nu", "1",
+                     "--modulus", "2", "--window", "1", "--hom", "1,2,3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: check-chevalley takes no --hom" in captured.err
 
 
 USAGE_HEAD = "ears info specs/affine_a1.json --window 3 --refl-oracle"
@@ -669,7 +679,8 @@ def test_coset_rule_matches_root_by_root_oracle(capsys, monkeypatch, spec, windo
 @cache
 def _affine_table() -> str:
     from ears.characters import Character, TableRule, standard_hom_character
-    from ears.system import EarsSpec, Window, build_ears, enumerate_roots
+    from ears.base import Window
+    from ears.system import EarsSpec, build_ears, enumerate_roots
 
     e = build_ears(EarsSpec.from_json(json.load(open(AFFINE))))
     hom = standard_hom_character(e, (1, 1), 2)

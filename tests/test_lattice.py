@@ -12,6 +12,7 @@ import fraction_reference
 import lattice_reference
 from enumeration_reference import index_of_sublattice
 from lattice_reference import matmul
+from ears.base import Window
 from ears.characters import Character, coset_rule
 from ears.finite import FiniteType
 from ears.lattice import (
@@ -23,7 +24,7 @@ from ears.lattice import (
     solve_mod,
     sum_semilattices,
 )
-from ears.system import EarsSpec, Window, build_ears
+from ears.system import EarsSpec, build_ears
 from ears.torus import LieTorus, TorusAutomorphism, diagonal_from_hom
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"

@@ -1,4 +1,4 @@
-"""`ears.lattice.record` against `dataclasses.dataclass(frozen=True)`, its oracle.
+"""`ears.base.record` against `dataclasses.dataclass(frozen=True)`, its oracle.
 
 Each record class of the package is declared a second time from its source:
 the annotated names, defaults and `field(...)` options of the class body are
@@ -7,25 +7,23 @@ properties, `__post_init__`) is the record's own, and `dataclasses` decorates
 the result.  Both classes are then called the same way, on field values taken
 from real instances, and must agree on the fields, the outcome of the call
 (with the message of any error), the repr, `==`, `hash`, and the errors of
-assignment and deletion.
+assignment and deletion.  The record classes are collected from every module
+of `src/ears`, so a class that moves between modules stays covered.
 """
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import textwrap
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ears.characters
-import ears.finite
-import ears.lattice
-import ears.system
-import ears.torus
-import ears.weyl
+from ears.base import _MISSING, Window, record
 from ears.characters import (
     Character,
     TableRule,
@@ -36,14 +34,16 @@ from ears.characters import (
     verify_character,
 )
 from ears.finite import FiniteType
-from ears.lattice import _MISSING, IntLattice, Semilattice, record, solve_mod
-from ears.system import EarsSpec, Window, build_ears, enumerate_roots, verify_axioms
+from ears.lattice import IntLattice, Semilattice, solve_mod
+from ears.system import EarsSpec, build_ears, enumerate_roots, verify_axioms
 from ears.torus import CycScalar, build_torus, chevalley, diagonal_from_hom
 from ears.weyl import Decomposition, check_reflectable, decompose, minimal_reflectable_size
 
 from conftest import load_spec_file
 
-MODULES = (ears.lattice, ears.finite, ears.system, ears.characters, ears.weyl, ears.torus)
+SRC = Path(__file__).resolve().parent.parent / "src" / "ears"
+MODULES = [importlib.import_module(f"ears.{p.stem}")
+           for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"]
 RECORDS = [
     cls for m in MODULES for cls in vars(m).values()
     if isinstance(cls, type) and cls.__module__ == m.__name__ and "__record_fields__" in vars(cls)

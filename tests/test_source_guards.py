@@ -7,13 +7,17 @@ command is a fresh process, so start-up cost counts: no module imports
 `dataclasses`, which imports `inspect` and compiles code for each class, or
 `hashlib`, which maps OpenSSL (the CLI falls back to it only on a Python
 without the builtin sha256), and no command loads either.  A window
-is defined once, by `system.Window`, so the sup-norm box and the sup-norm test
-are spelled nowhere else.  Every import in a library module sits at module
-top, so the layering between modules is visible in their headers.  The CLI
-imports at top only `system`, the layer every command runs, and each command
-handler imports the further layers it calls as its first statements (always
-`from .<layer> import ...`): without a bytecode cache, compiling layers a
-command never calls was most of a short command's time.  A function whose body
+is defined once, by `base.Window`, so the sup-norm box and the sup-norm test
+are spelled nowhere else.  Every import sits at module top, except in a
+function that bridges into a layer its module does not import: there the
+import is among the function's leading statements, always as
+`from .<layer> import ...`.  So the CLI imports at top only `base`, and each
+command handler imports the layers it calls; `torus` imports `finite`,
+`system` and `characters` only in `LieTorus.ears` and
+`extract_core_character`, and `characters` imports `weyl` only in
+`extend_ind_zero`.  Without a bytecode cache, compiling layers a command never
+calls was most of a short command's time, so the torus checks load `cli`,
+`base` and `torus` alone.  A function whose body
 only passes its own parameters on to another callable is a second name for it,
 so no such alias is defined unless something outside the package names it.
 The traced benchmark run wraps `ears` functions and methods by name, so every
@@ -266,6 +270,16 @@ def test_guards_see_what_they_look_for():
     assert late_import_lines("def f():\n    from ears.x import y\n", layers) == [2]
     assert late_import_lines("def f():\n    from .q import y\n", layers) == [2]
     assert late_import_lines("def f():\n    if a:\n        from .x import y\n", layers) == [3]
+    method = 'class A:\n    @property\n    def f(self):\n        """Doc."""\n        from .x import y\n'
+    assert late_import_lines(method, layers) == []
+    assert late_import_lines("class A:\n    def f(self):\n        a = 1\n        from .x import y\n",
+                             layers) == [4]
+    assert late_import_lines("def f():\n    def g():\n        from .x import y\n", layers) == []
+    assert late_import_lines("def f():\n    def g():\n        b = 1\n        from .x import y\n",
+                             layers) == [4]
+    # imports outside any function are not this guard's business
+    assert late_import_lines("import os\nfrom .x import y\n", layers) == []
+    assert late_import_lines(fallback, layers) == []
     assert bare_aliases("def f(a, b):\n    '''Doc.'''\n    return g(a, b)\n") == ["f"]
     assert bare_aliases("def f(a, b):\n    return g(a, b=b)\n") == ["f"]
     assert bare_aliases(
@@ -314,7 +328,7 @@ def test_guards_see_what_they_look_for():
 
 
 def test_package_modules_found():
-    assert {"finite.py", "system.py", "characters.py", "torus.py"} <= {
+    assert {"base.py", "finite.py", "system.py", "characters.py", "torus.py"} <= {
         p.name for p in MODULES
     }
 
@@ -332,7 +346,7 @@ def test_no_fractions_import(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses_or_hashlib_import(path):
-    """`ears.lattice.record` stands in for `dataclasses`, and the builtin sha256
+    """`ears.base.record` stands in for `dataclasses`, and the builtin sha256
     for `hashlib`, which only a fallback for a Python without it imports."""
     source = path.read_text()
     assert "dataclasses" not in imported_modules(source), f"{path.name} imports dataclasses"
@@ -340,25 +354,18 @@ def test_no_dataclasses_or_hashlib_import(path):
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "system.py"], ids=lambda p: p.name
+    "path", [p for p in MODULES if p.name != "base.py"], ids=lambda p: p.name
 )
-def test_window_spelled_only_in_system(path):
+def test_window_spelled_only_in_base(path):
     lines = window_lines(path.read_text())
-    assert not lines, f"{path.name} spells a window outside system.Window at lines {lines}"
+    assert not lines, f"{path.name} spells a window outside base.Window at lines {lines}"
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name
-)
-def test_no_function_level_imports(path):
-    lines = function_import_lines(path.read_text())
-    assert not lines, f"{path.name} imports inside a function at lines {lines}"
-
-
-def test_cli_imports_layers_at_handler_top():
-    layers = {p.stem for p in MODULES} - {"__init__", "cli"}
-    lines = late_import_lines((SRC / "cli.py").read_text(), layers)
-    assert not lines, f"cli.py imports other than leading layer imports at lines {lines}"
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_function_imports_are_leading_layer_imports(path):
+    layers = {p.stem for p in MODULES} - {"__init__"}
+    lines = late_import_lines(path.read_text(), layers)
+    assert not lines, f"{path.name} imports other than leading layer imports at lines {lines}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -464,16 +471,19 @@ def command_modules(argv: list[str], code: int = 0) -> set[str]:
 
 def test_import_surface():
     assert loaded_layers("import ears") == set()
-    assert loaded_layers("import ears.lattice") == {"ears.lattice"}
+    assert loaded_layers("import ears.lattice") == {"ears.base", "ears.lattice"}
+    assert loaded_layers("import ears.torus") == {"ears.base", "ears.torus"}
     loaded = loaded_layers("from ears.characters import extend_ind_zero")
     assert "ears.characters" in loaded
     assert not loaded & {"ears.torus", "ears.cli"}, loaded
 
 
-CORE = {"ears.cli", "ears.system", "ears.finite", "ears.lattice"}
-CHARACTERS = CORE | {"ears.weyl", "ears.characters"}  # `characters` imports `weyl`
+CORE = {"ears.cli", "ears.base", "ears.system", "ears.finite", "ears.lattice"}
+CHARACTERS = CORE | {"ears.characters"}  # `characters` imports `weyl` only to extend
+TORUS = {"ears.cli", "ears.base", "ears.torus"}
 CEX = ["specs/counterexample_nu6.json", "specs/counterexample_nu6_char.json", "--window", "1"]
 AFFINE_A1_BASE = '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]'
+SHAPE = ["--ell", "2", "--nu", "1", "--modulus", "4", "--window", "1"]
 
 
 @pytest.mark.parametrize("argv, code, layers", [
@@ -484,12 +494,14 @@ AFFINE_A1_BASE = '[{"finite":[1],"iso":[0]},{"finite":[-1],"iso":[1]}]'
                   "--window", "1"], 0, CORE | {"ears.weyl"}, id="weyl-orbit"),
     pytest.param(["char-verify", *CEX], 0, CHARACTERS, id="char-verify"),
     pytest.param(["char-extend", *CEX], 1, CHARACTERS, id="char-extend"),
-    pytest.param(["torus", "check-diagonal", "--ell", "2", "--nu", "1", "--modulus", "4",
-                  "--hom", "1,2,3", "--window", "1"], 0, CHARACTERS | {"ears.torus"},
+    pytest.param(["torus", "check-diagonal", *SHAPE, "--hom", "1,2,3"], 0, TORUS,
                  id="torus-check-diagonal"),
+    pytest.param(["torus", "check-chevalley", *SHAPE], 0, TORUS, id="torus-check-chevalley"),
+    pytest.param(["torus", "extract", *SHAPE, "--hom", "1,2,3"], 0,
+                 CHARACTERS | {"ears.torus"}, id="torus-extract"),
 ])
 def test_command_import_surface(argv, code, layers):
-    """A command loads `system` and the layers its handler imports, no more,
+    """A command loads `base` and the layers its handler reaches, no more,
     and none of the standard library's costly start-up modules."""
     loaded = command_modules(argv, code)
     assert {m for m in loaded if m.startswith("ears.")} == layers

@@ -1,6 +1,7 @@
 import pytest
 
 from fraction_reference import lattice_coords
+from ears.base import Window
 from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
 from ears.system import (
@@ -8,7 +9,6 @@ from ears.system import (
     EarsSpec,
     Root,
     RootClass,
-    Window,
     build_ears,
     check_compatibility,
     enumerate_roots,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import ears.torus as torus_module
 import torus_reference as ref
+from ears.base import Window, record
 from ears.characters import (
     Character,
     TableRule,
@@ -13,8 +14,7 @@ from ears.characters import (
     verify_character,
     verify_core_character,
 )
-from ears.lattice import record
-from ears.system import Root, Window, enumerate_roots
+from ears.system import Root, enumerate_roots
 from ears.torus import (
     CycScalar,
     LieTorus,

@@ -5,8 +5,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import enumeration_reference as ref
+from ears.base import Window
 from ears.finite import FiniteType
-from ears.system import Ears, EarsSpec, Root, Window, build_ears, enumerate_roots, invariants
+from ears.system import Ears, EarsSpec, Root, build_ears, enumerate_roots, invariants
 from ears.weyl import (
     _subsets,
     check_reflectable,

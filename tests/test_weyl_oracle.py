@@ -14,10 +14,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import weyl_reference as ref
+from ears.base import Window
 from ears.characters import Character, TableRule, extend_ind_zero, standard_hom_character
 from ears.finite import FiniteType
 from ears.lattice import Semilattice
-from ears.system import Ears, EarsSpec, Window, build_ears, enumerate_roots
+from ears.system import Ears, EarsSpec, build_ears, enumerate_roots
 from ears.weyl import Decomposition, decompose_all, orbit_closure
 
 SPECS = {

@@ -19,8 +19,7 @@ from __future__ import annotations
 from functools import cache
 
 import ears.torus as kernel
-from ears.lattice import json_int, record
-from ears.system import AxiomReport
+from ears.base import AxiomReport, json_int, record
 from ears.torus import CycScalar, TorusAutomorphism, TorusElement
 
 

@@ -13,9 +13,10 @@ results, and the error messages, of the two versions.
 
 from collections import deque
 
+from ears.base import Window
 from ears.characters import Character, LatticeHomRule
 from ears.lattice import vec_scale, vec_sub
-from ears.system import Root, Window, index_formula
+from ears.system import Root, index_formula
 from ears.weyl import Decomposition, _require_nonisotropic, check_reflectable
 
 
