@@ -1,4 +1,4 @@
-"""What every layer shares: records, JSON integer checks, the window, reports.
+"""What every layer shares: records, JSON integer checks, roots, the window, reports.
 
 Nothing here imports another `ears` module, so a layer that needs only
 these, like `torus`, loads nothing else.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import sys
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -193,13 +193,21 @@ class Window:
         return itertools.product(range(-self.bound, self.bound + 1), repeat=dim)
 
 
+class Root(NamedTuple):
+    """A root: finite part in simple-root coordinates (None when isotropic) plus
+    isotropic part in coordinates of a basis of the span of S."""
+
+    finite: IntVector | None
+    iso: IntVector
+
+
 @record
 class AxiomReport:
     """Outcome of named window checks, with witnesses for failures.
 
     Used for the system axioms and for the torus automorphism checks.  The
-    axiom report keeps the window roots (`system.Root`s) it enumerated in
-    `roots`, which is not part of the JSON.
+    axiom report keeps the window roots it enumerated in `roots`, which is
+    not part of the JSON.
     """
 
     window: int

@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import lcm
-from operator import xor
+from operator import add, xor
 from typing import Sequence
 
 from .base import (
     IntVector,
+    Root,
     Window,
     field,
     json_int,
@@ -36,7 +37,6 @@ from .system import (
     Classes,
     Ears,
     EarsSpec,
-    Root,
     build_ears,
     enumerate_roots,
     index_formula,
@@ -317,6 +317,8 @@ def verify_character(c: Character, w: Window) -> CharacterCheckReport:
 
     The pair loop runs once per pair of root classes (see `Classes`), and the
     core report restricts the same tallies to non-isotropic first classes.
+    Second classes are grouped by membership class, so a sum is classified
+    once per pair of membership classes and a group of non-roots is skipped.
     """
     return _check_pairs(c, w, core_only=False)
 
@@ -336,7 +338,16 @@ def _check_pairs(c: Character, w: Window, core_only: bool) -> CharacterCheckRepo
     roots = enumerate_roots(e, w)
     classes = Classes.of_roots(roots, c._period)
     exps = {k: c._exponent(r) for k, r, _ in classes.reps}
-    in_table = isinstance(c.rule, TableRule)
+    # a table's classes are its window roots, so a root sum that misses them
+    # lies outside the window, where the table has no value
+    exponent = exps.get if isinstance(c.rule, TableRule) else c._exponent
+    # whether alpha + beta is a root, and its finite part, depend only on the
+    # membership classes, (finite part, iso mod `Ears.period`), of alpha and beta
+    groups: dict = {}  # membership class -> its classes
+    for rep in classes.reps:
+        groups.setdefault((rep[1].finite, residue(rep[1].iso, e.period)), []).append(rep)
+    member = {k: mk for mk, group in groups.items() for k, _, _ in group}
+    sums: dict = {}  # membership class -> (finite part, classes) of each root sum
     tally: dict = {}  # first class -> [pairs checked, pairs skipped]
     bad: dict = {}
     for ka, alpha, na in classes.reps:
@@ -344,18 +355,19 @@ def _check_pairs(c: Character, w: Window, core_only: bool) -> CharacterCheckRepo
             continue
         ea = exps[ka]
         row = tally[ka] = [0, 0]
-        for kb, beta, nb in classes.reps:
-            total = e.add(alpha, beta)
-            if not e.is_root(total):
-                continue
-            if in_table and not w.contains(total.iso):
-                # a table has no value outside the window
-                row[1] += na * nb
-                continue
-            et = c._exponent(total)
-            row[0] += na * nb
-            if (ea + exps[kb] - et) % m:
-                bad.setdefault(ka, {})[kb] = ((ea + exps[kb]) % m, et)
+        ma = member[ka]
+        if ma not in sums:
+            sums[ma] = [(total.finite, group) for group in groups.values()
+                        if e.is_root(total := e.add(alpha, group[0][1]))]
+        for fin, group in sums[ma]:
+            for kb, beta, nb in group:
+                et = exponent(Root(fin, tuple(map(add, alpha.iso, beta.iso))))
+                if et is None:
+                    row[1] += na * nb
+                    continue
+                row[0] += na * nb
+                if (ea + exps[kb] - et) % m:
+                    bad.setdefault(ka, {})[kb] = ((ea + exps[kb]) % m, et)
     unpaired = [k for k, r, _ in classes.reps if (exps[k] + c._exponent(e.neg(r))) % m]
     inv_failures = tuple(
         {"root": root_to_json(e, roots[i]), "exponent": exps[classes.keys[i]]}

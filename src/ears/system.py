@@ -8,8 +8,8 @@ coordinates of a basis of the span of S.  `build_ears` alone reads a spec's
 lattice bases and writes S and L in those coordinates; nothing after it
 converts between ambient vectors and coordinates.  Membership is decided
 intensionally from coset classes (mod 2 for S), never by point enumeration.
-`Window` and `AxiomReport` are defined in `base`, so the torus checks use
-them without loading this module.
+`Root`, `Window` and `AxiomReport` are defined in `base`, so the torus
+checks use them without loading this module.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from collections import Counter
 from enum import Enum
 from functools import cached_property
 from operator import add, mod
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
-from .base import AxiomReport, IntVector, Window, json_int, json_object, record
+from .base import AxiomReport, IntVector, Root, Window, json_int, json_object, record
 from .finite import FiniteRootSystem, FiniteType, build_finite
 from .lattice import (
     IntLattice,
@@ -44,14 +44,6 @@ class RootClass(Enum):
     @property
     def is_root(self) -> bool:
         return self is not RootClass.NOT_A_ROOT
-
-
-class Root(NamedTuple):
-    """A root: finite part in simple-root coordinates (None when isotropic) plus
-    isotropic part in coordinates of a basis of the span of S."""
-
-    finite: IntVector | None
-    iso: IntVector
 
 
 # The fields each form of spec takes, with their JSON keys.

@@ -21,7 +21,7 @@ from functools import cache, cached_property, lru_cache
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
-from .base import AxiomReport, IntVector, Window, json_int, record, size_int
+from .base import AxiomReport, IntVector, Root, Window, json_int, record, size_int
 
 TermKey = tuple  # ("e", i, j) or ("h", r)
 Coeffs = tuple[int, ...]  # one integer per power of zeta
@@ -240,8 +240,9 @@ class LieTorus:
         return out
 
     @cached_property
-    def ears(self) -> Ears:
-        """The simply-laced system realized by this torus (full isotropic lattice)."""
+    def ears(self):
+        """The simply-laced `system.Ears` realized by this torus (full isotropic
+        lattice); unannotated, as this module imports `system` only here."""
         from .finite import FiniteType
         from .system import EarsSpec, build_ears
 
@@ -641,7 +642,6 @@ def extract_core_character(t: LieTorus, a: TorusAutomorphism, w: Window):
     Returns the table character together with a consistency report.
     """
     from .characters import Character, TableRule, verify_core_character
-    from .system import Root
 
     e_sys, m = t.ears, t.modulus
     table: dict[Root, int] = {}

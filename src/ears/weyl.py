@@ -12,9 +12,9 @@ from collections import deque
 from operator import sub
 from typing import Iterator, Sequence
 
-from .base import IntVector, Window, field, record
+from .base import IntVector, Root, Window, field, record
 from .lattice import generates, parity, vec_add, vec_scale
-from .system import Ears, Root, RootClass, enumerate_roots
+from .system import Ears, RootClass, enumerate_roots
 
 
 def _require_nonisotropic(e: Ears, base: Sequence[Root]) -> None:
@@ -147,8 +147,8 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     keeps its length and its isotropic part mod 2 under reflection, so a base
     meets each class mod 2 of the even window roots with an even element (one
     root more than there are classes when the pool's even roots do not span);
-    other even candidates are dropped.  A pool that does not span the lattice
-    has no subset to test.
+    other even candidates are dropped.  Nothing is tested, or spanned, when
+    no size is in range or the pool does not span the lattice.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -162,11 +162,11 @@ def minimal_reflectable_size(e: Ears, w: Window, max_size: int) -> MinimalBaseSe
     classes = [parity(r.iso) if r.finite in even else None for r in pool]
     even_rows = [e.root_coords(r) for r in pool if r.finite in even]
     smallest = max(n, len(needed))
-    if smallest == len(needed) and not generates(even_rows, n):
+    if smallest <= max_size and smallest == len(needed) and not generates(even_rows, n):
         smallest += 1  # a base of even roots alone would not span the lattice
     found = None
     tested = 0
-    if generates([e.root_coords(r) for r in pool], n):
+    if smallest <= max_size and generates([e.root_coords(r) for r in pool], n):
         for combo in _subsets(pool, classes, needed, range(smallest, max_size + 1)):
             if not generates([e.root_coords(r) for r in combo], n):
                 continue

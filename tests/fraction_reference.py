@@ -358,7 +358,7 @@ class FractionRoots:
 
     def to_int(self, r):
         """The package's integer root for a realization-coordinate root."""
-        from ears.system import Root
+        from ears.base import Root
 
         fin = None if r[0] is None else simple_coords(self.finite, r[0])
         return Root(fin, self.ambient.coords(r[1]))
@@ -371,7 +371,7 @@ class FractionRoots:
     def value(self, c, r):
         """Exponent of character `c` on a realization root, without the integer root path."""
         from ears.characters import ClassRule, LatticeHomRule
-        from ears.system import Root
+        from ears.base import Root
 
         e = self.e
         coords = self.ambient.coords(r[1])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import enumeration_reference as ref
 from conftest import SPEC_DIR, load_spec_file
 from fraction_reference import ambient_model
-from ears.base import Window, record
+from ears.base import Root, Window, record
 from ears.cli import main
 from ears.characters import (
     Character,
@@ -36,7 +36,8 @@ from ears.characters import (
 )
 from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
-from ears.system import Ears, EarsSpec, Root, build_ears, enumerate_roots, verify_axioms
+from ears.system import Ears, EarsSpec, build_ears, enumerate_roots, residue, verify_axioms
+from ears.torus import build_torus, diagonal_from_hom, extract_core_character
 
 LATTICES = {
     1: [((1,),), ((2,),), ((3,),)],
@@ -373,3 +374,53 @@ def test_class_rule_uses_its_own_period(a2_nu1):
     w = Window(3)
     got = verify_character(c, w)
     assert got.ok and got.to_json() == ref.verify_by_pairs(c, w, False).to_json()
+
+
+def extracted_table(ell, nu, m):
+    """The table `torus extract` reads off a diagonal automorphism at window 2."""
+    t = build_torus(ell, nu, m)
+    hom = tuple(range(1, ell + nu + 1))
+    return extract_core_character(t, diagonal_from_hom(t, hom), Window(2))[0]
+
+
+@pytest.mark.parametrize("ell, nu, m", [(2, 2, 2), (2, 1, 4), (3, 1, 3), (2, 2, 3)])
+def test_extracted_tables_match_pair_loops(ell, nu, m):
+    """Tables read off a torus automorphism, as read and with the entry of
+    one finite root at degree zero shifted, against the loop over every
+    window pair: sums outside the window are skipped, not looked up."""
+    c = extracted_table(ell, nu, m)
+    entries = dict(c.rule.entries)
+    target = Root((1,) + (0,) * (ell - 1), (0,) * nu)
+    entries[target] = (entries[target] + 1) % m
+    shifted = Character(c.ears, m, TableRule(2, tuple(entries.items())))
+    for char, bound in itertools.product((c, shifted), (1, 2)):
+        w = Window(bound)
+        for core_only, verify in ((False, verify_character), (True, verify_core_character)):
+            got, want = verify(char, w), ref.verify_by_pairs(char, w, core_only)
+            assert got.to_json() == want.to_json()
+            assert got.additivity_failures == want.additivity_failures[:5]
+            assert got.inverse_failures == want.inverse_failures
+            assert got.ok == (char is c)
+
+
+def a3_hom_mod_4():
+    e = build_ears(EarsSpec.from_json(load_spec_file("a3_nu2.json")))
+    return standard_hom_character(e, (1, 2, 3, 1, 2), 4)
+
+
+@pytest.mark.parametrize("make, bound", [(a3_hom_mod_4, 1), (lambda: extracted_table(2, 2, 2), 2)],
+                         ids=["a3_nu2-hom-mod-4", "extracted-2-2-2"])
+def test_sums_classified_once_per_membership_class_pair(make, bound, monkeypatch):
+    """The pair loop decides whether a sum is a root once per pair of
+    membership classes, (finite part, iso mod `Ears.period`), however many
+    window pairs, or pairs of the character's classes, there are."""
+    c, w = make(), Window(bound)
+    e = c.ears
+    members = {(r.finite, residue(r.iso, e.period)) for r in enumerate_roots(e, w)}
+    calls = []
+    classify = Ears.classify
+    monkeypatch.setattr(Ears, "classify",
+                        lambda self, *args: calls.append(args) or classify(self, *args))
+    report = verify_character(c, w)
+    assert report.ok and report.pairs_checked > len(members) ** 2
+    assert 0 < len(calls) <= len(members) ** 2

@@ -34,6 +34,9 @@ part of `src/ears` or from `bench/*.py`, and code only tests call lives in
 whose entries stay within Hadamard's bound, while a Smith form's can grow
 without bound on a dense square basis; so only `snf`, `solve_mod` and
 `generates`, where the Smith form's choices matter, call `lattice._smith`.
+Every public annotation resolves with `typing.get_type_hints`, so a module
+names in its annotations only what it imports at top, and `Root`, which
+`AxiomReport` holds, is defined in `base`.
 """
 
 import ast
@@ -43,6 +46,8 @@ import os
 import re
 import subprocess
 import sys
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -438,6 +443,33 @@ def test_traced_names_resolve():
             if not callable(getattr(getattr(module, cls_name, None), meth, None)):
                 missing.append(f"{layer}.{cls_name}.{meth}")
     assert not missing, f"traced names missing from ears: {missing}"
+
+
+def public_callables():
+    """(name, object) for every public class, function, method and property
+    getter defined in the package."""
+    for path in MODULES:
+        module = importlib.import_module(f"ears.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            yield f"{path.stem}.{name}", obj
+            for attr, member in vars(obj).items() if isinstance(obj, type) else ():
+                for wrapped in ("fget", "func", "__func__"):  # property, cached, static, class
+                    member = getattr(member, wrapped, member)
+                if not attr.startswith("_") and callable(member):
+                    yield f"{path.stem}.{name}.{attr}", member
+
+
+def test_annotations_resolve():
+    unresolved = []
+    for name, obj in public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert len(dict(public_callables())) > 150  # the walk reaches into the classes
+    assert not unresolved, unresolved
 
 
 def loaded_modules(statement: str) -> set[str]:

@@ -1,13 +1,12 @@
 import pytest
 
 from fraction_reference import lattice_coords
-from ears.base import Window
+from ears.base import Root, Window
 from ears.finite import FiniteType
 from ears.lattice import IntLattice, Semilattice
 from ears.system import (
     Ears,
     EarsSpec,
-    Root,
     RootClass,
     build_ears,
     check_compatibility,

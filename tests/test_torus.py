@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import ears.torus as torus_module
 import torus_reference as ref
-from ears.base import Window, record
+from ears.base import Root, Window, record
 from ears.characters import (
     Character,
     TableRule,
@@ -14,7 +14,7 @@ from ears.characters import (
     verify_character,
     verify_core_character,
 )
-from ears.system import Root, enumerate_roots
+from ears.system import enumerate_roots
 from ears.torus import (
     CycScalar,
     LieTorus,

@@ -5,9 +5,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import enumeration_reference as ref
-from ears.base import Window
+from ears.base import Root, Window
 from ears.finite import FiniteType
-from ears.system import Ears, EarsSpec, Root, build_ears, enumerate_roots, invariants
+from ears.system import Ears, EarsSpec, build_ears, enumerate_roots, invariants
+from ears import weyl
 from ears.weyl import (
     _subsets,
     check_reflectable,
@@ -146,6 +147,17 @@ class TestMinimalSize:
     def test_found_base_verifies(self, affine_a1):
         res = minimal_reflectable_size(affine_a1, Window(3), 2)
         assert check_reflectable(affine_a1, res.base, Window(3)).covered
+
+    def test_empty_size_range_runs_no_spanning_test(self, affine_a1, monkeypatch):
+        """A base has rank + nullity = 2 elements or more, so a largest size of
+        1 leaves nothing to test: the pool is counted but never spanned."""
+        calls = []
+        spans = weyl.generates
+        monkeypatch.setattr(weyl, "generates", lambda *args: calls.append(args) or spans(*args))
+        res = minimal_reflectable_size(affine_a1, Window(1), 1)
+        assert calls == []
+        assert (res.size, res.subsets_tested) == (None, 0)
+        assert res.candidates == len(weyl._candidate_pool(affine_a1, Window(1))) > 0
 
 
 # The small shipped specs: on the others the oracle, which visits every subset
